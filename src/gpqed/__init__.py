@@ -6,7 +6,7 @@ factors, and reports spike-plus-Gaussian model-averaged effect sizes.
 """
 
 from .gp import Dataset, GPFit, fit, log_marginal_likelihood, predict
-from .hyperopt import HyperParam, HyperVector, OptConfig, PriorSpec
+from .hyperopt import OptConfig, PriorSpec
 from .inference import (
     ComparisonResult,
     EffectPosterior,
@@ -27,8 +27,6 @@ __all__ = [
     "EffectPosterior",
     "Evidence",
     "GPFit",
-    "HyperParam",
-    "HyperVector",
     "KernelSpec",
     "OptConfig",
     "Predicate",

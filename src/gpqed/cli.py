@@ -207,7 +207,6 @@ def analyze(cfg: dict) -> dict:
     seed = int(cfg.get("seed", 0))
     opt = _opt_config(cfg, seed_default=seed)
 
-    profile = None
     if has_threshold:
         thr = cfg["threshold"]
         if isinstance(thr, dict):
@@ -239,9 +238,6 @@ def analyze(cfg: dict) -> dict:
         **_analysis_report(result),
     }
     if has_boundary:
-        prof = geo.effect_profile(
-            result.kernel_results[0].fit_c, result.kernel_results[0].fit_i,
-            boundary, count=int(cfg.get("profile_points", 50)))
         profiles = {}
         for kr in result.kernel_results:
             p = geo.effect_profile(kr.fit_c, kr.fit_i, boundary,
@@ -250,7 +246,6 @@ def analyze(cfg: dict) -> dict:
                 "arc_lengths": p.arc_lengths, "points": p.points,
                 "means": p.means, "variances": p.variances}
         report["effect_profiles"] = profiles
-        profile = prof
     report["wall_time_seconds"] = time.perf_counter() - started
 
     outputs = cfg.get("output", {})

@@ -114,6 +114,6 @@ def predict(gpfit: GPFit, Xs) -> tuple[np.ndarray, np.ndarray]:
     Ks = kernels.cross(gpfit.kernel, gpfit.data.X, Xs)       # n x m
     mean = gpfit.mean_constant + Ks.T @ gpfit.alpha
     V = solve_triangular(gpfit.chol, Ks, lower=True)          # n x m
-    kss = np.array([kernels.eval(gpfit.kernel, x, x) for x in Xs])
+    kss = kernels.diag(gpfit.kernel, Xs)
     var = np.maximum(kss - np.sum(V * V, axis=0), 0.0)
     return mean, var

@@ -1,6 +1,9 @@
 """Maximize the log marginal likelihood over a hyperparameter vector.
 
-The objective is regularized by vague priors (Gamma(0.01, 0.01) on positive
+A model's hyperparameters are a plain float array in the order given by
+`hyper_names`: the kernel's free parameters, then the noise variance. All of
+them are positive except a polynomial kernel's offset (`positive_mask`). The
+objective is regularized by vague priors (Gamma(0.01, 0.01) on positive
 parameters, Normal(0, 1) on unconstrained ones); the reported objective value
 is the prior-free log marginal likelihood at the optimum, which is what enters
 the BIC. Optimization runs in a transformed space where positive parameters
@@ -21,65 +24,20 @@ from .gp import Dataset
 from .kernels import KernelSpec
 
 
-@dataclass(frozen=True)
-class HyperParam:
-    name: str
-    value: float
-    positive: bool = True
+def hyper_names(kernel: KernelSpec) -> list[str]:
+    """Order of a model's hyperparameter array: kernel parameters, then noise."""
+    return kernel.param_names() + ["noise_variance"]
 
 
-@dataclass(frozen=True)
-class HyperVector:
-    """Ordered hyperparameters: kernel parameters plus the noise variance."""
-
-    params: tuple[HyperParam, ...]
-
-    def __post_init__(self):
-        for p in self.params:
-            if p.positive and not p.value > 0:
-                raise InputError(f"parameter {p.name} must be positive")
-
-    def __len__(self) -> int:
-        return len(self.params)
-
-    def values(self) -> np.ndarray:
-        return np.array([p.value for p in self.params])
-
-    def names(self) -> list[str]:
-        return [p.name for p in self.params]
-
-    def positive_mask(self) -> np.ndarray:
-        return np.array([p.positive for p in self.params])
-
-    def get(self, name: str) -> float:
-        for p in self.params:
-            if p.name == name:
-                return p.value
-        raise KeyError(name)
-
-    def replace_values(self, values: np.ndarray) -> "HyperVector":
-        return HyperVector(tuple(
-            HyperParam(p.name, float(v), p.positive)
-            for p, v in zip(self.params, values)))
-
-    def as_dict(self) -> dict[str, float]:
-        return {p.name: p.value for p in self.params}
+def positive_mask(kernel: KernelSpec) -> np.ndarray:
+    """True where a hyperparameter must be positive (all but "offset")."""
+    return np.array([name != "offset" for name in hyper_names(kernel)])
 
 
-def make_hypervector(kernel: KernelSpec, noise_variance: float) -> HyperVector:
-    """Free parameters of a model: kernel parameters then "noise_variance"."""
-    params = []
-    for name in kernel.param_names():
-        value = getattr(kernel, name)
-        params.append(HyperParam(name, float(value), positive=(name != "offset")))
-    params.append(HyperParam("noise_variance", float(noise_variance), True))
-    return HyperVector(tuple(params))
-
-
-def apply_hypervector(kernel: KernelSpec, hv: HyperVector) -> tuple[KernelSpec, float]:
-    """Split a HyperVector back into a kernel spec and a noise variance."""
-    updates = {p.name: p.value for p in hv.params if p.name != "noise_variance"}
-    return kernel.with_params(**updates), hv.get("noise_variance")
+def kernel_and_noise(kernel: KernelSpec, theta) -> tuple[KernelSpec, float]:
+    """Split a hyperparameter array into a kernel spec and a noise variance."""
+    *values, noise = np.asarray(theta, dtype=float).tolist()
+    return kernel.with_params(**dict(zip(kernel.param_names(), values))), noise
 
 
 @dataclass(frozen=True)
@@ -95,15 +53,16 @@ class PriorSpec:
         if not (self.gamma_shape > 0 and self.gamma_rate > 0 and self.normal_sd > 0):
             raise InputError("prior shape/rate/sd must be positive")
 
-    def log_density(self, hv: HyperVector) -> float:
+    def log_density(self, theta, positive) -> float:
+        """Summed log prior of the array theta; positive marks Gamma entries."""
         total = 0.0
         a, b = self.gamma_shape, self.gamma_rate
-        for p in hv.params:
-            if p.positive:
+        for value, pos in zip(map(float, theta), positive):
+            if pos:
                 total += (a * math.log(b) - math.lgamma(a)
-                          + (a - 1.0) * math.log(p.value) - b * p.value)
+                          + (a - 1.0) * math.log(value) - b * value)
             else:
-                z = (p.value - self.normal_mean) / self.normal_sd
+                z = (value - self.normal_mean) / self.normal_sd
                 total += -0.5 * z * z - math.log(self.normal_sd) \
                     - 0.5 * math.log(2.0 * math.pi)
         return total
@@ -111,10 +70,9 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class OptResult:
-    theta_hat: HyperVector
+    theta_hat: np.ndarray        # hyperparameters at the best restart
     objective_value: float       # prior-free log marginal likelihood
     converged: bool
-    restarts_used: int
 
 
 @dataclass(frozen=True)
@@ -126,12 +84,6 @@ class OptConfig:
     priors: PriorSpec = field(default_factory=PriorSpec)
 
 
-def _to_unconstrained(values, positive):
-    z = np.array(values, dtype=float)
-    z[positive] = np.log(z[positive])
-    return z
-
-
 def _from_unconstrained(z, positive):
     v = np.array(z, dtype=float)
     # clip keeps exp() strictly positive and finite at extreme steps
@@ -139,27 +91,34 @@ def _from_unconstrained(z, positive):
     return v
 
 
-def optimize(objective, priors: PriorSpec, init: HyperVector,
+def optimize(objective, priors: PriorSpec, init, positive,
              restarts: int = 5, seed: int = 0,
              max_iterations: int = 500, tolerance: float = 1e-5) -> OptResult:
     """Maximize objective(theta) + log prior(theta); return the best restart.
 
-    Restart 0 starts at `init`; later restarts perturb each transformed
-    parameter by Normal(0, 0.5) draws from a generator seeded with `seed`.
-    The best restart is chosen by the regularized objective, ties broken by
-    the lowest restart index. Raises OptimizationError when every restart
-    fails to produce a finite objective.
+    theta is a float array shaped like `init`, kept positive where
+    `positive` is true (InputError if `init` is not). Restart 0 starts at
+    `init`; later restarts perturb each transformed parameter by
+    Normal(0, 0.5) draws from a generator seeded with `seed`. The best
+    restart is chosen by the regularized objective, ties broken by the lowest
+    restart index. Raises OptimizationError when every restart fails to
+    produce a finite objective.
     """
     if restarts < 1:
         raise InputError("restarts must be >= 1")
-    positive = init.positive_mask()
-    z0 = _to_unconstrained(init.values(), positive)
+    init = np.asarray(init, dtype=float)
+    positive = np.asarray(positive, dtype=bool)
+    bad = np.flatnonzero(positive & ~(init > 0))
+    if bad.size:
+        raise InputError(f"hyperparameter {bad[0]} must be positive")
+    z0 = init.copy()
+    z0[positive] = np.log(init[positive])
     rng = np.random.default_rng(seed)
 
     def neg_map(z):
-        hv = init.replace_values(_from_unconstrained(z, positive))
+        theta = _from_unconstrained(z, positive)
         try:
-            val = objective(hv) + priors.log_density(hv)
+            val = objective(theta) + priors.log_density(theta, positive)
         except NumericalError:
             return 1e30
         # log-Jacobian of the log transform: MAP is taken in the transformed
@@ -182,28 +141,29 @@ def optimize(objective, priors: PriorSpec, init: HyperVector,
     best = None
     for k in range(restarts):
         z_init = z0 if k == 0 else z0 + rng.normal(0.0, 0.5, size=len(z0))
-        if not np.isfinite(neg_map(z_init)) or neg_map(z_init) >= 1e30:
+        # neg_map is always finite: 1e30 marks a failed evaluation
+        if neg_map(z_init) >= 1e30:
             continue
         res = minimize(neg_map, z_init, jac=neg_grad, method="L-BFGS-B",
                        options={"maxiter": max_iterations, "gtol": tolerance,
                                 "ftol": 1e-12})
-        if not np.isfinite(res.fun) or res.fun >= 1e30:
+        if res.fun >= 1e30:
             continue
-        converged = bool(np.max(np.abs(neg_grad(res.x))) < tolerance) or res.success
-        cand = (-res.fun, -k, res.x, converged)
-        if best is None or cand[:2] > best[:2]:
-            best = cand
+        # res.jac is the gradient L-BFGS-B already holds at res.x
+        converged = bool(np.max(np.abs(res.jac)) < tolerance) or res.success
+        if best is None or -res.fun > best[0]:
+            best = (-res.fun, res.x, converged)
     if best is None:
         raise OptimizationError("all optimizer restarts diverged")
-    map_value, negk, z_hat, converged = best
-    theta_hat = init.replace_values(_from_unconstrained(z_hat, positive))
+    _, z_hat, converged = best
+    theta_hat = _from_unconstrained(z_hat, positive)
     return OptResult(theta_hat=theta_hat,
                      objective_value=float(objective(theta_hat)),
-                     converged=converged, restarts_used=restarts)
+                     converged=converged)
 
 
-def default_init(kernel: KernelSpec, data: Dataset) -> HyperVector:
-    """Data-driven starting values for a model's hyperparameters.
+def default_init(kernel: KernelSpec, data: Dataset) -> np.ndarray:
+    """Data-driven starting values, ordered by `hyper_names(kernel)`.
 
     variance <- var(y) (floored at 1e-6), lengthscale <- mean per-dimension
     half-range of X, noise_variance <- 0.1 * var(y), offset <- 1.
@@ -215,13 +175,6 @@ def default_init(kernel: KernelSpec, data: Dataset) -> HyperVector:
     half_range = float(np.mean(ranges)) / 2.0
     if half_range <= 0:
         half_range = 1.0
-    params = []
-    for name in kernel.param_names():
-        if name == "variance":
-            params.append(HyperParam("variance", var_y, True))
-        elif name == "lengthscale":
-            params.append(HyperParam("lengthscale", half_range, True))
-        elif name == "offset":
-            params.append(HyperParam("offset", 1.0, False))
-    params.append(HyperParam("noise_variance", 0.1 * var_y, True))
-    return HyperVector(tuple(params))
+    start = {"variance": var_y, "lengthscale": half_range, "offset": 1.0,
+             "noise_variance": 0.1 * var_y}
+    return np.array([start[name] for name in hyper_names(kernel)])

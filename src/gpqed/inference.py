@@ -3,9 +3,9 @@
 The continuous model M0 fits one GP to all data. The discontinuous model M1
 splits the data by a label function into a control and an intervention part,
 fits an independent GP to each, and optimizes one shared hyperparameter vector
-against the sum of the two log marginal likelihoods. Model evidences are BIC
-approximations log p(D|M) ~= logML(theta_hat) - (k/2) log n; since both models
-share k and n, the BIC penalties cancel exactly in the Bayes factor.
+against the sum of the two log marginal likelihoods (M0 is one part). Model
+evidences are BIC approximations log p(D|M) ~= logML(theta_hat) - (k/2) log n;
+both models share k and n, so the BIC penalties cancel in the Bayes factor.
 
 The effect size at the threshold is Gaussian under M1 (difference of the two
 predictive posteriors) and a spike at zero under M0; the model-averaged
@@ -133,13 +133,6 @@ class ComparisonResult:
     bma_var: float
     effect_point: np.ndarray
 
-    @property
-    def total_effect(self) -> EffectPosterior:
-        """Kernel-averaged mixture collapsed to spike + single Gaussian moments."""
-        return EffectPosterior(
-            m1_mean=self.bma_m1_mean, m1_var=self.bma_m1_var,
-            spike_weight=1.0 - self.total_p_m1, gaussian_weight=self.total_p_m1)
-
     def mixture_components(self) -> tuple[float, list[tuple[float, float, float]]]:
         """Full BMA mixture: (spike weight, [(weight, mean, var) per kernel])."""
         spike = 1.0 - self.total_p_m1
@@ -153,8 +146,30 @@ class ComparisonResult:
 # ---------------------------------------------------------------------------
 # fitting
 
-def _model_k(kernel: KernelSpec) -> int:
-    return kernels.num_hyperparameters(kernel, include_noise=True)
+def _fit_parts(parts: list[Dataset], kernel: KernelSpec, n: int, init,
+               cfg: OptConfig, c: float) -> tuple[list[GPFit], Evidence]:
+    """Fit independent GPs to `parts` with one shared hyperparameter vector.
+
+    The shared vector maximizes the sum of the parts' log marginal
+    likelihoods; the evidence applies one BIC penalty with the total n.
+    """
+    structures = [GramStructure(part.X) for part in parts]
+
+    def fits(theta):
+        k, noise = hyperopt.kernel_and_noise(kernel, theta)
+        return [gp.fit(part, k, noise, mean_constant=c, structure=s)
+                for part, s in zip(parts, structures)]
+
+    def objective(theta):
+        return sum(gp.log_marginal_likelihood(f) for f in fits(theta))
+
+    opt = hyperopt.optimize(objective, cfg.priors, init,
+                            hyperopt.positive_mask(kernel),
+                            restarts=cfg.restarts, seed=cfg.seed,
+                            max_iterations=cfg.max_iterations,
+                            tolerance=cfg.tolerance)
+    ev = Evidence(log_ml=opt.objective_value, k=len(init), n=n)
+    return fits(opt.theta_hat), ev
 
 
 def fit_continuous(data: Dataset, kernel: KernelSpec,
@@ -163,23 +178,11 @@ def fit_continuous(data: Dataset, kernel: KernelSpec,
     """Fit one GP to all data; evidence via BIC at the optimized hypers."""
     if data.n < 2:
         raise ConfigError("need at least 2 observations")
-    cfg = cfg or OptConfig()
     c = float(np.mean(data.y)) if mean_constant is None else mean_constant
-    structure = GramStructure(data.X)
-    init = hyperopt.default_init(kernel, data)
-
-    def objective(hv):
-        k, noise = hyperopt.apply_hypervector(kernel, hv)
-        return gp.log_marginal_likelihood(
-            gp.fit(data, k, noise, mean_constant=c, structure=structure))
-
-    opt = hyperopt.optimize(objective, cfg.priors, init, restarts=cfg.restarts,
-                            seed=cfg.seed, max_iterations=cfg.max_iterations,
-                            tolerance=cfg.tolerance)
-    k_spec, noise = hyperopt.apply_hypervector(kernel, opt.theta_hat)
-    best = gp.fit(data, k_spec, noise, mean_constant=c, structure=structure)
-    ev = Evidence(log_ml=opt.objective_value, k=_model_k(kernel), n=data.n)
-    return best, ev
+    (fit,), ev = _fit_parts([data], kernel, data.n,
+                            hyperopt.default_init(kernel, data),
+                            cfg or OptConfig(), c)
+    return fit, ev
 
 
 def split_by_label(data: Dataset, label: LabelFunction) -> tuple[Dataset, Dataset]:
@@ -200,28 +203,10 @@ def fit_discontinuous(data: Dataset, label: LabelFunction, kernel: KernelSpec,
     The shared vector maximizes the sum of the two sides' log marginal
     likelihoods; the evidence applies one BIC penalty with the total n.
     """
-    cfg = cfg or OptConfig()
     c = float(np.mean(data.y)) if mean_constant is None else mean_constant
-    data_c, data_i = split_by_label(data, label)
-    struct_c = GramStructure(data_c.X)
-    struct_i = GramStructure(data_i.X)
-    init = hyperopt.default_init(kernel, data)
-
-    def objective(hv):
-        k, noise = hyperopt.apply_hypervector(kernel, hv)
-        lml_c = gp.log_marginal_likelihood(
-            gp.fit(data_c, k, noise, mean_constant=c, structure=struct_c))
-        lml_i = gp.log_marginal_likelihood(
-            gp.fit(data_i, k, noise, mean_constant=c, structure=struct_i))
-        return lml_c + lml_i
-
-    opt = hyperopt.optimize(objective, cfg.priors, init, restarts=cfg.restarts,
-                            seed=cfg.seed, max_iterations=cfg.max_iterations,
-                            tolerance=cfg.tolerance)
-    k_spec, noise = hyperopt.apply_hypervector(kernel, opt.theta_hat)
-    fit_c = gp.fit(data_c, k_spec, noise, mean_constant=c, structure=struct_c)
-    fit_i = gp.fit(data_i, k_spec, noise, mean_constant=c, structure=struct_i)
-    ev = Evidence(log_ml=opt.objective_value, k=_model_k(kernel), n=data.n)
+    (fit_c, fit_i), ev = _fit_parts(list(split_by_label(data, label)), kernel,
+                                    data.n, hyperopt.default_init(kernel, data),
+                                    cfg or OptConfig(), c)
     return fit_c, fit_i, ev
 
 
@@ -326,12 +311,15 @@ def aggregate_totals(le0: np.ndarray, le1: np.ndarray, means: np.ndarray,
     }
 
 
-def bma_effect_samples(result: ComparisonResult, count: int,
-                       seed: int = 0) -> np.ndarray:
-    """Monte Carlo draws from the full spike-plus-Gaussians BMA mixture."""
+def _mixture_samples(spike: float, comps: list[tuple[float, float, float]],
+                     count: int, seed: int) -> np.ndarray:
+    """Draws from a spike at zero plus Gaussians [(weight, mean, var)].
+
+    One `rng.choice` over the components, then the normals per component:
+    that order fixes the samples a seed gives.
+    """
     if count < 1:
         raise InputError("count must be >= 1")
-    spike, comps = result.mixture_components()
     weights = np.array([spike] + [w for w, _, _ in comps])
     weights = weights / weights.sum()
     rng = np.random.default_rng(seed)
@@ -345,14 +333,15 @@ def bma_effect_samples(result: ComparisonResult, count: int,
     return out
 
 
+def bma_effect_samples(result: ComparisonResult, count: int,
+                       seed: int = 0) -> np.ndarray:
+    """Monte Carlo draws from the full spike-plus-Gaussians BMA mixture."""
+    spike, comps = result.mixture_components()
+    return _mixture_samples(spike, comps, count, seed)
+
+
 def effect_samples(effect: EffectPosterior, count: int, seed: int = 0) -> np.ndarray:
     """Draws from a single spike-plus-Gaussian effect posterior."""
-    if count < 1:
-        raise InputError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    gaussian = rng.random(count) < effect.gaussian_weight
-    out = np.zeros(count)
-    k = int(gaussian.sum())
-    if k:
-        out[gaussian] = effect.m1_mean + np.sqrt(effect.m1_var) * rng.standard_normal(k)
-    return out
+    return _mixture_samples(
+        effect.spike_weight,
+        [(effect.gaussian_weight, effect.m1_mean, effect.m1_var)], count, seed)

@@ -170,6 +170,16 @@ def cross(spec: KernelSpec, X, Xs) -> np.ndarray:
     return _polynomial_from_dot(spec, X @ Xs.T)
 
 
+def diag(spec: KernelSpec, X) -> np.ndarray:
+    """The prior variances k(x, x) of the rows of X, without a Gram matrix."""
+    X = _atleast_2d(X)
+    if spec.stationary:
+        return np.full(X.shape[0], float(spec.variance))
+    # a stack of row-by-column products rounds like eval's x @ x, which a
+    # plain sum of squares does not for p >= 2
+    return _polynomial_from_dot(spec, (X[:, None, :] @ X[:, :, None]).ravel())
+
+
 def gram(spec: KernelSpec, X) -> np.ndarray:
     """The symmetric n x n covariance matrix of the rows of X."""
     X = _atleast_2d(X)
@@ -208,8 +218,10 @@ def jittered_cholesky(K: np.ndarray) -> tuple[np.ndarray, float]:
 
     A clean factorization is attempted first; on failure jitter starts at
     1e-6 * mean(diag) and doubles until 1e-2 * mean(diag). Raises
-    NumericalError if the matrix still fails to factorize.
+    NumericalError if K is not finite or still fails to factorize.
     """
+    if not np.all(np.isfinite(K)):
+        raise NumericalError("covariance matrix has non-finite entries")
     scale = float(np.mean(np.diag(K)))
     if scale <= 0 or not np.isfinite(scale):
         scale = 1.0

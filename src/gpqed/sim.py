@@ -5,12 +5,12 @@ factors) aggregated over repeated analyses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import inference
-from .errors import ConfigError, InputError
+from .errors import ConfigError, GpqedError, InputError
 from .gp import Dataset
 from .hyperopt import OptConfig
 from .inference import ComparisonResult, EffectPosterior, Threshold
@@ -118,13 +118,9 @@ def rmse_closed_form(effect: EffectPosterior, true_d: float,
 def rmse(effect: EffectPosterior, true_d: float, mc_count: int = 10000,
          seed: int = 0, m1_only: bool = False) -> float:
     """Monte Carlo counterpart of rmse_closed_form."""
-    if mc_count < 1:
-        raise InputError("mc_count must be >= 1")
-    rng = np.random.default_rng(seed)
     if m1_only:
-        draws = effect.m1_mean + np.sqrt(effect.m1_var) * rng.standard_normal(mc_count)
-    else:
-        draws = inference.effect_samples(effect, mc_count, seed=seed)
+        effect = replace(effect, spike_weight=0.0, gaussian_weight=1.0)
+    draws = inference.effect_samples(effect, mc_count, seed=seed)
     return float(np.sqrt(np.mean((draws - true_d) ** 2)))
 
 
@@ -191,12 +187,9 @@ def run_cell(config: SimConfig, kernel_list: list[KernelSpec],
         opt_seed = int(rep_seed(config.seed, cell_index, rep, stream=1)
                        .generate_state(1)[0])
         try:
-            result = inference.compare(
-                data, label, kernel_list,
-                OptConfig(restarts=opt.restarts, seed=opt_seed,
-                          max_iterations=opt.max_iterations,
-                          tolerance=opt.tolerance, priors=opt.priors))
-        except Exception:
+            result = inference.compare(data, label, kernel_list,
+                                       replace(opt, seed=opt_seed))
+        except GpqedError:
             failures += 1
             continue
         totals.append(result.total_log_bf)

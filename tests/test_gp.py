@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gpqed import gp, kernels
-from gpqed.errors import DataError, InputError
+from gpqed.errors import DataError, InputError, NumericalError
 from gpqed.gp import Dataset, fit, log_marginal_likelihood, predict
 from gpqed.kernels import from_name
 
@@ -48,6 +48,13 @@ class TestFit:
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(InputError):
             fit(Dataset([0.0], [0.0]), from_name("se"), 0.0)
+
+    def test_overflowing_covariance_is_numerical_error(self):
+        # the optimizer's clip lets variance reach e^700; a cubic kernel
+        # then overflows the Gram matrix to inf
+        cubic = from_name("poly", degree=3, variance=np.exp(700.0))
+        with pytest.raises(NumericalError):
+            fit(Dataset(np.linspace(0.5, 1.0, 5), np.zeros(5)), cubic, 0.1)
 
 
 class TestLogMarginalLikelihood:

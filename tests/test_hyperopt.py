@@ -7,12 +7,12 @@ from gpqed import hyperopt, inference, kernels, sim
 from gpqed.errors import InputError, OptimizationError
 from gpqed.gp import Dataset
 from gpqed.hyperopt import (
-    HyperParam,
-    HyperVector,
     PriorSpec,
     default_init,
-    make_hypervector,
+    hyper_names,
+    kernel_and_noise,
     optimize,
+    positive_mask,
 )
 from gpqed.kernels import from_name
 
@@ -25,82 +25,82 @@ def _flat_prior():
 class TestHyperVector:
     def test_rejects_nonpositive_constrained(self):
         with pytest.raises(InputError):
-            HyperVector((HyperParam("variance", -1.0, True),))
+            optimize(lambda theta: 0.0, _flat_prior(), np.array([-1.0]),
+                     np.array([True]), restarts=1)
 
     def test_roundtrip_with_kernel(self):
         k = from_name("se", variance=2.0, lengthscale=0.7)
-        hv = make_hypervector(k, 0.3)
-        assert hv.names() == ["variance", "lengthscale", "noise_variance"]
-        k2, noise = hyperopt.apply_hypervector(from_name("se"), hv)
+        assert hyper_names(k) == ["variance", "lengthscale", "noise_variance"]
+        theta = np.array([getattr(k, name) for name in k.param_names()] + [0.3])
+        k2, noise = kernel_and_noise(from_name("se"), theta)
         assert k2 == k and noise == 0.3
 
     def test_length_is_model_k(self):
         k = from_name("linear")
-        hv = make_hypervector(k, 1.0)
-        assert len(hv) == kernels.num_hyperparameters(k, include_noise=True)
+        assert len(hyper_names(k)) == kernels.num_hyperparameters(
+            k, include_noise=True)
+        assert len(positive_mask(k)) == len(hyper_names(k))
 
 
 class TestPriors:
     def test_gamma_log_density_at_one(self):
         p = PriorSpec()
-        hv = HyperVector((HyperParam("v", 1.0, True),))
         expected = 0.01 * math.log(0.01) - math.lgamma(0.01) - 0.01
-        assert p.log_density(hv) == pytest.approx(expected, rel=1e-12)
+        assert p.log_density(np.array([1.0]), np.array([True])) == \
+            pytest.approx(expected, rel=1e-12)
 
     def test_normal_log_density(self):
         p = PriorSpec()
-        hv = HyperVector((HyperParam("offset", 0.0, False),))
-        assert p.log_density(hv) == pytest.approx(-0.5 * math.log(2 * math.pi))
+        assert p.log_density(np.array([0.0]), np.array([False])) == \
+            pytest.approx(-0.5 * math.log(2 * math.pi))
 
 
 class TestOptimize:
     def test_quadratic_maximum(self):
-        init = HyperVector((HyperParam("theta", 0.5, False),))
-        res = optimize(lambda hv: -((hv.get("theta") - 2.0) ** 2),
-                       _flat_prior(), init, restarts=1, seed=0)
-        assert res.theta_hat.get("theta") == pytest.approx(2.0, abs=1e-4)
+        res = optimize(lambda theta: -((theta[0] - 2.0) ** 2),
+                       _flat_prior(), np.array([0.5]), np.array([False]),
+                       restarts=1, seed=0)
+        assert res.theta_hat[0] == pytest.approx(2.0, abs=1e-4)
         assert res.converged
 
     def test_deterministic_across_runs(self):
-        init = HyperVector((HyperParam("a", 1.0, True),
-                            HyperParam("b", 0.3, False)))
+        init, positive = np.array([1.0, 0.3]), np.array([True, False])
 
-        def obj(hv):
-            return -((math.log(hv.get("a")) - 1.0) ** 2 + (hv.get("b") + 2) ** 2)
+        def obj(theta):
+            return -((math.log(theta[0]) - 1.0) ** 2 + (theta[1] + 2) ** 2)
 
-        r1 = optimize(obj, _flat_prior(), init, restarts=4, seed=7)
-        r2 = optimize(obj, _flat_prior(), init, restarts=4, seed=7)
-        assert r1.theta_hat.values().tolist() == r2.theta_hat.values().tolist()
+        r1 = optimize(obj, _flat_prior(), init, positive, restarts=4, seed=7)
+        r2 = optimize(obj, _flat_prior(), init, positive, restarts=4, seed=7)
+        assert r1.theta_hat.tolist() == r2.theta_hat.tolist()
         assert r1.objective_value == r2.objective_value
 
     def test_monotone_improvement(self):
-        init = HyperVector((HyperParam("a", 0.1, True),))
+        init = np.array([0.1])
 
-        def obj(hv):
-            return -((hv.get("a") - 3.0) ** 2)
+        def obj(theta):
+            return -((theta[0] - 3.0) ** 2)
 
-        res = optimize(obj, _flat_prior(), init, restarts=3, seed=1)
+        res = optimize(obj, _flat_prior(), init, np.array([True]),
+                       restarts=3, seed=1)
         assert res.objective_value >= obj(init)
 
     def test_positive_constraints_preserved(self):
-        init = HyperVector((HyperParam("a", 2.0, True),))
-        res = optimize(lambda hv: -(hv.get("a") - 1e-4) ** 2,
-                       _flat_prior(), init, restarts=3, seed=2)
-        assert res.theta_hat.get("a") > 0
+        res = optimize(lambda theta: -(theta[0] - 1e-4) ** 2,
+                       _flat_prior(), np.array([2.0]), np.array([True]),
+                       restarts=3, seed=2)
+        assert res.theta_hat[0] > 0
 
     def test_all_restarts_diverge(self):
-        init = HyperVector((HyperParam("a", 1.0, False),))
         with pytest.raises(OptimizationError):
-            optimize(lambda hv: float("nan"), _flat_prior(), init,
-                     restarts=3, seed=0)
+            optimize(lambda theta: float("nan"), _flat_prior(),
+                     np.array([1.0]), np.array([False]), restarts=3, seed=0)
 
     def test_objective_value_excludes_prior(self):
-        init = HyperVector((HyperParam("a", 1.0, True),))
+        def obj(theta):
+            return -((math.log(theta[0])) ** 2)
 
-        def obj(hv):
-            return -((math.log(hv.get("a"))) ** 2)
-
-        res = optimize(obj, PriorSpec(), init, restarts=1, seed=0)
+        res = optimize(obj, PriorSpec(), np.array([1.0]), np.array([True]),
+                       restarts=1, seed=0)
         # reported value is the raw objective, which peaks at 0
         assert res.objective_value == pytest.approx(
             obj(res.theta_hat), abs=1e-12)
@@ -110,21 +110,24 @@ class TestDefaultInit:
     def test_stated_rule(self):
         x = np.linspace(0.0, 10.0, 50)
         y = np.concatenate([np.full(25, -2.0), np.full(25, 2.0)])  # var 4
-        hv = default_init(from_name("se"), Dataset(x, y))
-        assert hv.get("variance") == pytest.approx(4.0)
-        assert hv.get("lengthscale") == pytest.approx(5.0)
-        assert hv.get("noise_variance") == pytest.approx(0.4)
+        theta = dict(zip(hyper_names(from_name("se")),
+                         default_init(from_name("se"), Dataset(x, y))))
+        assert theta["variance"] == pytest.approx(4.0)
+        assert theta["lengthscale"] == pytest.approx(5.0)
+        assert theta["noise_variance"] == pytest.approx(0.4)
 
     def test_constant_y_floor(self):
         d = Dataset(np.linspace(0, 1, 12), np.full(12, 7.0))
-        hv = default_init(from_name("se"), d)
-        assert hv.get("variance") == pytest.approx(1e-6)
+        theta = default_init(from_name("se"), d)
+        assert theta[hyper_names(from_name("se")).index("variance")] == \
+            pytest.approx(1e-6)
 
     def test_polynomial_offset(self):
         d = Dataset(np.linspace(0, 1, 12), np.linspace(0, 1, 12))
-        hv = default_init(from_name("linear"), d)
-        assert hv.get("offset") == 1.0
-        assert not hv.params[hv.names().index("offset")].positive
+        k = from_name("linear")
+        i = hyper_names(k).index("offset")
+        assert default_init(k, d)[i] == 1.0
+        assert not positive_mask(k)[i]
 
 
 class TestPriorInfluence:

@@ -42,6 +42,16 @@ class TestEval:
             x = rng.normal(size=3)
             assert kernels.eval(k, x, x) == pytest.approx(k.variance)
 
+    def test_diag_equals_pointwise_eval(self, rng):
+        X = rng.normal(size=(200, 2)) * 10.0
+        for k in [random_kernel(rng, name) for name in ALL_FAMILY_NAMES]:
+            np.testing.assert_array_equal(
+                kernels.diag(k, X), [kernels.eval(k, x, x) for x in X])
+        # numpy squares exactly where eval's scalar pow() may be off by an ulp
+        k = from_name("poly", degree=2, offset=0.3)
+        np.testing.assert_allclose(
+            kernels.diag(k, X), [kernels.eval(k, x, x) for x in X], rtol=1e-15)
+
 
 class TestGramCross:
     def test_single_point(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gpqed import sim
-from gpqed.errors import ConfigError, InputError
+from gpqed.errors import ConfigError, InputError, NumericalError
 from gpqed.hyperopt import OptConfig
 from gpqed.inference import EffectPosterior
 from gpqed.kernels import from_name
@@ -131,6 +131,23 @@ class TestRunGrid:
         b = sim.run_grid(["Linear"], [1.0], cfg, [from_name("exp")],
                          opt=OptConfig(restarts=1, seed=0))
         assert a.cells[0].mean_log_bf == b.cells[0].mean_log_bf
+
+    def test_only_typed_failures_are_counted(self, monkeypatch):
+        cfg = SimConfig(latent="Linear", n=40, repetitions=2)
+
+        def fails(error):
+            def compare(*args, **kwargs):
+                raise error
+            return compare
+
+        monkeypatch.setattr(sim.inference, "compare",
+                            fails(NumericalError("diverged")))
+        cell = sim.run_cell(cfg, [from_name("exp")])
+        assert cell.failures == 2
+        # anything else is a bug and must not be recorded as a failure
+        monkeypatch.setattr(sim.inference, "compare", fails(KeyError("bug")))
+        with pytest.raises(KeyError):
+            sim.run_cell(cfg, [from_name("exp")])
 
     def test_empty_grid_rejected(self):
         cfg = SimConfig(latent="Linear", n=40, repetitions=1)
