@@ -72,7 +72,7 @@ def load_csv(path: str, predictors: list[str], response: str) -> Dataset:
 # serialization helpers
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON output."""
+    """Recursively convert numpy values for strict JSON; NaN and ±inf become None."""
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -80,39 +80,38 @@ def _plain(obj):
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
 
 
-def write_json_atomic(path: str, obj) -> None:
+def _json_dump(obj, fh) -> None:
+    json.dump(_plain(obj), fh, indent=2, allow_nan=False)
+    fh.write("\n")
+
+
+def _write_atomic(path: str, write, newline=None) -> None:
+    """Call write(fh) on a temporary file next to path, then move it there."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(_plain(obj), fh, indent=2)
-            fh.write("\n")
+        with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path: str, obj) -> None:
+    _write_atomic(path, lambda fh: _json_dump(obj, fh))
 
 
 def write_csv_atomic(path: str, header: list[str], rows) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, lambda fh: csv.writer(fh).writerows([header, *rows]),
+                  newline="")
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +412,14 @@ def main(argv: list[str] | None = None) -> int:
                                                "boundary", "seed"])
             report = analyze(cfg)
             if not cfg.get("output", {}).get("report"):
-                json.dump(_plain(report), sys.stdout, indent=2)
-                print()
+                _json_dump(report, sys.stdout)
             return 0
         if args.command == "simulate":
             cfg = _apply_overrides(cfg, args, ["n", "noise_sd", "repetitions",
                                                "seed"])
             out = simulate(cfg)
             if not cfg.get("output", {}).get("summary_json"):
-                json.dump(_plain(out), sys.stdout, indent=2)
-                print()
+                _json_dump(out, sys.stdout)
             return 0
         parser.error(f"unknown command {args.command}")
     except ConfigError as exc:

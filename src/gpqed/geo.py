@@ -4,7 +4,7 @@ A boundary is an ordered open polyline; points to the left of the direction
 of travel are control (label 0), points to the right are intervention
 (label 1). Points landing on the path itself (within 1e-9) are assigned to
 the intervention side, consistent with the ">= threshold" convention of the
-one-dimensional case, and a warning is issued.
+one-dimensional case, and one warning per call gives their count.
 """
 
 from __future__ import annotations
@@ -21,17 +21,9 @@ from .gp import GPFit
 ON_PATH_TOL = 1e-9
 
 
-def _cross2(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
-
-
-def _segments_intersect(p1, p2, p3, p4) -> bool:
-    """Proper intersection test for open segments (shared endpoints allowed)."""
-    d1 = _cross2(p4 - p3, p1 - p3)
-    d2 = _cross2(p4 - p3, p2 - p3)
-    d3 = _cross2(p2 - p1, p3 - p1)
-    d4 = _cross2(p2 - p1, p4 - p1)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+def _cross(u, v):
+    """z-component of the 2-D cross product u × v over the last axis."""
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 @dataclass(frozen=True)
@@ -46,14 +38,18 @@ class BoundaryPolyline:
             raise InputError("a boundary needs >= 2 two-dimensional vertices")
         if not np.all(np.isfinite(v)):
             raise InputError("boundary vertices must be finite")
-        if np.any(np.all(v[1:] == v[:-1], axis=1)):
+        d = np.diff(v, axis=0)
+        if np.any(np.all(d == 0, axis=1)):
             raise InputError("consecutive boundary vertices must be distinct")
-        # simple-path check: non-adjacent segments must not cross
-        m = v.shape[0] - 1
-        for i in range(m):
-            for j in range(i + 2, m):
-                if _segments_intersect(v[i], v[i + 1], v[j], v[j + 1]):
-                    raise InputError("boundary polyline is self-intersecting")
+        if np.any((_cross(d[:-1], d[1:]) == 0)
+                  & (np.sum(d[:-1] * d[1:], axis=1) < 0)):
+            raise InputError("boundary polyline folds back on itself")
+        # simple path: segments i < j - 1 cross when each one's line splits
+        # the other (left[i, k]: vertex k lies left of segment i)
+        left = _cross(d[:, None, :], v[None, :, :] - v[:-1, None, :]) > 0
+        straddle = left[:, :-1] != left[:, 1:]
+        if np.triu(straddle & straddle.T, 2).any():
+            raise InputError("boundary polyline is self-intersecting")
         object.__setattr__(self, "vertices", v)
 
     @property
@@ -68,40 +64,42 @@ class BoundaryPolyline:
         return BoundaryPolyline(self.vertices[::-1].copy())
 
 
-def _nearest_segment_side(boundary: BoundaryPolyline, point: np.ndarray
-                          ) -> tuple[float, float]:
-    """(distance to path, signed cross product against the nearest segment).
-
-    Among segments tied for the minimum distance (shared-vertex ties), the
-    one whose direction is most perpendicular to the point offset decides the
-    sign, which keeps the side consistent across corner regions.
-    """
-    v = boundary.vertices
-    a = v[:-1]
-    b = v[1:]
-    d = b - a
+def _nearest_segment_side(boundary: BoundaryPolyline, X: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (m, 2) array X: (distance to the path, signed cross
+    product against the nearest segment). Among segments tied for the minimum
+    distance (shared-vertex ties) the one most perpendicular to the point
+    offset decides, the first of equals winning, which keeps the side
+    consistent across corner regions."""
+    a, d = boundary.vertices[:-1], np.diff(boundary.vertices, axis=0)
     seg_len2 = np.sum(d * d, axis=1)
-    t = np.clip(np.sum((point - a) * d, axis=1) / seg_len2, 0.0, 1.0)
-    proj = a + t[:, None] * d
-    dists = np.linalg.norm(point - proj, axis=1)
-    dmin = dists.min()
-    tied = np.flatnonzero(dists <= dmin + 1e-12)
-    crosses = np.array([_cross2(d[i], point - a[i]) / np.sqrt(seg_len2[i])
-                        for i in tied])
-    pick = int(np.argmax(np.abs(crosses)))
-    return float(dmin), float(crosses[pick])
+    offset = X[:, None, :] - a                       # (m, segments, 2)
+    t = np.clip(np.sum(offset * d, axis=2) / seg_len2, 0.0, 1.0)
+    dists = np.linalg.norm(X[:, None, :] - (a + t[..., None] * d), axis=2)
+    dmin = dists.min(axis=1)
+    crosses = _cross(d, offset) / np.sqrt(seg_len2)
+    tied = dists <= dmin[:, None] + 1e-12
+    pick = np.argmax(np.where(tied, np.abs(crosses), -np.inf), axis=1)
+    return dmin, crosses[np.arange(len(X)), pick]
+
+
+def _labels(boundary: BoundaryPolyline, X) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 2 or not np.all(np.isfinite(X)):
+        raise InputError("boundary labels require finite 2-D points")
+    dist, cross = _nearest_segment_side(boundary, X)
+    on_path = dist <= ON_PATH_TOL
+    if on_path.any():
+        # stacklevel 3: the caller of classify or BoundaryLabel.labels
+        warnings.warn(f"{np.count_nonzero(on_path)} point(s) lie on the "
+                      "boundary; assigned to intervention", stacklevel=3)
+    # positive cross product = left of the direction of travel
+    return np.where((cross > 0) & ~on_path, 0, 1)
 
 
 def classify(boundary: BoundaryPolyline, point) -> int:
     """0 if the point is left of the path, 1 if right or on the path."""
-    point = np.asarray(point, dtype=float).reshape(2)
-    dist, cross = _nearest_segment_side(boundary, point)
-    if dist <= ON_PATH_TOL:
-        warnings.warn("point lies on the boundary; assigned to intervention",
-                      stacklevel=2)
-        return 1
-    # positive cross product = left of the direction of travel
-    return 0 if cross > 0 else 1
+    return int(_labels(boundary, np.reshape(point, (1, 2)))[0])
 
 
 @dataclass(frozen=True)
@@ -111,10 +109,7 @@ class BoundaryLabel(inference.LabelFunction):
     boundary: BoundaryPolyline
 
     def labels(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != 2:
-            raise InputError("boundary labels require 2-D points")
-        return np.array([classify(self.boundary, x) for x in X], dtype=int)
+        return _labels(self.boundary, X)
 
 
 def boundary_points(boundary: BoundaryPolyline, count: int) -> np.ndarray:
@@ -125,12 +120,9 @@ def boundary_points(boundary: BoundaryPolyline, count: int) -> np.ndarray:
     seg_len = boundary.segment_lengths
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
     targets = np.linspace(0.0, cum[-1], count)
-    out = np.empty((count, 2))
-    for i, s in enumerate(targets):
-        j = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg_len) - 1)
-        frac = (s - cum[j]) / seg_len[j]
-        out[i] = v[j] + frac * (v[j + 1] - v[j])
-    return out
+    j = np.searchsorted(cum[1:-1], targets, side="right")  # segment per target
+    frac = (targets - cum[j]) / seg_len[j]
+    return v[j] + frac[:, None] * (v[j + 1] - v[j])
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,23 @@ class TestSimulateCommand:
         assert len(rows) == 6
         assert rows[-1]["kernel"] == "all"
 
+    def test_failed_cell_gives_strict_json(self, tmp_path):
+        # a threshold right of every x fails all repetitions; the cell's NaN
+        # means must reach the file as null, not as a bare NaN token
+        out_json = tmp_path / "grid.json"
+        cfg = {"latents": ["Linear"], "effects": [1.0], "kernels": ["exp"],
+               "n": 20, "repetitions": 2, "seed": 0, "threshold": 5.0,
+               "optimizer": {"restarts": 1},
+               "output": {"summary_json": str(out_json)}}
+        cli.simulate(cfg)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+        summary = json.loads(out_json.read_text(), parse_constant=reject)
+        cell = summary["cells"][0]
+        assert cell["failures"] == 2
+        assert cell["mean_total_log_bf"] is None
+
     def test_invalid_latent_lists_valid_names(self):
         cfg = {"latents": ["Cosine"], "effects": [1.0], "kernels": ["exp"],
                "n": 30, "repetitions": 1}

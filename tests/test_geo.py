@@ -28,6 +28,24 @@ def _monotone_polyline(rng, n_vertices=5, span=4.0):
     return BoundaryPolyline(np.column_stack([xs, ys]))
 
 
+def _lattice_zigzag():
+    """A non-monotone integer-lattice polyline (it turns back in x) and a
+    batch of integer and half-integer points around it, many of them tied
+    between segments that share a vertex."""
+    b = BoundaryPolyline(np.array([[0, 0], [3, 3], [6, 0], [6, 4], [2, 4],
+                                   [2, 7]], dtype=float))
+    g = np.arange(-3.0, 10.0)
+    X = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    return b, np.vstack([X, X + 0.5])
+
+
+def _sided(boundary, X):
+    """The rows of X with a side: off the path and off the lines that extend
+    its end segments, where the cross product is zero."""
+    dist, cross = geo._nearest_segment_side(boundary, X)
+    return X[(dist > 1e-6) & (np.abs(cross) > 1e-6)]
+
+
 def _above_below_oracle(boundary, point):
     """Independent side test for x-monotone polylines: above the graph is
     left of the left-to-right path (label 0), below is label 1."""
@@ -52,8 +70,19 @@ class TestValidation:
             BoundaryPolyline(np.array([[0.0, 0.0], [2.0, 0.0],
                                        [2.0, 1.0], [1.0, -1.0]]))
 
+    def test_rejects_fold_back(self):
+        # adjacent anti-parallel segments overlap; the side on the overlap
+        # would be decided by tie order alone
+        with pytest.raises(InputError, match="folds back"):
+            BoundaryPolyline(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(InputError, match="folds back"):
+            BoundaryPolyline(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                                       [3.0, 1.0], [-1.0, 1.0]]))
+
     def test_accepts_zigzag(self):
         BoundaryPolyline(np.array([[0, 0], [1, 1], [2, 0], [3, 1.0]]))
+        # collinear segments that keep their direction do not fold back
+        BoundaryPolyline(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
 
 
 class TestClassify:
@@ -76,6 +105,11 @@ class TestClassify:
                                      b.vertices[:, 1])) < 1e-6:
                 continue
             assert classify(b, pt) == 1 - classify(rev, pt)
+        b, X = _lattice_zigzag()
+        X = _sided(b, X)
+        assert len(X) > 250
+        np.testing.assert_array_equal(BoundaryLabel(b).labels(X),
+                                      1 - BoundaryLabel(b.reversed()).labels(X))
 
     def test_matches_independent_oracle(self, rng):
         cases = 0
@@ -105,6 +139,15 @@ class TestClassify:
                                      b.vertices[:, 1])) < 1e-3:
                 continue
             assert classify(b, pt) == classify(b2, R @ pt + shift)
+        b, X = _lattice_zigzag()
+        X = _sided(b, X)
+        theta = rng.uniform(0, 2 * np.pi)
+        R = np.array([[np.cos(theta), -np.sin(theta)],
+                      [np.sin(theta), np.cos(theta)]])
+        shift = rng.normal(size=2)
+        b2 = BoundaryPolyline(b.vertices @ R.T + shift)
+        np.testing.assert_array_equal(BoundaryLabel(b).labels(X),
+                                      BoundaryLabel(b2).labels(X @ R.T + shift))
 
 
 class TestBoundaryPoints:
@@ -120,9 +163,9 @@ class TestBoundaryPoints:
 
     def test_points_lie_on_polyline(self, rng):
         b = _monotone_polyline(rng)
-        for pt in boundary_points(b, 17):
-            dist, _ = geo._nearest_segment_side(b, pt)
-            assert dist < 1e-9
+        dist, _ = geo._nearest_segment_side(b, boundary_points(b, 17))
+        assert dist.shape == (17,)
+        assert np.all(dist < 1e-9)
 
     def test_total_arc_length_preserved(self):
         # equal-length segments with a sample count that lands on every
@@ -195,6 +238,22 @@ class TestBoundaryLabel:
         lab = BoundaryLabel(_horizontal())
         with pytest.raises(InputError):
             lab.labels(np.zeros((3, 1)))
+        with pytest.raises(InputError):
+            lab.labels(np.array([[0.0, 1.0], [np.nan, 1.0]]))
+
+    def test_batch_equals_one_row_calls_with_one_warning(self):
+        b, X = _lattice_zigzag()
+        on_path = geo._nearest_segment_side(b, X)[0] <= geo.ON_PATH_TOL
+        assert on_path.any() and not on_path.all()
+        with pytest.warns(UserWarning) as record:
+            batch = BoundaryLabel(b).labels(X)
+        assert len(record) == 1
+        assert f"{np.count_nonzero(on_path)} point(s)" in str(record[0].message)
+        assert record[0].filename == __file__
+        with pytest.warns(UserWarning):
+            single = [classify(b, x) for x in X]
+        assert batch.tolist() == single
+        assert np.all(batch[on_path] == 1)
 
 
 class TestLoadBoundary:
