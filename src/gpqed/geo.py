@@ -44,11 +44,18 @@ class BoundaryPolyline:
         if np.any((_cross(d[:-1], d[1:]) == 0)
                   & (np.sum(d[:-1] * d[1:], axis=1) < 0)):
             raise InputError("boundary polyline folds back on itself")
-        # simple path: segments i < j - 1 cross when each one's line splits
-        # the other (left[i, k]: vertex k lies left of segment i)
-        left = _cross(d[:, None, :], v[None, :, :] - v[:-1, None, :]) > 0
-        straddle = left[:, :-1] != left[:, 1:]
-        if np.triu(straddle & straddle.T, 2).any():
+        # simple path: segments i < j - 1 meet when each one's ends lie on
+        # different sides of, or on, the other's line, or when both lie on
+        # one line and overlap (side[i, k]: sign of vertex k against segment
+        # i; t[i, k]: its position along segment i, 0 to 1 on the segment)
+        offsets = v[None, :, :] - v[:-1, None, :]
+        side = np.sign(_cross(d[:, None, :], offsets))
+        straddle = side[:, :-1] != side[:, 1:]
+        t = np.sum(offsets * d[:, None, :], axis=2) / np.sum(d * d, axis=1)[:, None]
+        overlap = ((side[:, :-1] == 0) & (side[:, 1:] == 0)
+                   & (np.maximum(t[:, :-1], t[:, 1:]) >= 0)
+                   & (np.minimum(t[:, :-1], t[:, 1:]) <= 1))
+        if np.triu((straddle & straddle.T) | overlap, 2).any():
             raise InputError("boundary polyline is self-intersecting")
         object.__setattr__(self, "vertices", v)
 

@@ -1,7 +1,8 @@
 """Exact Gaussian-process regression with Gaussian observation noise.
 
 Everything is routed through one Cholesky factorization of K + sigma_n^2 I;
-no matrix inverse is ever formed. The mean function is a constant, by default
+the only inverse formed is the one the log marginal likelihood's gradient
+needs. The mean function is a constant, by default
 the empirical mean of the responses used in the fit. Predictive variances are
 latent-function variances (observation noise excluded).
 """
@@ -11,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, lapack, solve_triangular
 
 from . import kernels
-from .errors import DataError, InputError
+from .errors import DataError, InputError, NumericalError
 from .kernels import GramStructure, KernelSpec, jittered_cholesky
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -55,7 +56,12 @@ class Dataset:
 
 @dataclass(frozen=True)
 class GPFit:
-    """A trained GP: kernel, constant mean, noise, and its Cholesky state."""
+    """A trained GP: kernel, constant mean, noise, and its Cholesky state.
+
+    log_ml_grad is the gradient of the log marginal likelihood with respect
+    to the hyperparameters in the order kernel.param_names(), then the noise
+    variance.
+    """
 
     kernel: KernelSpec
     mean_constant: float
@@ -63,6 +69,7 @@ class GPFit:
     data: Dataset
     chol: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
+    log_ml_grad: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -72,7 +79,8 @@ class GPFit:
 def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
         mean_constant: float | None = None,
         structure: GramStructure | None = None) -> GPFit:
-    """Precompute the Cholesky factor of K + sigma_n^2 I and alpha.
+    """Precompute the Cholesky factor of K + sigma_n^2 I, alpha and the
+    log marginal likelihood's gradient.
 
     mean_constant defaults to the empirical mean of data.y; pass an explicit
     value to share one constant across several sub-fits. A GramStructure for
@@ -82,15 +90,44 @@ def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
         raise InputError("noise variance must be positive")
     c = float(np.mean(data.y)) if mean_constant is None else float(mean_constant)
     if structure is None:
-        K = kernels.gram(kernel, data.X)
-    else:
-        K = structure.gram(kernel)
-    Ky = K + noise_variance * np.eye(data.n)
-    L, _ = jittered_cholesky(Ky)
+        structure = GramStructure(data.X)
+    K = structure.gram(kernel)
+    # in place: no identity matrix and no second n x n copy
+    K.flat[::data.n + 1] += noise_variance
+    L, _ = jittered_cholesky(K)
     resid = data.y - c
     alpha = cho_solve((L, True), resid)
+    grad = _log_ml_grad(structure, kernel, noise_variance, K, L, resid, alpha)
     return GPFit(kernel=kernel, mean_constant=c, noise_variance=noise_variance,
-                 data=data, chol=L, alpha=alpha)
+                 data=data, chol=L, alpha=alpha, log_ml_grad=grad)
+
+
+def _log_ml_grad(structure: GramStructure, kernel: KernelSpec, noise: float,
+                 Ky: np.ndarray, L: np.ndarray, resid: np.ndarray,
+                 alpha: np.ndarray) -> np.ndarray:
+    """d log-ML / d theta = tr(W dKy/d theta) / 2 with W = alpha alpha^T -
+    Ky^-1 (Rasmussen & Williams 2006, eq. 5.9), for theta = kernel
+    parameters, then noise.
+
+    Ky^-1 comes from the factor L and is the one n x n array added; every
+    trace is a reduction, not a matrix product. Ky is overwritten.
+    """
+    inv, info = lapack.dpotri(L, lower=1)
+    if info != 0:
+        raise NumericalError("covariance matrix inverse failed")
+    # Ky^-1 in the upper triangle (zeros below) of a C-ordered view
+    U = inv.T
+
+    def trace_w(M):
+        # tr(Ky^-1 M) over the upper triangle of a symmetric M
+        inv_term = 2.0 * np.vdot(U, M) - np.vdot(U.diagonal(), M.diagonal())
+        return float(alpha @ (M @ alpha)) - inv_term
+
+    trace_w_noise = float(alpha @ alpha) - float(np.trace(U))
+    # K = Ky - noise I and tr(W Ky) = alpha^T resid - n
+    trace_wk = float(alpha @ resid) - len(alpha) - noise * trace_w_noise
+    traces = structure.derivative_traces(kernel, Ky, trace_w, trace_wk)
+    return 0.5 * np.array(traces + [trace_w_noise])
 
 
 def log_marginal_likelihood(gpfit: GPFit) -> float:

@@ -7,7 +7,8 @@ objective is regularized by vague priors (Gamma(0.01, 0.01) on positive
 parameters, Normal(0, 1) on unconstrained ones); the reported objective value
 is the prior-free log marginal likelihood at the optimum, which is what enters
 the BIC. Optimization runs in a transformed space where positive parameters
-are log-transformed, using L-BFGS-B with central finite-difference gradients.
+are log-transformed, using L-BFGS-B with the objective's analytic gradient
+carried through the prior, the log transform and its log-Jacobian.
 Everything is deterministic given the seed.
 """
 
@@ -67,6 +68,14 @@ class PriorSpec:
                     - 0.5 * math.log(2.0 * math.pi)
         return total
 
+    def log_density_grad(self, theta, positive) -> np.ndarray:
+        """Gradient of `log_density` with respect to theta."""
+        theta = np.asarray(theta, dtype=float)
+        grad = -(theta - self.normal_mean) / self.normal_sd ** 2
+        grad[positive] = ((self.gamma_shape - 1.0) / theta[positive]
+                          - self.gamma_rate)
+        return grad
+
 
 @dataclass(frozen=True)
 class OptResult:
@@ -91,18 +100,40 @@ def _from_unconstrained(z, positive):
     return v
 
 
+def _neg_log_posterior(z, objective, priors: PriorSpec, positive):
+    """Minus (objective + log prior + log-Jacobian) at the transformed point
+    z, and its gradient in z. (1e30, zeros) marks a failed evaluation."""
+    theta = _from_unconstrained(z, positive)
+    try:
+        val, grad = objective(theta)
+    except NumericalError:
+        return 1e30, np.zeros_like(z)
+    val += priors.log_density(theta, positive)
+    grad = grad + priors.log_density_grad(theta, positive)
+    # log-Jacobian of the log transform: MAP is taken in the transformed
+    # space, which keeps the Gamma prior's density spike at zero from
+    # dragging positive parameters into degeneracy
+    val += float(np.sum(z[positive]))
+    # chain rule through theta = exp(z), plus the log-Jacobian's gradient
+    grad[positive] = grad[positive] * theta[positive] + 1.0
+    if not (np.isfinite(val) and np.all(np.isfinite(grad))):
+        return 1e30, np.zeros_like(z)
+    return -val, -grad
+
+
 def optimize(objective, priors: PriorSpec, init, positive,
              restarts: int = 5, seed: int = 0,
              max_iterations: int = 500, tolerance: float = 1e-5) -> OptResult:
-    """Maximize objective(theta) + log prior(theta); return the best restart.
+    """Maximize objective + log prior over theta; return the best restart.
 
-    theta is a float array shaped like `init`, kept positive where
-    `positive` is true (InputError if `init` is not). Restart 0 starts at
-    `init`; later restarts perturb each transformed parameter by
-    Normal(0, 0.5) draws from a generator seeded with `seed`. The best
-    restart is chosen by the regularized objective, ties broken by the lowest
-    restart index. Raises OptimizationError when every restart fails to
-    produce a finite objective.
+    objective(theta) returns the value and its gradient with respect to
+    theta, and raises NumericalError where it cannot be evaluated. theta is
+    a float array shaped like `init`, kept positive where `positive` is true
+    (InputError if `init` is not). Restart 0 starts at `init`; later
+    restarts perturb each transformed parameter by Normal(0, 0.5) draws from
+    a generator seeded with `seed`. The best restart is chosen by the
+    regularized objective, ties broken by the lowest restart index. Raises
+    OptimizationError when every restart fails to produce a finite objective.
     """
     if restarts < 1:
         raise InputError("restarts must be >= 1")
@@ -115,36 +146,13 @@ def optimize(objective, priors: PriorSpec, init, positive,
     z0[positive] = np.log(init[positive])
     rng = np.random.default_rng(seed)
 
-    def neg_map(z):
-        theta = _from_unconstrained(z, positive)
-        try:
-            val = objective(theta) + priors.log_density(theta, positive)
-        except NumericalError:
-            return 1e30
-        # log-Jacobian of the log transform: MAP is taken in the transformed
-        # space, which keeps the Gamma prior's density spike at zero from
-        # dragging positive parameters into degeneracy
-        val += float(np.sum(z[positive]))
-        if not np.isfinite(val):
-            return 1e30
-        return -val
-
-    def neg_grad(z):
-        g = np.empty_like(z)
-        for i in range(len(z)):
-            h = 1e-6 * (1.0 + abs(z[i]))
-            zp = z.copy(); zp[i] += h
-            zm = z.copy(); zm[i] -= h
-            g[i] = (neg_map(zp) - neg_map(zm)) / (2.0 * h)
-        return g
-
     best = None
     for k in range(restarts):
         z_init = z0 if k == 0 else z0 + rng.normal(0.0, 0.5, size=len(z0))
-        # neg_map is always finite: 1e30 marks a failed evaluation
-        if neg_map(z_init) >= 1e30:
-            continue
-        res = minimize(neg_map, z_init, jac=neg_grad, method="L-BFGS-B",
+        # a failed start has a zero gradient, so L-BFGS-B stops right there
+        res = minimize(_neg_log_posterior, z_init,
+                       args=(objective, priors, positive), jac=True,
+                       method="L-BFGS-B",
                        options={"maxiter": max_iterations, "gtol": tolerance,
                                 "ftol": 1e-12})
         if res.fun >= 1e30:
@@ -158,7 +166,7 @@ def optimize(objective, priors: PriorSpec, init, positive,
     _, z_hat, converged = best
     theta_hat = _from_unconstrained(z_hat, positive)
     return OptResult(theta_hat=theta_hat,
-                     objective_value=float(objective(theta_hat)),
+                     objective_value=float(objective(theta_hat)[0]),
                      converged=converged)
 
 

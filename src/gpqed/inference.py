@@ -161,7 +161,9 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, n: int, init,
                 for part, s in zip(parts, structures)]
 
     def objective(theta):
-        return sum(gp.log_marginal_likelihood(f) for f in fits(theta))
+        fitted = fits(theta)
+        return (sum(gp.log_marginal_likelihood(f) for f in fitted),
+                sum(f.log_ml_grad for f in fitted))
 
     opt = hyperopt.optimize(objective, cfg.priors, init,
                             hyperopt.positive_mask(kernel),

@@ -125,15 +125,31 @@ def _atleast_2d(X) -> np.ndarray:
 
 
 def _stationary_from_r(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+    # the module docstring's formulas, evaluated in place in their plain
+    # order of operations (so bit-equal to them), with at most two arrays
+    # shaped like r alive beside it
     v, l = spec.variance, spec.lengthscale
     if spec.family == "exponential":
-        return v * np.exp(-r / l)
-    if spec.family == "matern32":
-        z = SQRT3 * r / l
-        return v * (1.0 + z) * np.exp(-z)
-    if spec.family == "squared_exponential":
-        return v * np.exp(-(r ** 2) / l)
-    raise InputError(f"{spec.family} is not stationary")
+        K = np.negative(r)
+        K /= l
+    elif spec.family == "squared_exponential":
+        K = np.square(r)
+        np.negative(K, out=K)
+        K /= l
+    elif spec.family == "matern32":
+        z = SQRT3 * r
+        z /= l
+        K = np.negative(z)
+        np.exp(K, out=K)
+        z += 1.0
+        z *= v
+        z *= K
+        return z
+    else:
+        raise InputError(f"{spec.family} is not stationary")
+    np.exp(K, out=K)
+    K *= v
+    return K
 
 
 def _polynomial_from_dot(spec: KernelSpec, dots: np.ndarray) -> np.ndarray:
@@ -154,7 +170,7 @@ def eval(spec: KernelSpec, x, xp) -> float:  # noqa: A001 - spec'd name
             f"dimension mismatch: {x.shape[0]} vs {xp.shape[0]}")
     if spec.stationary:
         r = float(np.linalg.norm(x - xp))
-        return float(_stationary_from_r(spec, np.array(r)))
+        return float(_stationary_from_r(spec, np.array([r]))[0])
     return float(_polynomial_from_dot(spec, float(x @ xp)))
 
 
@@ -212,13 +228,53 @@ class GramStructure:
             self._dots = 0.5 * (dots + dots.T)
         return _polynomial_from_dot(spec, self._dots)
 
+    def derivative_traces(self, spec: KernelSpec, K: np.ndarray, trace_w,
+                          trace_wk: float) -> list[float]:
+        """tr(W dK/dp) for each p in spec.param_names(), for a symmetric W.
+
+        trace_w(M) returns tr(W M) for a symmetric n x n M, and trace_wk is
+        tr(W K) for the noise-free K = gram(spec). K is the array gram(spec)
+        returned, with anything added to its diagonal; it is overwritten with
+        the lengthscale (or offset) derivative, the only one built as a
+        matrix: the stationary variance derivative is K / variance, and the
+        polynomial one is the offset derivative times the dot products.
+        """
+        if spec.stationary:
+            r, l = self._dist, spec.lengthscale
+            # dK/dl is K times a function of r that is 0 at r = 0, so the
+            # diagonal of K never matters
+            if spec.family == "exponential":     # K r / l^2
+                K *= r
+                K /= l * l
+            elif spec.family == "matern32":      # K z^2 / ((1 + z) l)
+                z = r * (SQRT3 / l)
+                K *= z
+                K *= z
+                z += 1.0
+                K /= z
+                K /= l
+            else:                                # K r^2 / l^2
+                K *= r
+                K *= r
+                K /= l * l
+            return [trace_wk / spec.variance, trace_w(K)]
+        # dK/d(offset) = degree (variance <x, x'> + offset)^(degree - 1)
+        np.multiply(self._dots, spec.variance, out=K)
+        K += spec.offset
+        K **= spec.degree - 1
+        K *= spec.degree
+        trace_offset = trace_w(K)
+        K *= self._dots
+        return [trace_w(K), trace_offset]
+
 
 def jittered_cholesky(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K with escalating diagonal jitter.
 
     A clean factorization is attempted first; on failure jitter starts at
-    1e-6 * mean(diag) and doubles until 1e-2 * mean(diag). Raises
-    NumericalError if K is not finite or still fails to factorize.
+    1e-6 * mean(diag) and doubles until 1e-2 * mean(diag). The jitter goes
+    onto K's diagonal in place, and the diagonal is restored before return.
+    Raises NumericalError if K is not finite or still fails to factorize.
     """
     if not np.all(np.isfinite(K)):
         raise NumericalError("covariance matrix has non-finite entries")
@@ -229,13 +285,17 @@ def jittered_cholesky(K: np.ndarray) -> tuple[np.ndarray, float]:
         return np.linalg.cholesky(K), 0.0
     except np.linalg.LinAlgError:
         pass
+    diagonal = K.diagonal().copy()
     jitter = 1e-6 * scale
     cap = 1e-2 * scale
-    while jitter <= cap:
-        try:
-            L = np.linalg.cholesky(K + jitter * np.eye(K.shape[0]))
-            return L, jitter
-        except np.linalg.LinAlgError:
-            jitter *= 2.0
+    try:
+        while jitter <= cap:
+            K.flat[::K.shape[0] + 1] = diagonal + jitter
+            try:
+                return np.linalg.cholesky(K), jitter
+            except np.linalg.LinAlgError:
+                jitter *= 2.0
+    finally:
+        K.flat[::K.shape[0] + 1] = diagonal
     raise NumericalError(
         "Cholesky factorization failed after jitter escalation")

@@ -70,6 +70,15 @@ class TestValidation:
             BoundaryPolyline(np.array([[0.0, 0.0], [2.0, 0.0],
                                        [2.0, 1.0], [1.0, -1.0]]))
 
+    def test_rejects_collinear_overlap_in_both_directions(self):
+        # the last segment lies on the first: on the overlap the side would
+        # be decided by tie order alone
+        b = np.array([[0, 0], [2, 0], [2, 1], [4, 1], [4, -1], [1, -1],
+                      [1, 0], [1.5, 0]])
+        for vertices in (b, b[::-1]):
+            with pytest.raises(InputError, match="self-intersecting"):
+                BoundaryPolyline(vertices)
+
     def test_rejects_fold_back(self):
         # adjacent anti-parallel segments overlap; the side on the overlap
         # would be decided by tie order alone

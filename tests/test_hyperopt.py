@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpqed import hyperopt, inference, kernels, sim
-from gpqed.errors import InputError, OptimizationError
+from gpqed.errors import InputError, NumericalError, OptimizationError
 from gpqed.gp import Dataset
 from gpqed.hyperopt import (
     PriorSpec,
@@ -25,8 +25,8 @@ def _flat_prior():
 class TestHyperVector:
     def test_rejects_nonpositive_constrained(self):
         with pytest.raises(InputError):
-            optimize(lambda theta: 0.0, _flat_prior(), np.array([-1.0]),
-                     np.array([True]), restarts=1)
+            optimize(lambda theta: (0.0, np.zeros(1)), _flat_prior(),
+                     np.array([-1.0]), np.array([True]), restarts=1)
 
     def test_roundtrip_with_kernel(self):
         k = from_name("se", variance=2.0, lengthscale=0.7)
@@ -57,7 +57,8 @@ class TestPriors:
 
 class TestOptimize:
     def test_quadratic_maximum(self):
-        res = optimize(lambda theta: -((theta[0] - 2.0) ** 2),
+        res = optimize(lambda theta: (-((theta[0] - 2.0) ** 2),
+                                      np.array([-2.0 * (theta[0] - 2.0)])),
                        _flat_prior(), np.array([0.5]), np.array([False]),
                        restarts=1, seed=0)
         assert res.theta_hat[0] == pytest.approx(2.0, abs=1e-4)
@@ -67,7 +68,9 @@ class TestOptimize:
         init, positive = np.array([1.0, 0.3]), np.array([True, False])
 
         def obj(theta):
-            return -((math.log(theta[0]) - 1.0) ** 2 + (theta[1] + 2) ** 2)
+            value = -((math.log(theta[0]) - 1.0) ** 2 + (theta[1] + 2) ** 2)
+            return value, np.array([-2.0 * (math.log(theta[0]) - 1.0) / theta[0],
+                                    -2.0 * (theta[1] + 2)])
 
         r1 = optimize(obj, _flat_prior(), init, positive, restarts=4, seed=7)
         r2 = optimize(obj, _flat_prior(), init, positive, restarts=4, seed=7)
@@ -78,32 +81,106 @@ class TestOptimize:
         init = np.array([0.1])
 
         def obj(theta):
-            return -((theta[0] - 3.0) ** 2)
+            return -((theta[0] - 3.0) ** 2), np.array([-2.0 * (theta[0] - 3.0)])
 
         res = optimize(obj, _flat_prior(), init, np.array([True]),
                        restarts=3, seed=1)
-        assert res.objective_value >= obj(init)
+        assert res.objective_value >= obj(init)[0]
 
     def test_positive_constraints_preserved(self):
-        res = optimize(lambda theta: -(theta[0] - 1e-4) ** 2,
+        res = optimize(lambda theta: (-(theta[0] - 1e-4) ** 2,
+                                      np.array([-2.0 * (theta[0] - 1e-4)])),
                        _flat_prior(), np.array([2.0]), np.array([True]),
                        restarts=3, seed=2)
         assert res.theta_hat[0] > 0
 
     def test_all_restarts_diverge(self):
         with pytest.raises(OptimizationError):
-            optimize(lambda theta: float("nan"), _flat_prior(),
+            optimize(lambda theta: (float("nan"), np.zeros(1)), _flat_prior(),
                      np.array([1.0]), np.array([False]), restarts=3, seed=0)
 
     def test_objective_value_excludes_prior(self):
         def obj(theta):
-            return -((math.log(theta[0])) ** 2)
+            return (-((math.log(theta[0])) ** 2),
+                    np.array([-2.0 * math.log(theta[0]) / theta[0]]))
 
         res = optimize(obj, PriorSpec(), np.array([1.0]), np.array([True]),
                        restarts=1, seed=0)
         # reported value is the raw objective, which peaks at 0
         assert res.objective_value == pytest.approx(
-            obj(res.theta_hat), abs=1e-12)
+            obj(res.theta_hat)[0], abs=1e-12)
+
+
+def _central_difference(f, x):
+    grad = np.empty_like(x)
+    for i in range(len(x)):
+        h = 1e-6 * (1.0 + abs(x[i]))
+        step = np.zeros_like(x)
+        step[i] = h
+        grad[i] = (f(x + step) - f(x - step)) / (2.0 * h)
+    return grad
+
+
+class TestAnalyticGradient:
+    """The fit objective's gradient and the optimizer's transformed-space
+    gradient against central differences, for every kernel family, through
+    the one-part (M0) and the two-part (M1) objective."""
+
+    KERNELS = [from_name("linear"), from_name("polynomial", degree=2),
+               from_name("exp"), from_name("matern32"), from_name("se")]
+    # off-optimum points: default_init times these factors
+    FACTORS = [np.array([1.7, 0.6, 2.0]), np.array([0.4, 1.9, 0.5])]
+
+    @staticmethod
+    def _objective(monkeypatch, data, kernel, split):
+        """The objective that `_fit_parts` hands to the optimizer."""
+        seen = []
+
+        def spy(objective, *args, **kwargs):
+            seen.append(objective)
+            return optimize(objective, *args, **kwargs)
+
+        monkeypatch.setattr(hyperopt, "optimize", spy)
+        cfg = hyperopt.OptConfig(restarts=1)
+        if split:
+            inference.fit_discontinuous(data, inference.Threshold(0.0),
+                                        kernel, cfg)
+        else:
+            inference.fit_continuous(data, kernel, cfg)
+        monkeypatch.undo()
+        return seen[0]
+
+    @pytest.mark.parametrize("split", [False, True], ids=["M0", "M1"])
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.label)
+    def test_matches_central_differences(self, monkeypatch, kernel, split):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.0, 1.0, 40)
+        y = np.sin(3.0 * x) + (x >= 0) + 0.3 * rng.normal(size=40)
+        data = Dataset(x, y)
+        objective = self._objective(monkeypatch, data, kernel, split)
+        positive = positive_mask(kernel)
+        for factors in self.FACTORS:
+            theta = default_init(kernel, data) * factors
+            _, grad = objective(theta)
+            np.testing.assert_allclose(
+                grad, _central_difference(lambda t: objective(t)[0], theta),
+                rtol=1e-5)
+            z = np.where(positive, np.log(theta), theta)
+            args = (objective, PriorSpec(), positive)
+            _, grad_z = hyperopt._neg_log_posterior(z, *args)
+            np.testing.assert_allclose(
+                grad_z, _central_difference(
+                    lambda u: hyperopt._neg_log_posterior(u, *args)[0], z),
+                rtol=1e-5)
+
+    def test_failed_evaluation_has_zero_gradient(self):
+        def failing(theta):
+            raise NumericalError("no factor")
+
+        value, grad = hyperopt._neg_log_posterior(
+            np.zeros(2), failing, PriorSpec(), np.array([True, False]))
+        assert value == 1e30
+        assert grad.tolist() == [0.0, 0.0]
 
 
 class TestDefaultInit:

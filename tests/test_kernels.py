@@ -179,8 +179,11 @@ class TestJitteredCholesky:
         L, jitter = kernels.jittered_cholesky(K)
         assert jitter > 0
         np.testing.assert_allclose(L @ L.T, K + jitter * np.eye(4), atol=1e-12)
+        # the jitter went onto K's diagonal in place and came off again
+        np.testing.assert_array_equal(K, np.ones((4, 4)))
 
     def test_indefinite_matrix_fails(self):
         K = np.diag([1.0, -5.0])
         with pytest.raises(kernels.NumericalError):
             kernels.jittered_cholesky(K)
+        np.testing.assert_array_equal(K, np.diag([1.0, -5.0]))
