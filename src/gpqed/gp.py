@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack, solve_triangular
+from scipy.linalg import lapack
 
 from . import kernels
 from .errors import DataError, InputError, NumericalError
@@ -96,7 +96,7 @@ def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
     K.flat[::data.n + 1] += noise_variance
     L, _ = jittered_cholesky(K)
     resid = data.y - c
-    alpha = cho_solve((L, True), resid)
+    alpha, _ = lapack.dpotrs(L, resid, lower=1)
     grad = _log_ml_grad(structure, kernel, noise_variance, K, L, resid, alpha)
     return GPFit(kernel=kernel, mean_constant=c, noise_variance=noise_variance,
                  data=data, chol=L, alpha=alpha, log_ml_grad=grad)
@@ -112,6 +112,8 @@ def _log_ml_grad(structure: GramStructure, kernel: KernelSpec, noise: float,
     Ky^-1 comes from the factor L and is the one n x n array added; every
     trace is a reduction, not a matrix product. Ky is overwritten.
     """
+    # L is Fortran-ordered with zeros above the diagonal, so dpotri copies
+    # it as is and leaves those zeros in place
     inv, info = lapack.dpotri(L, lower=1)
     if info != 0:
         raise NumericalError("covariance matrix inverse failed")
@@ -142,15 +144,20 @@ def predict(gpfit: GPFit, Xs) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and latent variance at the query points Xs (m x p).
 
     Returns (mean, variance), each of shape (m,). Variances are clamped to
-    zero when round-off drives them slightly negative.
+    zero when round-off drives them slightly negative. The query points are
+    taken in blocks of at most n, so the working arrays are at most n x n
+    however large m is.
     """
     Xs = kernels._atleast_2d(Xs)
     if Xs.shape[1] != gpfit.data.p:
         raise InputError(
             f"query dimension {Xs.shape[1]} != training dimension {gpfit.data.p}")
-    Ks = kernels.cross(gpfit.kernel, gpfit.data.X, Xs)       # n x m
-    mean = gpfit.mean_constant + Ks.T @ gpfit.alpha
-    V = solve_triangular(gpfit.chol, Ks, lower=True)          # n x m
-    kss = kernels.diag(gpfit.kernel, Xs)
-    var = np.maximum(kss - np.sum(V * V, axis=0), 0.0)
-    return mean, var
+    mean = np.empty(Xs.shape[0])
+    var = kernels.diag(gpfit.kernel, Xs)
+    for start in range(0, Xs.shape[0], gpfit.n):
+        block = slice(start, start + gpfit.n)
+        Ks = kernels.cross(gpfit.kernel, gpfit.data.X, Xs[block])   # n x b
+        mean[block] = gpfit.mean_constant + Ks.T @ gpfit.alpha
+        V, _ = lapack.dtrtrs(gpfit.chol, Ks, lower=1)                # n x b
+        var[block] -= np.einsum("ij,ij->j", V, V)
+    return mean, np.maximum(var, 0.0)

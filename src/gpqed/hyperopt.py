@@ -82,6 +82,8 @@ class OptResult:
     theta_hat: np.ndarray        # hyperparameters at the best restart
     objective_value: float       # prior-free log marginal likelihood
     converged: bool
+    extra: tuple = ()            # the objective's other outputs at theta_hat
+    reevaluations: int = 0       # 1 if theta_hat had to be evaluated again
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ def _neg_log_posterior(z, objective, priors: PriorSpec, positive):
     z, and its gradient in z. (1e30, zeros) marks a failed evaluation."""
     theta = _from_unconstrained(z, positive)
     try:
-        val, grad = objective(theta)
+        val, grad, *_ = objective(theta)
     except NumericalError:
         return 1e30, np.zeros_like(z)
     val += priors.log_density(theta, positive)
@@ -126,14 +128,21 @@ def optimize(objective, priors: PriorSpec, init, positive,
              max_iterations: int = 500, tolerance: float = 1e-5) -> OptResult:
     """Maximize objective + log prior over theta; return the best restart.
 
-    objective(theta) returns the value and its gradient with respect to
-    theta, and raises NumericalError where it cannot be evaluated. theta is
-    a float array shaped like `init`, kept positive where `positive` is true
-    (InputError if `init` is not). Restart 0 starts at `init`; later
-    restarts perturb each transformed parameter by Normal(0, 0.5) draws from
-    a generator seeded with `seed`. The best restart is chosen by the
-    regularized objective, ties broken by the lowest restart index. Raises
-    OptimizationError when every restart fails to produce a finite objective.
+    objective(theta) returns the value, its gradient with respect to theta
+    and optionally further outputs, and raises NumericalError where it
+    cannot be evaluated. theta is a float array shaped like `init`, kept
+    positive where `positive` is true (InputError if `init` is not).
+    Restart 0 starts at `init`; later restarts perturb each transformed
+    parameter by Normal(0, 0.5) draws from a generator seeded with `seed`.
+    The best restart is chosen by the regularized objective, ties broken by
+    the lowest restart index. Raises OptimizationError when every restart
+    fails to produce a finite objective.
+
+    theta_hat is not evaluated again: `objective_value` and `extra` (the
+    further outputs) come from the evaluation L-BFGS-B made there, matched
+    on the exact bytes of theta. Only the best finished restart's outputs
+    are held. Should theta_hat not be an evaluated point, it is evaluated
+    once more and `reevaluations` is 1.
     """
     if restarts < 1:
         raise InputError("restarts must be >= 1")
@@ -145,14 +154,34 @@ def optimize(objective, priors: PriorSpec, init, positive,
     z0 = init.copy()
     z0[positive] = np.log(init[positive])
     rng = np.random.default_rng(seed)
+    # L-BFGS-B stops at its last evaluated point or, after a failed line
+    # search, back at its last iterate: a restart holds the evaluations at
+    # both, as (bytes of theta, outputs)
+    last = iterate = None
+
+    def recorded(theta):
+        nonlocal last, iterate
+        # a trial point that is not the iterate can no longer be returned
+        last = None
+        out = objective(theta)
+        last = (theta.tobytes(), out)
+        if iterate is None:
+            iterate = last
+        return out
+
+    def new_iterate(_):
+        # an iterate is the point the line search evaluated last
+        nonlocal iterate
+        iterate = last
 
     best = None
     for k in range(restarts):
         z_init = z0 if k == 0 else z0 + rng.normal(0.0, 0.5, size=len(z0))
+        last = iterate = None
         # a failed start has a zero gradient, so L-BFGS-B stops right there
         res = minimize(_neg_log_posterior, z_init,
-                       args=(objective, priors, positive), jac=True,
-                       method="L-BFGS-B",
+                       args=(recorded, priors, positive), jac=True,
+                       method="L-BFGS-B", callback=new_iterate,
                        options={"maxiter": max_iterations, "gtol": tolerance,
                                 "ftol": 1e-12})
         if res.fun >= 1e30:
@@ -160,14 +189,20 @@ def optimize(objective, priors: PriorSpec, init, positive,
         # res.jac is the gradient L-BFGS-B already holds at res.x
         converged = bool(np.max(np.abs(res.jac)) < tolerance) or res.success
         if best is None or -res.fun > best[0]:
-            best = (-res.fun, res.x, converged)
+            key = _from_unconstrained(res.x, positive).tobytes()
+            held = [e[1] for e in (last, iterate) if e and e[0] == key]
+            best = (-res.fun, res.x, converged, held[0] if held else None)
     if best is None:
         raise OptimizationError("all optimizer restarts diverged")
-    _, z_hat, converged = best
+    _, z_hat, converged, outputs = best
     theta_hat = _from_unconstrained(z_hat, positive)
-    return OptResult(theta_hat=theta_hat,
-                     objective_value=float(objective(theta_hat)[0]),
-                     converged=converged)
+    reevaluations = int(outputs is None)
+    if reevaluations:
+        outputs = objective(theta_hat)
+    value, _, *extra = outputs
+    return OptResult(theta_hat=theta_hat, objective_value=float(value),
+                     converged=converged, extra=tuple(extra),
+                     reevaluations=reevaluations)
 
 
 def default_init(kernel: KernelSpec, data: Dataset) -> np.ndarray:

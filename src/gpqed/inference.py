@@ -151,19 +151,18 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, n: int, init,
     """Fit independent GPs to `parts` with one shared hyperparameter vector.
 
     The shared vector maximizes the sum of the parts' log marginal
-    likelihoods; the evidence applies one BIC penalty with the total n.
+    likelihoods; the evidence applies one BIC penalty with the total n. The
+    fits returned are the ones the optimizer's evaluation at the optimum
+    made.
     """
     structures = [GramStructure(part.X) for part in parts]
 
-    def fits(theta):
-        k, noise = hyperopt.kernel_and_noise(kernel, theta)
-        return [gp.fit(part, k, noise, mean_constant=c, structure=s)
-                for part, s in zip(parts, structures)]
-
     def objective(theta):
-        fitted = fits(theta)
+        k, noise = hyperopt.kernel_and_noise(kernel, theta)
+        fitted = [gp.fit(part, k, noise, mean_constant=c, structure=s)
+                  for part, s in zip(parts, structures)]
         return (sum(gp.log_marginal_likelihood(f) for f in fitted),
-                sum(f.log_ml_grad for f in fitted))
+                sum(f.log_ml_grad for f in fitted), fitted)
 
     opt = hyperopt.optimize(objective, cfg.priors, init,
                             hyperopt.positive_mask(kernel),
@@ -171,7 +170,8 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, n: int, init,
                             max_iterations=cfg.max_iterations,
                             tolerance=cfg.tolerance)
     ev = Evidence(log_ml=opt.objective_value, k=len(init), n=n)
-    return fits(opt.theta_hat), ev
+    fitted, = opt.extra
+    return fitted, ev
 
 
 def fit_continuous(data: Dataset, kernel: KernelSpec,

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
 
 from .errors import InputError, NumericalError
@@ -269,32 +270,36 @@ class GramStructure:
 
 
 def jittered_cholesky(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of K with escalating diagonal jitter.
+    """Lower Cholesky factor of the exactly symmetric K, with escalating
+    diagonal jitter.
 
-    A clean factorization is attempted first; on failure jitter starts at
+    The factor comes from LAPACK dpotrf as a Fortran-ordered array whose
+    lower triangle is L and whose upper triangle is exactly zero. A clean
+    factorization is attempted first; on failure jitter starts at
     1e-6 * mean(diag) and doubles until 1e-2 * mean(diag). The jitter goes
     onto K's diagonal in place, and the diagonal is restored before return.
     Raises NumericalError if K is not finite or still fails to factorize.
     """
     if not np.all(np.isfinite(K)):
         raise NumericalError("covariance matrix has non-finite entries")
+    # K.T is K in Fortran order: dpotrf reads it without a transposing copy
+    # and clean=1 zeros the factor's upper triangle
+    L, info = lapack.dpotrf(K.T, lower=1, clean=1)
+    if info == 0:
+        return L, 0.0
     scale = float(np.mean(np.diag(K)))
     if scale <= 0 or not np.isfinite(scale):
         scale = 1.0
-    try:
-        return np.linalg.cholesky(K), 0.0
-    except np.linalg.LinAlgError:
-        pass
     diagonal = K.diagonal().copy()
     jitter = 1e-6 * scale
     cap = 1e-2 * scale
     try:
         while jitter <= cap:
             K.flat[::K.shape[0] + 1] = diagonal + jitter
-            try:
-                return np.linalg.cholesky(K), jitter
-            except np.linalg.LinAlgError:
-                jitter *= 2.0
+            L, info = lapack.dpotrf(K.T, lower=1, clean=1)
+            if info == 0:
+                return L, jitter
+            jitter *= 2.0
     finally:
         K.flat[::K.shape[0] + 1] = diagonal
     raise NumericalError(

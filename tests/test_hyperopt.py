@@ -110,6 +110,48 @@ class TestOptimize:
         assert res.objective_value == pytest.approx(
             obj(res.theta_hat)[0], abs=1e-12)
 
+    def test_unevaluated_optimum_is_evaluated_again(self, monkeypatch):
+        # an optimizer that ends one ulp off its last evaluated point
+        minimize = hyperopt.minimize
+
+        def nudged(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            res.x = np.nextafter(res.x, np.inf)
+            return res
+
+        def obj(theta):
+            return (-((theta[0] - 2.0) ** 2),
+                    np.array([-2.0 * (theta[0] - 2.0)]), theta.tobytes())
+
+        args = (obj, _flat_prior(), np.array([0.5]), np.array([False]))
+        exact = optimize(*args, restarts=2, seed=0)
+        assert exact.reevaluations == 0
+        assert exact.extra == (exact.theta_hat.tobytes(),)
+        monkeypatch.setattr(hyperopt, "minimize", nudged)
+        res = optimize(*args, restarts=2, seed=0)
+        assert res.reevaluations == 1
+        assert res.theta_hat[0] == np.nextafter(exact.theta_hat[0], np.inf)
+        assert res.extra == (res.theta_hat.tobytes(),)
+        assert res.objective_value == obj(res.theta_hat)[0]
+
+    def test_failed_line_search_keeps_the_iterate(self):
+        # a gradient pointing the wrong way makes every line search fail,
+        # so L-BFGS-B returns its start, which it did not evaluate last
+        seen = []
+
+        def obj(theta):
+            seen.append(theta.tobytes())
+            return (-((theta[0] - 2.0) ** 2),
+                    np.array([2.0 * (theta[0] - 2.0)]), theta.tobytes())
+
+        res = optimize(obj, _flat_prior(), np.array([0.5]),
+                       np.array([False]), restarts=1)
+        assert res.theta_hat.tolist() == [0.5]
+        assert seen[-1] != res.theta_hat.tobytes()
+        assert res.reevaluations == 0
+        assert res.extra == (res.theta_hat.tobytes(),)
+        assert res.objective_value == -2.25
+
 
 def _central_difference(f, x):
     grad = np.empty_like(x)
@@ -161,7 +203,7 @@ class TestAnalyticGradient:
         positive = positive_mask(kernel)
         for factors in self.FACTORS:
             theta = default_init(kernel, data) * factors
-            _, grad = objective(theta)
+            grad = objective(theta)[1]
             np.testing.assert_allclose(
                 grad, _central_difference(lambda t: objective(t)[0], theta),
                 rtol=1e-5)

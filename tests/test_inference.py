@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpqed import gp, inference, kernels, sim
+from gpqed import gp, hyperopt, inference, kernels, sim
 from gpqed.errors import ConfigError
 from gpqed.gp import Dataset
 from gpqed.hyperopt import OptConfig
@@ -116,6 +116,55 @@ class TestFitDiscontinuous:
         data = _step_data(100, d=4.0, seed=4)
         result = compare(data, Threshold(0.0), [from_name("exp")], FAST)
         assert result.kernel_results[0].log_bf10 > 3.0
+
+
+class TestNoPointFittedTwice:
+    """The fits and log-ML at the optimum come from the optimizer's own
+    evaluation there, and equal a fresh fit at theta_hat bit for bit."""
+
+    @pytest.mark.parametrize("split", [False, True], ids=["M0", "M1"])
+    def test_fit_calls_and_fits_at_optimum(self, monkeypatch, split):
+        data = _step_data(50, d=1.0, seed=11)
+        kernel = from_name("matern32")
+        fit_calls, seen, results = [], [], []
+        fit, optimize = gp.fit, hyperopt.optimize
+
+        def counted_fit(*args, **kwargs):
+            fit_calls.append(None)
+            return fit(*args, **kwargs)
+
+        def spy(objective, *args, **kwargs):
+            def counted(theta):
+                seen.append(theta.tobytes())
+                return objective(theta)
+            results.append(optimize(counted, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(gp, "fit", counted_fit)
+        monkeypatch.setattr(hyperopt, "optimize", spy)
+        if split:
+            *fits, ev = fit_discontinuous(data, Threshold(0.0), kernel, FAST)
+            parts = split_by_label(data, Threshold(0.0))
+        else:
+            *fits, ev = fit_continuous(data, kernel, FAST)
+            parts = (data,)
+        monkeypatch.undo()
+
+        opt, = results
+        # every evaluation, any re-evaluation of theta_hat included, fits
+        # each part once, and no theta is evaluated twice
+        assert opt.reevaluations == 0
+        assert len(fit_calls) == len(parts) * len(seen)
+        assert len(set(seen)) == len(seen)
+        k, noise = hyperopt.kernel_and_noise(kernel, opt.theta_hat)
+        c = float(np.mean(data.y))
+        fresh = [gp.fit(part, k, noise, mean_constant=c) for part in parts]
+        for got, want in zip(fits, fresh):
+            assert got.kernel == want.kernel
+            assert got.noise_variance == want.noise_variance
+            for name in ("chol", "alpha", "log_ml_grad"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert ev.log_ml == sum(gp.log_marginal_likelihood(f) for f in fresh)
 
 
 class TestEffectSize:

@@ -178,6 +178,7 @@ class TestJitteredCholesky:
         K = np.ones((4, 4))
         L, jitter = kernels.jittered_cholesky(K)
         assert jitter > 0
+        assert np.all(L[np.triu_indices(4, 1)] == 0.0)
         np.testing.assert_allclose(L @ L.T, K + jitter * np.eye(4), atol=1e-12)
         # the jitter went onto K's diagonal in place and came off again
         np.testing.assert_array_equal(K, np.ones((4, 4)))
@@ -187,3 +188,24 @@ class TestJitteredCholesky:
         with pytest.raises(kernels.NumericalError):
             kernels.jittered_cholesky(K)
         np.testing.assert_array_equal(K, np.diag([1.0, -5.0]))
+
+    @pytest.mark.parametrize("entry, value", [((1, 1), np.inf),
+                                              ((0, 2), np.nan)],
+                             ids=["inf-diagonal", "nan-off-diagonal"])
+    def test_non_finite_entry_fails_and_leaves_k(self, entry, value):
+        K = np.eye(3) + 0.25
+        K[entry] = K[entry[::-1]] = value
+        before = K.copy()
+        with pytest.raises(kernels.NumericalError, match="non-finite"):
+            kernels.jittered_cholesky(K)
+        np.testing.assert_array_equal(K, before)
+
+    def test_factor_is_lower_triangular(self, rng):
+        X = rng.uniform(-2.0, 2.0, size=(30, 2))
+        K = kernels.gram(from_name("matern32", lengthscale=0.8), X)
+        K.flat[::31] += 0.1
+        L, jitter = kernels.jittered_cholesky(K)
+        assert jitter == 0.0
+        assert np.all(L[np.triu_indices(30, 1)] == 0.0)
+        assert np.all(np.diag(L) > 0)
+        np.testing.assert_allclose(L @ L.T, K, rtol=0, atol=1e-13)
