@@ -144,20 +144,14 @@ def predict(gpfit: GPFit, Xs) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and latent variance at the query points Xs (m x p).
 
     Returns (mean, variance), each of shape (m,). Variances are clamped to
-    zero when round-off drives them slightly negative. The query points are
-    taken in blocks of at most n, so the working arrays are at most n x n
-    however large m is.
+    zero when round-off drives them slightly negative.
     """
     Xs = kernels._atleast_2d(Xs)
     if Xs.shape[1] != gpfit.data.p:
         raise InputError(
             f"query dimension {Xs.shape[1]} != training dimension {gpfit.data.p}")
-    mean = np.empty(Xs.shape[0])
-    var = kernels.diag(gpfit.kernel, Xs)
-    for start in range(0, Xs.shape[0], gpfit.n):
-        block = slice(start, start + gpfit.n)
-        Ks = kernels.cross(gpfit.kernel, gpfit.data.X, Xs[block])   # n x b
-        mean[block] = gpfit.mean_constant + Ks.T @ gpfit.alpha
-        V, _ = lapack.dtrtrs(gpfit.chol, Ks, lower=1)                # n x b
-        var[block] -= np.einsum("ij,ij->j", V, V)
+    Ks = kernels.cross(gpfit.kernel, gpfit.data.X, Xs)       # n x m
+    mean = gpfit.mean_constant + Ks.T @ gpfit.alpha
+    V, _ = lapack.dtrtrs(gpfit.chol, Ks, lower=1)             # n x m
+    var = kernels.diag(gpfit.kernel, Xs) - np.einsum("ij,ij->j", V, V)
     return mean, np.maximum(var, 0.0)
