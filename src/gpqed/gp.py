@@ -2,9 +2,10 @@
 
 Everything is routed through one Cholesky factorization of K + sigma_n^2 I;
 the only inverse formed is the one the log marginal likelihood's gradient
-needs. The mean function is a constant, by default
-the empirical mean of the responses used in the fit. Predictive variances are
-latent-function variances (observation noise excluded).
+needs, built from that factor by kernels.cholesky_inverse (a recursive blocked
+triangular inverse, not LAPACK dpotri). The mean function is a constant, by
+default the empirical mean of the responses used in the fit. Predictive
+variances are latent-function variances (observation noise excluded).
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import kernels
-from .errors import DataError, InputError, NumericalError
-from .kernels import GramStructure, KernelSpec, jittered_cholesky
+from .errors import DataError, InputError
+from .kernels import (GramStructure, KernelSpec, cholesky_inverse,
+                      jittered_cholesky)
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -60,12 +62,14 @@ class GPFit:
 
     log_ml_grad is the gradient of the log marginal likelihood with respect
     to the hyperparameters in the order kernel.param_names(), then the noise
-    variance.
+    variance. jitter is what jittered_cholesky added to the diagonal of
+    K + sigma_n^2 I before chol factorized it (0.0 when none was needed).
     """
 
     kernel: KernelSpec
     mean_constant: float
     noise_variance: float
+    jitter: float
     data: Dataset
     chol: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
@@ -94,12 +98,12 @@ def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
     K = structure.gram(kernel)
     # in place: no identity matrix and no second n x n copy
     K.flat[::data.n + 1] += noise_variance
-    L, _ = jittered_cholesky(K)
+    L, jitter = jittered_cholesky(K)
     resid = data.y - c
     alpha, _ = lapack.dpotrs(L, resid, lower=1)
     grad = _log_ml_grad(structure, kernel, noise_variance, K, L, resid, alpha)
     return GPFit(kernel=kernel, mean_constant=c, noise_variance=noise_variance,
-                 data=data, chol=L, alpha=alpha, log_ml_grad=grad)
+                 jitter=jitter, data=data, chol=L, alpha=alpha, log_ml_grad=grad)
 
 
 def _log_ml_grad(structure: GramStructure, kernel: KernelSpec, noise: float,
@@ -109,16 +113,12 @@ def _log_ml_grad(structure: GramStructure, kernel: KernelSpec, noise: float,
     Ky^-1 (Rasmussen & Williams 2006, eq. 5.9), for theta = kernel
     parameters, then noise.
 
-    Ky^-1 comes from the factor L and is the one n x n array added; every
-    trace is a reduction, not a matrix product. Ky is overwritten.
+    Ky^-1 comes from the factor L through kernels.cholesky_inverse and is
+    the one n x n array added; every trace is a reduction, not a matrix
+    product. Ky is overwritten.
     """
-    # L is Fortran-ordered with zeros above the diagonal, so dpotri copies
-    # it as is and leaves those zeros in place
-    inv, info = lapack.dpotri(L, lower=1)
-    if info != 0:
-        raise NumericalError("covariance matrix inverse failed")
     # Ky^-1 in the upper triangle (zeros below) of a C-ordered view
-    U = inv.T
+    U = cholesky_inverse(L).T
 
     def trace_w(M):
         # tr(Ky^-1 M) over the upper triangle of a symmetric M

@@ -39,6 +39,17 @@ class TestFit:
         K = kernels.gram(kern, data.X) + noise * np.eye(5)
         np.testing.assert_allclose(f.chol @ f.chol.T, K, rtol=1e-8)
 
+    def test_keeps_cholesky_jitter(self):
+        # four copies of one point: K is all ones, and noise this small
+        # leaves its diagonal as it is, so only jitter makes it factorize
+        data = Dataset(np.zeros(4), np.arange(4.0))
+        f = fit(data, from_name("se"), noise_variance=1e-300)
+        K = kernels.gram(from_name("se"), data.X)
+        assert f.jitter == kernels.jittered_cholesky(K)[1] > 0
+        np.testing.assert_allclose(f.chol @ f.chol.T, K + f.jitter * np.eye(4),
+                                   atol=1e-12)
+        assert fit(data, from_name("se"), noise_variance=0.1).jitter == 0.0
+
     def test_constant_y_zero_alpha(self):
         d = Dataset(np.linspace(0, 1, 6), np.full(6, 3.5))
         f = fit(d, from_name("se"), 0.1)

@@ -89,15 +89,16 @@ class TestGramCross:
 
 
 class TestNumHyperparameters:
+    """Every family has two free kernel hyperparameters; BIC's k adds the
+    noise variance."""
+
     @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
     def test_counts(self, name):
-        k = from_name(name)
-        assert kernels.num_hyperparameters(k) == 2
-        assert kernels.num_hyperparameters(k, include_noise=True) == 3
+        assert len(from_name(name).param_names()) == 2
 
     def test_degree_not_counted(self):
-        k = from_name("poly", degree=3)
-        assert kernels.num_hyperparameters(k) == 2
+        assert from_name("poly", degree=3).param_names() == [
+            "variance", "offset"]
 
 
 class TestSpecValidation:
@@ -209,3 +210,32 @@ class TestJitteredCholesky:
         assert np.all(L[np.triu_indices(30, 1)] == 0.0)
         assert np.all(np.diag(L) > 0)
         np.testing.assert_allclose(L @ L.T, K, rtol=0, atol=1e-13)
+
+
+class TestCholeskyInverse:
+    @staticmethod
+    def _factor(n):
+        X = np.random.default_rng(n).uniform(-2.0, 2.0, size=(n, 1))
+        K = kernels.gram(from_name("matern32", lengthscale=0.8), X)
+        K.flat[::n + 1] += 0.1
+        return kernels.jittered_cholesky(K)[0]
+
+    # 64 is one dtrtri leaf; 65, 129 and 400 recurse, with odd halves
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 129, 400])
+    def test_matches_dense_inverse(self, n):
+        L = self._factor(n)
+        inv = kernels.cholesky_inverse(L)
+        assert inv.shape == (n, n) and inv.flags.f_contiguous
+        assert np.all(inv[np.triu_indices(n, 1)] == 0.0)
+        dense = np.tril(np.linalg.inv(L @ L.T))
+        np.testing.assert_allclose(inv, dense, rtol=0,
+                                   atol=1e-10 * np.abs(dense).max())
+
+    # a zero pivot in the first leaf, in a leaf of the lower half, and in a
+    # factor too small to recurse
+    @pytest.mark.parametrize("n, i", [(129, 0), (129, 100), (3, 2)])
+    def test_zero_on_diagonal_fails(self, n, i):
+        L = self._factor(n)
+        L[i, i] = 0.0
+        with pytest.raises(kernels.NumericalError):
+            kernels.cholesky_inverse(L)
