@@ -11,7 +11,6 @@ from .inference import (
     ComparisonResult,
     EffectPosterior,
     Evidence,
-    Predicate,
     Threshold,
     bma_effect_samples,
     compare,
@@ -29,7 +28,6 @@ __all__ = [
     "GPFit",
     "KernelSpec",
     "OptConfig",
-    "Predicate",
     "PriorSpec",
     "Threshold",
     "bma_effect_samples",

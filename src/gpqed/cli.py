@@ -21,7 +21,7 @@ from importlib.metadata import PackageNotFoundError, version as pkg_version
 
 import numpy as np
 
-from . import geo, inference, kernels, sim
+from . import geo, gp, inference, kernels, sim
 from .errors import ConfigError, DataError, GpqedError, NumericalError
 from .gp import Dataset
 from .hyperopt import OptConfig
@@ -167,17 +167,16 @@ def _export_curves(path: str, result: inference.ComparisonResult,
                    grid_size: int = 200) -> None:
     if data.p != 1:
         raise ConfigError("curve export is only available for 1-D predictors")
-    from . import gp as gpmod
     lo, hi = float(data.X.min()), float(data.X.max())
     grid = np.linspace(lo, hi, grid_size).reshape(-1, 1)
     side = label.labels(grid)
     rows = []
     for kr in result.kernel_results:
-        m0_mean, m0_var = gpmod.predict(kr.fit_m0, grid)
+        m0_mean, m0_var = gp.predict(kr.fit_m0, grid)
         for x, m, v in zip(grid[:, 0], m0_mean, m0_var):
             rows.append([kr.kernel.label, "continuous", x, m, np.sqrt(v)])
-        mc, vc = gpmod.predict(kr.fit_c, grid)
-        mi, vi = gpmod.predict(kr.fit_i, grid)
+        mc, vc = gp.predict(kr.fit_c, grid)
+        mi, vi = gp.predict(kr.fit_i, grid)
         m1_mean = np.where(side == 0, mc, mi)
         m1_sd = np.sqrt(np.where(side == 0, vc, vi))
         for x, m, s in zip(grid[:, 0], m1_mean, m1_sd):

@@ -1,11 +1,13 @@
 """Exact Gaussian-process regression with Gaussian observation noise.
 
-Everything is routed through one Cholesky factorization of K + sigma_n^2 I;
-the only inverse formed is the one the log marginal likelihood's gradient
-needs, built from that factor by kernels.cholesky_inverse (a recursive blocked
-triangular inverse, not LAPACK dpotri). The mean function is a constant, by
-default the empirical mean of the responses used in the fit. Predictive
-variances are latent-function variances (observation noise excluded).
+Everything is routed through one Cholesky factorization L of
+K + sigma_n^2 I. Two inverses are formed from it, both through
+kernels.lower_inverse, a recursive blocked L^-1 (OpenBLAS's dpotri and
+dtrtrs run several times slower): K^-1 for the log marginal likelihood's
+gradient in fit, and L^-1 for the predictive variances in predict. Neither
+is kept in a GPFit. The mean function is a constant, by default the
+empirical mean of the responses used in the fit. Predictive variances are
+latent-function variances (observation noise excluded).
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import kernels
 from .errors import DataError, InputError
 from .kernels import (GramStructure, KernelSpec, cholesky_inverse,
-                      jittered_cholesky)
+                      jittered_cholesky, lower_inverse)
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -143,8 +145,11 @@ def log_marginal_likelihood(gpfit: GPFit) -> float:
 def predict(gpfit: GPFit, Xs) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and latent variance at the query points Xs (m x p).
 
-    Returns (mean, variance), each of shape (m,). Variances are clamped to
-    zero when round-off drives them slightly negative.
+    Returns (mean, variance), each of shape (m,). The mean is Ks^T alpha for
+    the n x m cross-covariance Ks. The variance is k(x, x) minus the squared
+    norm of each row of V^T = Ks^T L^-T: L^-1 is formed afresh from a copy of
+    gpfit.chol on every call, and one dtrmm overwrites Ks with V^T. Variances
+    are clamped to zero when round-off drives them slightly negative.
     """
     Xs = kernels._atleast_2d(Xs)
     if Xs.shape[1] != gpfit.data.p:
@@ -152,6 +157,8 @@ def predict(gpfit: GPFit, Xs) -> tuple[np.ndarray, np.ndarray]:
             f"query dimension {Xs.shape[1]} != training dimension {gpfit.data.p}")
     Ks = kernels.cross(gpfit.kernel, gpfit.data.X, Xs)       # n x m
     mean = gpfit.mean_constant + Ks.T @ gpfit.alpha
-    V, _ = lapack.dtrtrs(gpfit.chol, Ks, lower=1)             # n x m
-    var = kernels.diag(gpfit.kernel, Xs) - np.einsum("ij,ij->j", V, V)
+    # Ks is C-ordered, so Ks.T is Fortran-ordered and dtrmm writes into it
+    Vt = blas.dtrmm(1.0, lower_inverse(gpfit.chol), Ks.T, side=1, lower=1,
+                    trans_a=1, overwrite_b=1)                 # m x n
+    var = kernels.diag(gpfit.kernel, Xs) - np.einsum("ij,ij->i", Vt, Vt)
     return mean, np.maximum(var, 0.0)

@@ -53,17 +53,6 @@ class Threshold(LabelFunction):
         return (X[:, self.dimension] >= self.value).astype(int)
 
 
-@dataclass(frozen=True)
-class Predicate(LabelFunction):
-    """Arbitrary boolean assignment rule applied per point."""
-
-    fn: object  # callable point -> bool
-
-    def labels(self, X: np.ndarray) -> np.ndarray:
-        X = kernels._atleast_2d(X)
-        return np.array([1 if self.fn(x) else 0 for x in X], dtype=int)
-
-
 # ---------------------------------------------------------------------------
 # result records
 

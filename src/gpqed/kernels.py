@@ -157,24 +157,6 @@ def _polynomial_from_dot(spec: KernelSpec, dots: np.ndarray) -> np.ndarray:
     return (spec.variance * dots + spec.offset) ** spec.degree
 
 
-def _as_point(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return x
-
-
-def eval(spec: KernelSpec, x, xp) -> float:  # noqa: A001 - spec'd name
-    """Evaluate k(x, x') for two points in R^p."""
-    x = _as_point(x)
-    xp = _as_point(xp)
-    if x.shape != xp.shape:
-        raise InputError(
-            f"dimension mismatch: {x.shape[0]} vs {xp.shape[0]}")
-    if spec.stationary:
-        r = float(np.linalg.norm(x - xp))
-        return float(_stationary_from_r(spec, np.array([r]))[0])
-    return float(_polynomial_from_dot(spec, float(x @ xp)))
-
-
 def cross(spec: KernelSpec, X, Xs) -> np.ndarray:
     """The n x m matrix of covariances between rows of X and rows of Xs."""
     X = _atleast_2d(X)
@@ -192,8 +174,8 @@ def diag(spec: KernelSpec, X) -> np.ndarray:
     X = _atleast_2d(X)
     if spec.stationary:
         return np.full(X.shape[0], float(spec.variance))
-    # a stack of row-by-column products rounds like eval's x @ x, which a
-    # plain sum of squares does not for p >= 2
+    # a stack of row-by-column products rounds like one point's x @ x, which
+    # a plain sum of squares does not for p >= 2
     return _polynomial_from_dot(spec, (X[:, None, :] @ X[:, :, None]).ravel())
 
 
@@ -311,16 +293,29 @@ def cholesky_inverse(L: np.ndarray) -> np.ndarray:
 
     The result is a Fortran-ordered array whose lower triangle is the inverse
     and whose upper triangle is exactly zero, as LAPACK dpotri would return.
-    One copy of L is overwritten with L^-1 by a recursive blocked inverse,
-    then with L^-T L^-1 by dlauum; every other array is a block of about a
-    quarter of L. Raises NumericalError if L has a zero on its diagonal.
+    One copy of L is overwritten with L^-1 by lower_inverse, then with
+    L^-T L^-1 by dlauum; every other array is a block of about a quarter of
+    L. Raises NumericalError if L has a zero on its diagonal.
     """
-    W = np.array(L, order="F")
-    _invert_lower(W)
-    inv, info = lapack.dlauum(W, lower=1, overwrite_c=1)
+    inv, info = lapack.dlauum(lower_inverse(L), lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError("covariance matrix inverse failed")
     return inv
+
+
+def lower_inverse(L: np.ndarray) -> np.ndarray:
+    """L^-1 for a lower-triangular L with zeros above its diagonal, as
+    jittered_cholesky returns it.
+
+    The result is a Fortran-ordered copy of L overwritten by a recursive
+    blocked inverse; L itself is left as it is. Both consumers of a Cholesky
+    factor's inverse go through it: cholesky_inverse (K^-1 for the log-ML
+    gradient) and gp.predict (V^T = Ks^T L^-T by one dtrmm). Raises
+    NumericalError if L has a zero on its diagonal.
+    """
+    W = np.array(L, order="F")
+    _invert_lower(W)
+    return W
 
 
 def _invert_lower(W: np.ndarray) -> None:

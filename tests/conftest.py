@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the package's Cholesky code path: log marginal
 likelihoods come from a dense multivariate-normal density and predictions
-from explicit Gaussian conditioning with a dense solve.
+from explicit Gaussian conditioning with a dense solve. Covariances of single
+point pairs come straight from the formulas in the kernels module docstring.
 """
 
 import os
@@ -19,6 +20,7 @@ from scipy.stats import multivariate_normal
 
 from gpqed import kernels
 from gpqed.gp import Dataset
+from gpqed.inference import LabelFunction
 from gpqed.kernels import KernelSpec
 
 ALL_FAMILY_NAMES = ["linear", "exp", "matern32", "se"]
@@ -44,6 +46,33 @@ def random_instance(rng, n=None, p=1, kernel_name=None):
     kern = random_kernel(rng, kernel_name)
     noise = float(rng.uniform(0.05, 1.0))
     return Dataset(X, y), kern, noise
+
+
+def oracle_kernel(spec, x, xp) -> float:
+    """k(x, x') for two points of equal dimension, one scalar at a time."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    xp = np.asarray(xp, dtype=float).reshape(-1)
+    assert x.shape == xp.shape
+    v = spec.variance
+    if spec.family == "polynomial":
+        return (v * float(x @ xp) + spec.offset) ** spec.degree
+    r, l = float(np.linalg.norm(x - xp)), spec.lengthscale
+    if spec.family == "exponential":
+        return v * np.exp(-r / l)
+    if spec.family == "matern32":
+        return v * (1.0 + np.sqrt(3.0) * r / l) * np.exp(-np.sqrt(3.0) * r / l)
+    return v * np.exp(-r ** 2 / l)
+
+
+class PointRule(LabelFunction):
+    """Labels 1 where fn(point) is true: a rule compare() cannot place an
+    effect point for, applied one point at a time."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def labels(self, X):
+        return np.array([1 if self.fn(x) else 0 for x in X], dtype=int)
 
 
 def oracle_log_marginal_likelihood(data, kern, noise, mean_constant):

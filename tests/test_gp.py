@@ -7,6 +7,7 @@ from gpqed.gp import Dataset, fit, log_marginal_likelihood, predict
 from gpqed.kernels import from_name
 
 from conftest import (
+    ALL_FAMILY_NAMES,
     oracle_log_marginal_likelihood,
     oracle_predict,
     random_instance,
@@ -134,6 +135,47 @@ class TestPredict:
             np.testing.assert_allclose(mean, omean, rtol=1e-8, atol=1e-10)
             np.testing.assert_allclose(var, np.maximum(ovar, 0.0),
                                        rtol=1e-8, atol=1e-10)
+
+    @staticmethod
+    def _predict_keeps_chol(f, Xs):
+        chol = f.chol.copy()
+        out = predict(f, Xs)
+        # L^-1 is formed from a copy: the stored factor is left bit-equal
+        np.testing.assert_array_equal(f.chol, chol)
+        return out
+
+    # n = 137 recurses twice past the 64-point dtrtri leaf, with odd halves
+    @pytest.mark.parametrize("m", [1, 274], ids=["m=1", "m=2n"])
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    def test_matches_oracle_where_inverse_recurses(self, name, m):
+        rng = np.random.default_rng(137)
+        data, kern, noise = random_instance(rng, n=137, p=2, kernel_name=name)
+        Xs = rng.uniform(-3, 3, size=(m, 2))
+        f = fit(data, kern, noise)
+        mean, var = self._predict_keeps_chol(f, Xs)
+        omean, ovar = oracle_predict(data, kern, noise, f.mean_constant, Xs)
+        np.testing.assert_allclose(mean, omean, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(var, np.maximum(ovar, 0.0),
+                                   rtol=1e-8, atol=1e-10)
+
+    def test_matches_oracle_after_jitter(self):
+        # 137 copies of 10 points and no noise to speak of: K has rank 10,
+        # so only the Cholesky jitter makes it factorize
+        rng = np.random.default_rng(10)
+        X = rng.uniform(-3, 3, size=(10, 2))[rng.integers(0, 10, 137)]
+        data = Dataset(X, rng.normal(size=137))
+        kern = from_name("se", variance=1.3, lengthscale=2.0)
+        f = fit(data, kern, noise_variance=1e-300)
+        assert f.jitter > 0
+        Xs = rng.uniform(-3, 3, size=(274, 2))
+        mean, var = self._predict_keeps_chol(f, Xs)
+        omean, ovar = oracle_predict(data, kern, f.noise_variance + f.jitter,
+                                     f.mean_constant, Xs)
+        # K + jitter I has a condition number of about 3e7, so the oracle's
+        # dense inverse is good to about 1e-8 and no better
+        np.testing.assert_allclose(mean, omean, rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(var, np.maximum(ovar, 0.0),
+                                   rtol=1e-6, atol=1e-7)
 
     def test_dimension_mismatch(self, rng):
         data, kern, noise = random_instance(rng, n=4, p=2)

@@ -8,7 +8,6 @@ from gpqed.hyperopt import OptConfig
 from gpqed.inference import (
     EffectPosterior,
     Evidence,
-    Predicate,
     Threshold,
     aggregate_totals,
     bma_effect_samples,
@@ -19,6 +18,8 @@ from gpqed.inference import (
     split_by_label,
 )
 from gpqed.kernels import from_name
+
+from conftest import PointRule
 
 FAST = OptConfig(restarts=2, seed=0)
 
@@ -36,7 +37,7 @@ class TestLabels:
         assert lab.labels(np.array([[0.9], [1.0], [1.1]])).tolist() == [0, 1, 1]
 
     def test_predicate(self):
-        lab = Predicate(lambda x: x[0] + x[1] > 0)
+        lab = PointRule(lambda x: x[0] + x[1] > 0)
         assert lab.labels(np.array([[1.0, 1.0], [-1.0, 0.0]])).tolist() == [1, 0]
 
     def test_split_exhaustive(self):
@@ -221,7 +222,7 @@ class TestCompare:
     def test_effect_point_required_for_predicate(self):
         data = _step_data(20)
         with pytest.raises(ConfigError):
-            compare(data, Predicate(lambda x: x[0] >= 0),
+            compare(data, PointRule(lambda x: x[0] >= 0),
                     [from_name("se")], FAST)
 
 

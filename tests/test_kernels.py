@@ -7,50 +7,75 @@ from gpqed import kernels
 from gpqed.errors import InputError
 from gpqed.kernels import KernelSpec, from_name
 
-from conftest import ALL_FAMILY_NAMES, random_kernel
+from conftest import ALL_FAMILY_NAMES, oracle_kernel, random_kernel
+
+
+def _k(spec, x, xp) -> float:
+    """k(x, x') for one pair of points, through kernels.cross."""
+    return float(kernels.cross(spec, np.reshape(x, (1, -1)),
+                               np.reshape(xp, (1, -1)))[0, 0])
+
+
+# every hand-worked value holds for the package and for the oracle
+POINT_PAIR = (_k, oracle_kernel)
 
 
 class TestEval:
     def test_se_zero_distance_returns_variance(self):
         se = from_name("se")
-        assert kernels.eval(se, 0.0, 0.0) == 1.0
+        for k_of in POINT_PAIR:
+            assert k_of(se, 0.0, 0.0) == 1.0
 
     def test_se_unit_distance(self):
         se = from_name("se", variance=1.0, lengthscale=1.0)
-        assert kernels.eval(se, 0.0, 1.0) == pytest.approx(np.exp(-1.0), rel=1e-12)
+        for k_of in POINT_PAIR:
+            assert k_of(se, 0.0, 1.0) == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_polynomial_degree_one(self):
         lin = from_name("linear", variance=2.0, offset=0.5)
-        assert kernels.eval(lin, 1.0, 3.0) == pytest.approx(6.5)
+        for k_of in POINT_PAIR:
+            assert k_of(lin, 1.0, 3.0) == pytest.approx(6.5)
 
     def test_matern32_zero_distance(self):
         m = from_name("matern32")
-        assert kernels.eval(m, 0.5, 0.5) == pytest.approx(1.0)
+        for k_of in POINT_PAIR:
+            assert k_of(m, 0.5, 0.5) == pytest.approx(1.0)
 
     def test_exponential_formula(self):
         e = from_name("exp", variance=1.5, lengthscale=2.0)
-        assert kernels.eval(e, 0.0, 1.0) == pytest.approx(1.5 * np.exp(-0.5))
+        for k_of in POINT_PAIR:
+            assert k_of(e, 0.0, 1.0) == pytest.approx(1.5 * np.exp(-0.5))
 
     def test_dimension_mismatch(self):
         se = from_name("se")
         with pytest.raises(InputError):
-            kernels.eval(se, [0.0, 1.0], [0.0])
+            _k(se, [0.0, 1.0], [0.0])
 
     def test_stationary_diag_is_variance(self, rng):
         for name in ["exp", "matern32", "se"]:
             k = random_kernel(rng, name)
             x = rng.normal(size=3)
-            assert kernels.eval(k, x, x) == pytest.approx(k.variance)
+            for k_of in POINT_PAIR:
+                assert k_of(k, x, x) == pytest.approx(k.variance)
 
     def test_diag_equals_pointwise_eval(self, rng):
         X = rng.normal(size=(200, 2)) * 10.0
         for k in [random_kernel(rng, name) for name in ALL_FAMILY_NAMES]:
             np.testing.assert_array_equal(
-                kernels.diag(k, X), [kernels.eval(k, x, x) for x in X])
-        # numpy squares exactly where eval's scalar pow() may be off by an ulp
+                kernels.diag(k, X), [oracle_kernel(k, x, x) for x in X])
+        # numpy squares exactly where the oracle's scalar pow() may be off by
+        # an ulp
         k = from_name("poly", degree=2, offset=0.3)
         np.testing.assert_allclose(
-            kernels.diag(k, X), [kernels.eval(k, x, x) for x in X], rtol=1e-15)
+            kernels.diag(k, X), [oracle_kernel(k, x, x) for x in X], rtol=1e-15)
+
+    def test_cross_matches_pointwise_oracle(self, rng):
+        X, Xs = rng.uniform(-3, 3, size=(2, 6, 2))
+        for k in [random_kernel(rng, name) for name in ALL_FAMILY_NAMES]:
+            np.testing.assert_allclose(
+                kernels.cross(k, X, Xs),
+                [[oracle_kernel(k, x, xs) for xs in Xs] for x in X],
+                rtol=1e-14)
 
 
 class TestGramCross:
@@ -128,7 +153,7 @@ class TestProperties:
            name=st.sampled_from(ALL_FAMILY_NAMES), seed=st.integers(0, 2**31))
     def test_symmetry(self, x, xp, name, seed):
         k = random_kernel(np.random.default_rng(seed), name)
-        assert kernels.eval(k, x, xp) == kernels.eval(k, xp, x)
+        assert _k(k, x, xp) == _k(k, xp, x)
 
     def test_psd_with_jitter(self, rng):
         for _ in range(100):
@@ -145,14 +170,14 @@ class TestProperties:
             for _ in range(20):
                 x, xp = rng.uniform(-3, 3, size=(2, 2))
                 shift = rng.normal(size=2)
-                a = kernels.eval(k, x, xp)
-                b = kernels.eval(k, x + shift, xp + shift)
+                a = _k(k, x, xp)
+                b = _k(k, x + shift, xp + shift)
                 assert a == pytest.approx(b, abs=1e-12)
 
     def test_long_lengthscale_limit(self):
         for name in ["exp", "matern32", "se"]:
             k = from_name(name, variance=2.0, lengthscale=1e6)
-            assert abs(kernels.eval(k, 0.0, 1.0) - 2.0) < 1e-4 * 2.0
+            assert abs(_k(k, 0.0, 1.0) - 2.0) < 1e-4 * 2.0
 
 
 class TestGramStructure:
