@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -115,22 +116,83 @@ def write_csv_atomic(path: str, header: list[str], rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# analyze
+# configuration: every key is read and converted before any data is loaded;
+# a key that fills a record field is passed on only when the config has it,
+# so its default is the record's
 
-def _opt_config(cfg: dict, seed_default: int = 0) -> OptConfig:
-    opt = cfg.get("optimizer", {})
-    return OptConfig(restarts=int(opt.get("restarts", 5)),
-                     seed=int(opt.get("seed", seed_default)),
-                     max_iterations=int(opt.get("max_iterations", 500)),
-                     tolerance=float(opt.get("tolerance", 1e-5)))
+_REQUIRED = object()
+
+
+def _read(cfg: dict, key: str, convert, default=_REQUIRED):
+    """cfg[key] passed through convert, or default when it is absent or null.
+
+    A value that convert rejects, or a file it cannot open, raises a
+    ConfigError naming the key; the package's own errors pass unchanged.
+    """
+    if cfg.get(key) is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"config key {key!r} is required")
+        return default
+    try:
+        return convert(cfg[key])
+    except GpqedError:
+        raise
+    except (TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from None
+
+
+def _given(cfg: dict, readers: dict) -> dict:
+    """The keys of `readers` that cfg has and are not null, each converted."""
+    return {key: _read(cfg, key, convert)
+            for key, convert in readers.items() if cfg.get(key) is not None}
+
+
+def _json(kind: type):
+    """A converter that passes a value of the JSON type `kind` unchanged."""
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+        return value
+    return check
+
+
+def _list_of(convert):
+    """A converter for a non-empty list; a lone string is a list of one."""
+    def read(value) -> list:
+        value = [value] if isinstance(value, str) else _json(list)(value)
+        if not value:
+            raise ValueError("expected a non-empty list")
+        return [convert(v) for v in value]
+    return read
+
+
+def _threshold(value) -> inference.Threshold:
+    if isinstance(value, dict):
+        return inference.Threshold(
+            **_given(value, {"value": float, "dimension": int}))
+    return inference.Threshold(value=float(value))
+
+
+def _opt_config(cfg: dict) -> OptConfig:
+    """The "optimizer" section; its seed defaults to the top-level one."""
+    opt = _given(_read(cfg, "optimizer", _json(dict), {}),
+                 {"restarts": int, "seed": int, "max_iterations": int,
+                  "tolerance": float})
+    return OptConfig(**{**_given(cfg, {"seed": int}), **opt})
 
 
 def _kernel_list(cfg: dict) -> list[kernels.KernelSpec]:
-    names = cfg.get("kernels")
-    if not names:
-        raise ConfigError("config must list at least one kernel")
-    return [kernels.from_name(n) for n in names]
+    return [kernels.from_name(n)
+            for n in _read(cfg, "kernels", _list_of(_json(str)))]
 
+
+def _outputs(cfg: dict, *names: str) -> dict:
+    return _given(_read(cfg, "output", _json(dict), {}),
+                  dict.fromkeys(names, _json(str)))
+
+
+# ---------------------------------------------------------------------------
+# analyze
 
 def _analysis_report(result: inference.ComparisonResult) -> dict:
     per_kernel = {}
@@ -164,7 +226,7 @@ def _analysis_report(result: inference.ComparisonResult) -> dict:
 
 def _export_curves(path: str, result: inference.ComparisonResult,
                    data: Dataset, label: inference.LabelFunction,
-                   grid_size: int = 200) -> None:
+                   grid_size: int) -> None:
     if data.p != 1:
         raise ConfigError("curve export is only available for 1-D predictors")
     lo, hi = float(data.X.min()), float(data.X.max())
@@ -172,59 +234,44 @@ def _export_curves(path: str, result: inference.ComparisonResult,
     side = label.labels(grid)
     rows = []
     for kr in result.kernel_results:
-        m0_mean, m0_var = gp.predict(kr.fit_m0, grid)
-        for x, m, v in zip(grid[:, 0], m0_mean, m0_var):
-            rows.append([kr.kernel.label, "continuous", x, m, np.sqrt(v)])
-        mc, vc = gp.predict(kr.fit_c, grid)
-        mi, vi = gp.predict(kr.fit_i, grid)
-        m1_mean = np.where(side == 0, mc, mi)
-        m1_sd = np.sqrt(np.where(side == 0, vc, vi))
-        for x, m, s in zip(grid[:, 0], m1_mean, m1_sd):
-            rows.append([kr.kernel.label, "discontinuous", x, m, s])
+        m0, mc, mi = (gp.predict(f, grid)
+                      for f in (kr.fit_m0, kr.fit_c, kr.fit_i))
+        m1 = [np.where(side == 0, c, i) for c, i in zip(mc, mi)]
+        for model, (mean, var) in (("continuous", m0), ("discontinuous", m1)):
+            rows += [[kr.kernel.label, model, x, m, np.sqrt(v)]
+                     for x, m, v in zip(grid[:, 0], mean, var)]
     write_csv_atomic(path, ["kernel", "model", "x", "mean", "sd"], rows)
 
 
 def analyze(cfg: dict) -> dict:
     """Run one full analysis from a config dict; returns the report dict."""
-    for key in ("data", "response", "predictors"):
-        if key not in cfg:
-            raise ConfigError(f"config key {key!r} is required")
-    predictors = cfg["predictors"]
-    if isinstance(predictors, str):
-        predictors = [predictors]
+    predictors = _read(cfg, "predictors", _list_of(_json(str)))
     if len(predictors) not in (1, 2):
         raise ConfigError("1 or 2 predictor columns are supported")
-    has_threshold = "threshold" in cfg
-    has_boundary = "boundary" in cfg
-    if has_threshold == has_boundary:
+    if ("threshold" in cfg) == ("boundary" in cfg):
         raise ConfigError(
             "config must specify exactly one of 'threshold' or 'boundary'")
-
-    data = load_csv(cfg["data"], predictors, cfg["response"])
+    path = _read(cfg, "data", _json(str))
+    response = _read(cfg, "response", _json(str))
     kernel_list = _kernel_list(cfg)
-    seed = int(cfg.get("seed", 0))
-    opt = _opt_config(cfg, seed_default=seed)
+    seed = _read(cfg, "seed", int, 0)
+    opt = _opt_config(cfg)
+    boundary = _read(cfg, "boundary", geo.load_boundary, None)
+    label = (geo.BoundaryLabel(boundary) if boundary is not None
+             else _read(cfg, "threshold", _threshold))
+    # a boundary's default effect point is its arc-length midpoint
+    effect_point = _read(cfg, "effect_point",
+                         lambda v: np.asarray(v, dtype=float),
+                         None if boundary is None
+                         else geo.boundary_points(boundary, 3)[1])
+    profile_points = _read(cfg, "profile_points", int, 50)
+    curve_grid = _read(cfg, "curve_grid", int, 200)
+    mc_samples = _read(cfg, "mc_samples", int, 10000)
+    outputs = _outputs(cfg, "report", "curves", "density_samples")
 
-    if has_threshold:
-        thr = cfg["threshold"]
-        if isinstance(thr, dict):
-            label = inference.Threshold(value=float(thr["value"]),
-                                        dimension=int(thr.get("dimension", 0)))
-        else:
-            label = inference.Threshold(value=float(thr))
-        effect_point = None
-        if data.p > 1:
-            effect_point = cfg.get("effect_point")
-            if effect_point is None:
-                raise ConfigError(
-                    "'effect_point' is required for multivariate thresholds")
-    else:
-        boundary = geo.load_boundary(cfg["boundary"])
-        label = geo.BoundaryLabel(boundary)
-        # default effect point: the arc-length midpoint of the boundary
-        effect_point = cfg.get("effect_point")
-        if effect_point is None:
-            effect_point = geo.boundary_points(boundary, 3)[1]
+    data = load_csv(path, predictors, response)
+    if boundary is None and data.p == 1:
+        effect_point = None  # the threshold itself
 
     started = time.perf_counter()
     result = inference.compare(data, label, kernel_list, opt,
@@ -235,36 +282,27 @@ def analyze(cfg: dict) -> dict:
         "config": cfg,
         **_analysis_report(result),
     }
-    if has_boundary:
+    if boundary is not None:
         profiles = {}
         for kr in result.kernel_results:
-            p = geo.effect_profile(kr.fit_c, kr.fit_i, boundary,
-                                   count=int(cfg.get("profile_points", 50)))
-            profiles[kr.kernel.label] = {
-                "arc_lengths": p.arc_lengths, "points": p.points,
-                "means": p.means, "variances": p.variances}
+            profiles[kr.kernel.label] = dataclasses.asdict(geo.effect_profile(
+                kr.fit_c, kr.fit_i, boundary, count=profile_points))
         report["effect_profiles"] = profiles
     report["wall_time_seconds"] = time.perf_counter() - started
 
-    outputs = cfg.get("output", {})
+    writers = {
+        "report": lambda path: write_json_atomic(path, report),
+        "curves": lambda path: _export_curves(path, result, data, label,
+                                              curve_grid),
+        "density_samples": lambda path: write_csv_atomic(
+            path, ["sample"], [[s] for s in inference.bma_effect_samples(
+                result, count=mc_samples, seed=seed)])}
     written = []
     try:
-        report_path = outputs.get("report")
-        if report_path:
-            write_json_atomic(report_path, report)
-            written.append(report_path)
-        curves_path = outputs.get("curves")
-        if curves_path:
-            _export_curves(curves_path, result, data, label,
-                           grid_size=int(cfg.get("curve_grid", 200)))
-            written.append(curves_path)
-        density_path = outputs.get("density_samples")
-        if density_path:
-            samples = inference.bma_effect_samples(
-                result, count=int(cfg.get("mc_samples", 10000)), seed=seed)
-            write_csv_atomic(density_path, ["sample"],
-                             [[s] for s in samples])
-            written.append(density_path)
+        for key, write in writers.items():
+            if outputs.get(key):
+                write(outputs[key])
+                written.append(outputs[key])
     except BaseException:
         for p in written:
             if os.path.exists(p):
@@ -278,43 +316,29 @@ def analyze(cfg: dict) -> dict:
 
 def simulate(cfg: dict) -> dict:
     """Run a simulation grid from a config dict; returns the summary dict."""
-    latents = cfg.get("latents", ["Linear"])
-    effects = [float(d) for d in cfg.get("effects", sim.DEFAULT_EFFECT_GRID)]
+    latents = _read(cfg, "latents", _list_of(_json(str)), ["Linear"])
+    effects = _read(cfg, "effects", _list_of(float),
+                    list(sim.DEFAULT_EFFECT_GRID))
     kernel_list = _kernel_list(cfg)
-    template = sim.SimConfig(
-        latent=latents[0], n=int(cfg.get("n", 100)),
-        noise_sd=float(cfg.get("noise_sd", 1.0)),
-        threshold=float(cfg.get("threshold", 0.0)),
-        seed=int(cfg.get("seed", 0)),
-        repetitions=int(cfg.get("repetitions", 100)))
-    opt = _opt_config(cfg, seed_default=template.seed)
+    template = sim.SimConfig(latent=latents[0], **_given(
+        cfg, {"n": int, "noise_sd": float, "threshold": float, "seed": int,
+              "repetitions": int}))
+    opt = _opt_config(cfg)
+    outputs = _outputs(cfg, "summary_json", "summary_csv")
     summary = sim.run_grid(latents, effects, template, kernel_list, opt=opt)
 
-    cells = []
     rows = []
-    metrics = [("log_bf", "mean_log_bf", "se_log_bf"),
-               ("effect_m1", "mean_effect_m1", "se_effect_m1"),
-               ("effect_bma", "mean_effect_bma", "se_effect_bma"),
-               ("rmse_m1", "mean_rmse_m1", "se_rmse_m1"),
-               ("rmse_bma", "mean_rmse_bma", "se_rmse_bma")]
     for cell in summary.cells:
-        rec = {"latent": cell.latent, "effect": cell.effect,
-               "repetitions": cell.repetitions, "failures": cell.failures,
-               "mean_total_log_bf": cell.mean_total_log_bf,
-               "se_total_log_bf": cell.se_total_log_bf}
-        for metric, mkey, skey in metrics:
-            rec[mkey] = getattr(cell, mkey)
-            rec[skey] = getattr(cell, skey)
-            for lab in summary.kernel_labels:
-                rows.append([cell.latent, cell.effect, lab, metric,
-                             getattr(cell, mkey)[lab], getattr(cell, skey)[lab]])
+        for m in sim.METRICS:
+            means, ses = getattr(cell, f"mean_{m}"), getattr(cell, f"se_{m}")
+            rows += [[cell.latent, cell.effect, lab, m, means[lab], ses[lab]]
+                     for lab in summary.kernel_labels]
         rows.append([cell.latent, cell.effect, "all", "total_log_bf",
                      cell.mean_total_log_bf, cell.se_total_log_bf])
-        cells.append(rec)
-    out = {"version": get_version(), "config": cfg, "cells": cells,
+    out = {"version": get_version(), "config": cfg,
+           "cells": [dataclasses.asdict(cell) for cell in summary.cells],
            "kernel_labels": list(summary.kernel_labels)}
 
-    outputs = cfg.get("output", {})
     if outputs.get("summary_json"):
         write_json_atomic(outputs["summary_json"], out)
     if outputs.get("summary_csv"):
@@ -342,27 +366,27 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _apply_overrides(cfg: dict, args: argparse.Namespace, keys: list[str]) -> dict:
+# flags whose config key sits in a section; every other flag sets the
+# top-level key of its own name
+_FLAG_SECTIONS = {"restarts": "optimizer", "report": "output"}
+
+
+def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     cfg = dict(cfg)
-    for key in keys:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            cfg[key] = value
-    if getattr(args, "kernels", None) is not None:
-        cfg["kernels"] = [k.strip() for k in args.kernels.split(",")]
-    if getattr(args, "predictors", None) is not None:
-        cfg["predictors"] = [c.strip() for c in args.predictors.split(",")]
-    if getattr(args, "latents", None) is not None:
-        cfg["latents"] = [c.strip() for c in args.latents.split(",")]
-    if getattr(args, "effects", None) is not None:
-        cfg["effects"] = [float(v) for v in args.effects.split(",")]
-    if getattr(args, "restarts", None) is not None:
-        cfg.setdefault("optimizer", {})
-        cfg["optimizer"] = {**cfg["optimizer"], "restarts": args.restarts}
-    if getattr(args, "report", None) is not None:
-        cfg.setdefault("output", {})
-        cfg["output"] = {**cfg["output"], "report": args.report}
+    for key, value in vars(args).items():
+        if value is None or key in ("command", "config"):
+            continue
+        section = _FLAG_SECTIONS.get(key)
+        if section:
+            value = {**_read(cfg, section, _json(dict), {}), key: value}
+        cfg[section or key] = value
     return cfg
+
+
+def _comma_list(convert):
+    def comma_separated(text: str) -> list:
+        return [convert(item.strip()) for item in text.split(",")]
+    return comma_separated
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,70 +394,61 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gpqed",
         description="GP model comparison for discontinuity designs")
     sub = parser.add_subparsers(dest="command", required=True)
+    names = _comma_list(str)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="JSON config file")
+    shared.add_argument("--kernels", type=names,
+                        help="comma-separated kernel names")
+    shared.add_argument("--seed", type=int, help="master seed")
+    shared.add_argument("--restarts", type=int, help="optimizer restarts")
 
-    pa = sub.add_parser("analyze", help="analyze a CSV dataset")
-    pa.add_argument("--config", help="JSON config file")
+    pa = sub.add_parser("analyze", parents=[shared],
+                        help="analyze a CSV dataset")
     pa.add_argument("--data", help="CSV data path")
     pa.add_argument("--response", help="response column name")
-    pa.add_argument("--predictors", help="comma-separated predictor columns")
-    pa.add_argument("--kernels", help="comma-separated kernel names")
+    pa.add_argument("--predictors", type=names,
+                    help="comma-separated predictor columns")
     pa.add_argument("--threshold", type=float, help="threshold value")
     pa.add_argument("--boundary", help="boundary polyline file")
-    pa.add_argument("--seed", type=int, help="master seed")
-    pa.add_argument("--restarts", type=int, help="optimizer restarts")
     pa.add_argument("--report", help="report JSON output path")
 
-    ps = sub.add_parser("simulate", help="run a simulation grid")
-    ps.add_argument("--config", help="JSON config file")
-    ps.add_argument("--latents", help="comma-separated latent function names")
-    ps.add_argument("--effects", help="comma-separated effect sizes")
-    ps.add_argument("--kernels", help="comma-separated kernel names")
+    ps = sub.add_parser("simulate", parents=[shared],
+                        help="run a simulation grid")
+    ps.add_argument("--latents", type=names,
+                    help="comma-separated latent function names")
+    ps.add_argument("--effects", type=_comma_list(float),
+                    help="comma-separated effect sizes")
     ps.add_argument("--n", type=int, help="observations per dataset")
     ps.add_argument("--noise-sd", type=float, dest="noise_sd")
     ps.add_argument("--repetitions", type=int)
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--restarts", type=int)
 
     sub.add_parser("version", help="print the package version")
     return parser
 
 
+# the message prefix and exit code of each error class, first match wins
+_EXITS = ((ConfigError, "configuration error", 2), (DataError, "data error", 3),
+          (NumericalError, "numerical error", 4), (GpqedError, "error", 2))
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "version":
             print(get_version())
             return 0
-        cfg = _load_config(args.config)
-        if args.command == "analyze":
-            cfg = _apply_overrides(cfg, args, ["data", "response", "threshold",
-                                               "boundary", "seed"])
-            report = analyze(cfg)
-            if not cfg.get("output", {}).get("report"):
-                _json_dump(report, sys.stdout)
-            return 0
-        if args.command == "simulate":
-            cfg = _apply_overrides(cfg, args, ["n", "noise_sd", "repetitions",
-                                               "seed"])
-            out = simulate(cfg)
-            if not cfg.get("output", {}).get("summary_json"):
-                _json_dump(out, sys.stdout)
-            return 0
-        parser.error(f"unknown command {args.command}")
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 4
+        cfg = _apply_overrides(_load_config(args.config), args)
+        run, key = ((analyze, "report") if args.command == "analyze"
+                    else (simulate, "summary_json"))
+        out = run(cfg)
+        if not (cfg.get("output") or {}).get(key):
+            _json_dump(out, sys.stdout)
+        return 0
     except GpqedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        prefix, code = next((prefix, code) for kind, prefix, code in _EXITS
+                            if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -67,9 +67,6 @@ class BoundaryPolyline:
     def length(self) -> float:
         return float(self.segment_lengths.sum())
 
-    def reversed(self) -> "BoundaryPolyline":
-        return BoundaryPolyline(self.vertices[::-1].copy())
-
 
 def _nearest_segment_side(boundary: BoundaryPolyline, X: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:

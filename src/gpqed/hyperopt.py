@@ -15,7 +15,7 @@ Everything is deterministic given the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -38,7 +38,7 @@ def positive_mask(kernel: KernelSpec) -> np.ndarray:
 def kernel_and_noise(kernel: KernelSpec, theta) -> tuple[KernelSpec, float]:
     """Split a hyperparameter array into a kernel spec and a noise variance."""
     *values, noise = np.asarray(theta, dtype=float).tolist()
-    return kernel.with_params(**dict(zip(kernel.param_names(), values))), noise
+    return replace(kernel, **dict(zip(kernel.param_names(), values))), noise
 
 
 @dataclass(frozen=True)

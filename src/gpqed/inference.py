@@ -164,15 +164,13 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, n: int, init,
 
 
 def fit_continuous(data: Dataset, kernel: KernelSpec,
-                   cfg: OptConfig | None = None,
-                   mean_constant: float | None = None) -> tuple[GPFit, Evidence]:
+                   cfg: OptConfig | None = None) -> tuple[GPFit, Evidence]:
     """Fit one GP to all data; evidence via BIC at the optimized hypers."""
     if data.n < 2:
         raise ConfigError("need at least 2 observations")
-    c = float(np.mean(data.y)) if mean_constant is None else mean_constant
     (fit,), ev = _fit_parts([data], kernel, data.n,
                             hyperopt.default_init(kernel, data),
-                            cfg or OptConfig(), c)
+                            cfg or OptConfig(), float(np.mean(data.y)))
     return fit, ev
 
 
@@ -186,18 +184,17 @@ def split_by_label(data: Dataset, label: LabelFunction) -> tuple[Dataset, Datase
 
 
 def fit_discontinuous(data: Dataset, label: LabelFunction, kernel: KernelSpec,
-                      cfg: OptConfig | None = None,
-                      mean_constant: float | None = None
+                      cfg: OptConfig | None = None
                       ) -> tuple[GPFit, GPFit, Evidence]:
     """Fit independent GPs to each side with one shared hyperparameter vector.
 
     The shared vector maximizes the sum of the two sides' log marginal
-    likelihoods; the evidence applies one BIC penalty with the total n.
+    likelihoods; the evidence applies one BIC penalty with the total n. Both
+    sides take the mean of all of data.y as their constant mean.
     """
-    c = float(np.mean(data.y)) if mean_constant is None else mean_constant
     (fit_c, fit_i), ev = _fit_parts(list(split_by_label(data, label)), kernel,
                                     data.n, hyperopt.default_init(kernel, data),
-                                    cfg or OptConfig(), c)
+                                    cfg or OptConfig(), float(np.mean(data.y)))
     return fit_c, fit_i, ev
 
 
@@ -215,11 +212,6 @@ def effect_size(fit_c: GPFit, fit_i: GPFit, x0) -> tuple[float, float]:
     mc, vc = gp.predict(fit_c, x0)
     mi, vi = gp.predict(fit_i, x0)
     return float(mi[0] - mc[0]), float(vi[0] + vc[0])
-
-
-def _stable_p1(log_bf10: float) -> float:
-    """p(M1|D) under equal model priors."""
-    return float(expit(log_bf10))
 
 
 def compare(data: Dataset, label: LabelFunction,
@@ -247,15 +239,13 @@ def compare(data: Dataset, label: LabelFunction,
     if effect_point.shape != (1, data.p):
         raise ConfigError(
             f"effect_point must be a single {data.p}-dimensional point")
-    c = float(np.mean(data.y))
 
     results = []
     for kern in kernel_list:
-        fit0, ev0 = fit_continuous(data, kern, cfg, mean_constant=c)
-        fitc, fiti, ev1 = fit_discontinuous(data, label, kern, cfg,
-                                            mean_constant=c)
+        fit0, ev0 = fit_continuous(data, kern, cfg)
+        fitc, fiti, ev1 = fit_discontinuous(data, label, kern, cfg)
         log_bf10 = ev1.log_evidence - ev0.log_evidence
-        p1 = _stable_p1(log_bf10)
+        p1 = float(expit(log_bf10))  # p(M1|D) under equal model priors
         mean, var = effect_size(fitc, fiti, effect_point)
         effect = EffectPosterior(m1_mean=mean, m1_var=var,
                                  spike_weight=1.0 - p1, gaussian_weight=p1)
@@ -282,7 +272,7 @@ def aggregate_totals(le0: np.ndarray, le1: np.ndarray, means: np.ndarray,
     space.
     """
     total_log_bf = float(logsumexp(le1) - logsumexp(le0))
-    total_p1 = _stable_p1(total_log_bf)
+    total_p1 = float(expit(total_log_bf))
     w0 = np.exp(le0 - logsumexp(le0))
     w1 = np.exp(le1 - logsumexp(le1))
     w0 /= w0.sum()

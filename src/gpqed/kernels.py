@@ -16,8 +16,7 @@ a fixed structural choice (never optimized).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -29,8 +28,8 @@ FAMILIES = ("polynomial", "exponential", "matern32", "squared_exponential")
 
 _ALIASES = {
     "linear": ("polynomial", 1),
-    "poly": ("polynomial", None),
-    "polynomial": ("polynomial", None),
+    "poly": ("polynomial", 1),
+    "polynomial": ("polynomial", 1),
     "exp": ("exponential", None),
     "exponential": ("exponential", None),
     "matern32": ("matern32", None),
@@ -96,9 +95,6 @@ class KernelSpec:
             return ["variance", "offset"]
         return ["variance", "lengthscale"]
 
-    def with_params(self, **values: float) -> "KernelSpec":
-        return replace(self, **values)
-
 
 def from_name(name: str, **overrides) -> KernelSpec:
     """Build a KernelSpec from a config key like "linear", "exp", "se"."""
@@ -107,11 +103,9 @@ def from_name(name: str, **overrides) -> KernelSpec:
         raise InputError(
             f"unknown kernel name {name!r}; valid: {sorted(set(_ALIASES))}")
     family, degree = _ALIASES[key]
-    kwargs: dict = dict(overrides)
-    if family == "polynomial":
-        kwargs.setdefault("degree", degree if degree is not None else 1)
-        kwargs.setdefault("offset", 0.0)
-    return KernelSpec(family=family, **kwargs)
+    if degree is not None:
+        overrides = {"degree": degree, **overrides}
+    return KernelSpec(family=family, **overrides)
 
 
 def _atleast_2d(X) -> np.ndarray:

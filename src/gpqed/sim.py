@@ -5,6 +5,7 @@ factors) aggregated over repeated analyses.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from . import inference
 from .errors import ConfigError, GpqedError, InputError
 from .gp import Dataset
 from .hyperopt import OptConfig
-from .inference import ComparisonResult, EffectPosterior, Threshold
+from .inference import EffectPosterior, Threshold
 from .kernels import KernelSpec
 
 
@@ -115,13 +116,8 @@ def rmse_closed_form(effect: EffectPosterior, true_d: float,
                          + effect.gaussian_weight * gauss))
 
 
-def rmse(effect: EffectPosterior, true_d: float, mc_count: int = 10000,
-         seed: int = 0, m1_only: bool = False) -> float:
-    """Monte Carlo counterpart of rmse_closed_form."""
-    if m1_only:
-        effect = replace(effect, spike_weight=0.0, gaussian_weight=1.0)
-    draws = inference.effect_samples(effect, mc_count, seed=seed)
-    return float(np.sqrt(np.mean((draws - true_d) ** 2)))
+# the per-kernel metrics of a cell, in the order run_cell computes them
+METRICS = ("log_bf", "effect_m1", "effect_bma", "rmse_m1", "rmse_bma")
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +128,16 @@ DEFAULT_EFFECT_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 @dataclass(frozen=True)
 class CellSummary:
-    """Aggregates over repetitions for one (latent, d) grid cell."""
+    """Aggregates over repetitions for one (latent, d) grid cell; the fields
+    are in the order of a cell record in the `simulate` JSON summary."""
 
     latent: str
     effect: float
     repetitions: int
     failures: int
-    # per-kernel maps keyed by kernel label
+    mean_total_log_bf: float
+    se_total_log_bf: float
+    # mean_<m> and se_<m> for each m in METRICS, keyed by kernel label
     mean_log_bf: dict[str, float]
     se_log_bf: dict[str, float]
     mean_effect_m1: dict[str, float]
@@ -149,8 +148,6 @@ class CellSummary:
     se_rmse_m1: dict[str, float]
     mean_rmse_bma: dict[str, float]
     se_rmse_bma: dict[str, float]
-    mean_total_log_bf: float
-    se_total_log_bf: float
 
 
 @dataclass(frozen=True)
@@ -159,7 +156,11 @@ class SimSummary:
     kernel_labels: tuple[str, ...]
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
+def _mean_se(values: list[float]) -> tuple[float, float]:
+    """Mean and standard error; NaN for both when there are no values."""
+    if not values:
+        return np.nan, np.nan
+    values = np.array(values)
     m = float(np.mean(values))
     if len(values) < 2:
         return m, 0.0
@@ -178,8 +179,7 @@ def run_cell(config: SimConfig, kernel_list: list[KernelSpec],
     opt = opt or OptConfig(restarts=2)
     label = Threshold(value=config.threshold)
     labels = [k.label for k in kernel_list]
-    per_kernel = {lab: {"bf": [], "em1": [], "ebma": [], "rm1": [], "rbma": []}
-                  for lab in labels}
+    values = {(m, lab): [] for m in METRICS for lab in labels}
     totals = []
     failures = 0
     for rep in range(config.repetitions):
@@ -194,36 +194,21 @@ def run_cell(config: SimConfig, kernel_list: list[KernelSpec],
             continue
         totals.append(result.total_log_bf)
         for lab, kr in zip(labels, result.kernel_results):
-            rec = per_kernel[lab]
-            rec["bf"].append(kr.log_bf10)
-            rec["em1"].append(kr.effect.m1_mean)
-            rec["ebma"].append(kr.effect.bma_mean)
-            rec["rm1"].append(rmse_closed_form(kr.effect, config.effect,
-                                               m1_only=True))
-            rec["rbma"].append(rmse_closed_form(kr.effect, config.effect))
+            e = kr.effect
+            row = (kr.log_bf10, e.m1_mean, e.bma_mean,
+                   rmse_closed_form(e, config.effect, m1_only=True),
+                   rmse_closed_form(e, config.effect))
+            for m, v in zip(METRICS, row):
+                values[m, lab].append(v)
 
-    def agg(key):
-        means, ses = {}, {}
-        for lab in labels:
-            vals = np.array(per_kernel[lab][key])
-            means[lab], ses[lab] = _mean_se(vals) if len(vals) else (np.nan, np.nan)
-        return means, ses
-
-    mbf, sbf = agg("bf")
-    me1, se1 = agg("em1")
-    meb, seb = agg("ebma")
-    mr1, sr1 = agg("rm1")
-    mrb, srb = agg("rbma")
-    mt, st = _mean_se(np.array(totals)) if totals else (np.nan, np.nan)
+    stats = {f"{s}_{m}": {} for m in METRICS for s in ("mean", "se")}
+    for (m, lab), v in values.items():
+        stats[f"mean_{m}"][lab], stats[f"se_{m}"][lab] = _mean_se(v)
+    mt, st = _mean_se(totals)
     return CellSummary(
         latent=config.latent, effect=config.effect,
         repetitions=config.repetitions, failures=failures,
-        mean_log_bf=mbf, se_log_bf=sbf,
-        mean_effect_m1=me1, se_effect_m1=se1,
-        mean_effect_bma=meb, se_effect_bma=seb,
-        mean_rmse_m1=mr1, se_rmse_m1=sr1,
-        mean_rmse_bma=mrb, se_rmse_bma=srb,
-        mean_total_log_bf=mt, se_total_log_bf=st)
+        mean_total_log_bf=mt, se_total_log_bf=st, **stats)
 
 
 def run_grid(latents: list[str], effects: list[float], template: SimConfig,
@@ -232,17 +217,9 @@ def run_grid(latents: list[str], effects: list[float], template: SimConfig,
     """Sweep (latent, d) cells; per-cell failures are recorded, never fatal."""
     if not latents or not effects:
         raise ConfigError("latent and effect grids must be non-empty")
-    cells = []
-    index = 0
-    for latent in latents:
-        for d in effects:
-            config = SimConfig(latent=latent, n=template.n, effect=d,
-                               noise_sd=template.noise_sd,
-                               threshold=template.threshold,
-                               seed=template.seed,
-                               repetitions=template.repetitions)
-            cells.append(run_cell(config, kernel_list, cell_index=index,
-                                  opt=opt))
-            index += 1
+    cells = [run_cell(replace(template, latent=latent, effect=d), kernel_list,
+                      cell_index=i, opt=opt)
+             for i, (latent, d) in enumerate(itertools.product(latents,
+                                                               effects))]
     return SimSummary(cells=tuple(cells),
                       kernel_labels=tuple(k.label for k in kernel_list))

@@ -6,6 +6,7 @@ from explicit Gaussian conditioning with a dense solve. Covariances of single
 point pairs come straight from the formulas in the kernels module docstring.
 """
 
+import dataclasses
 import os
 
 # One BLAS thread, set before numpy is first imported: criterion 6's n = 200
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from gpqed import kernels
+from gpqed import inference, kernels
 from gpqed.gp import Dataset
 from gpqed.inference import LabelFunction
 from gpqed.kernels import KernelSpec
@@ -93,6 +94,15 @@ def oracle_predict(data, kern, noise, mean_constant, Xs):
     mean = mean_constant + Ks.T @ Kinv @ (data.y - mean_constant)
     cov = Kss - Ks.T @ Kinv @ Ks
     return mean, np.diag(cov)
+
+
+def rmse(effect, true_d, mc_count=10000, seed=0, m1_only=False) -> float:
+    """Monte Carlo counterpart of sim.rmse_closed_form."""
+    if m1_only:
+        effect = dataclasses.replace(effect, spike_weight=0.0,
+                                     gaussian_weight=1.0)
+    draws = inference.effect_samples(effect, mc_count, seed=seed)
+    return float(np.sqrt(np.mean((draws - true_d) ** 2)))
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gpqed import cli
+from gpqed import cli, sim
 from gpqed.errors import ConfigError, DataError
 
 
@@ -150,6 +150,10 @@ class TestAnalyze:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 500
 
+    def test_lone_kernel_name_is_a_list_of_one(self, tmp_path):
+        report = cli.analyze(_base_config(tmp_path, kernels="exp"))
+        assert list(report["kernels"]) == ["exp"]
+
     def test_boundary_analysis(self, tmp_path):
         rng = np.random.default_rng(1)
         X = rng.uniform(-1, 1, size=(40, 2))
@@ -206,6 +210,9 @@ class TestSimulateCommand:
         cell = summary["cells"][0]
         assert cell["failures"] == 2
         assert cell["mean_total_log_bf"] is None
+        for m in sim.METRICS:
+            assert cell[f"mean_{m}"] == {"exp": None}
+            assert cell[f"se_{m}"] == {"exp": None}
 
     def test_invalid_latent_lists_valid_names(self):
         cfg = {"latents": ["Cosine"], "effects": [1.0], "kernels": ["exp"],
@@ -280,6 +287,57 @@ class TestMain:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["cells"][0]["latent"] == "Linear"
+
+    def test_malformed_list_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--effects", "1,abc"])
+        assert exc.value.code == 2
+        assert "--effects" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, bad, flags, key", [
+        ("analyze", {"optimizer": {"restarts": "x"}}, [], "restarts"),
+        ("analyze", {"optimizer": "fast"}, [], "optimizer"),
+        ("analyze", {"optimizer": "fast"}, ["--restarts", "2"], "optimizer"),
+        ("analyze", {"seed": "s"}, [], "seed"),
+        ("analyze", {"threshold": "abc"}, [], "threshold"),
+        ("analyze", {"threshold": {"dimension": 0}}, [], "threshold"),
+        ("analyze", {"curve_grid": "many"}, [], "curve_grid"),
+        ("analyze", {"output": {"report": 5}}, [], "report"),
+        ("simulate", {"effects": ["a"]}, [], "effects"),
+        ("simulate", {"kernels": []}, [], "kernels"),
+    ])
+    def test_bad_config_value_is_a_config_error(self, tmp_path, capsys,
+                                                 command, bad, flags, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_base_config(tmp_path, **bad)))
+        assert cli.main([command, "--config", str(cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config key {key!r}")
+
+    def test_null_value_is_an_absent_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_base_config(
+            tmp_path, seed=None, effect_point=None, output=None)))
+        assert cli.main(["analyze", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+    def test_missing_boundary_file_is_a_config_error(self, tmp_path, capsys):
+        cfg = _base_config(tmp_path, boundary=str(tmp_path / "no-such.txt"))
+        del cfg["threshold"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["analyze", "--config", str(path)]) == 2
+        assert "config key 'boundary'" in capsys.readouterr().err
+
+    def test_bad_value_fails_before_the_analysis(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def compare(*args, **kwargs):
+            raise AssertionError("compare ran before the config was read")
+        monkeypatch.setattr(cli.inference, "compare", compare)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_base_config(tmp_path, mc_samples="x")))
+        assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        assert "'mc_samples'" in capsys.readouterr().err
 
 
 class TestAtomicWrites:

@@ -244,12 +244,19 @@ class TestMixtureIdentities:
                                   spike_weight=1 - p1, gaussian_weight=p1)
             assert abs(eff.bma_mean) <= abs(eff.m1_mean)
 
+    @staticmethod
+    def _total_p_m1(log_bf):
+        # one kernel, whose evidences differ by log_bf
+        one = np.array([1.0])
+        return aggregate_totals(np.array([0.0]), np.array([log_bf]),
+                                one, one)["total_p_m1"]
+
     def test_p_m1_half_at_zero_log_bf(self):
-        assert inference._stable_p1(0.0) == 0.5
+        assert self._total_p_m1(0.0) == 0.5
 
     def test_p_m1_stable_at_extremes(self):
-        assert inference._stable_p1(1000.0) == 1.0
-        assert inference._stable_p1(-1000.0) == 0.0
+        assert self._total_p_m1(1000.0) == 1.0
+        assert self._total_p_m1(-1000.0) == 0.0
 
 
 class TestBmaSamples:

@@ -6,7 +6,9 @@ from gpqed.errors import ConfigError, InputError, NumericalError
 from gpqed.hyperopt import OptConfig
 from gpqed.inference import EffectPosterior
 from gpqed.kernels import from_name
-from gpqed.sim import SimConfig, eval_latent, generate, rmse, rmse_closed_form
+from gpqed.sim import SimConfig, eval_latent, generate, rmse_closed_form
+
+from conftest import rmse
 
 
 class TestLatentFunctions:
