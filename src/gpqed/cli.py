@@ -80,6 +80,8 @@ def _plain(obj):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
@@ -156,6 +158,14 @@ def _json(kind: type):
     return check
 
 
+def _count(value) -> int:
+    """An integer of at least 1."""
+    count = int(value)
+    if count < 1:
+        raise ValueError(f"expected an integer >= 1, got {value!r}")
+    return count
+
+
 def _list_of(convert):
     """A converter for a non-empty list; a lone string is a list of one."""
     def read(value) -> list:
@@ -182,8 +192,15 @@ def _opt_config(cfg: dict) -> OptConfig:
 
 
 def _kernel_list(cfg: dict) -> list[kernels.KernelSpec]:
-    return [kernels.from_name(n)
-            for n in _read(cfg, "kernels", _list_of(_json(str)))]
+    """The "kernels" list; results are keyed by label, so labels are unique."""
+    specs = [kernels.from_name(n)
+             for n in _read(cfg, "kernels", _list_of(_json(str)))]
+    labels = [spec.label for spec in specs]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(
+                f"config key 'kernels': two kernels are both {label!r}")
+    return specs
 
 
 def _outputs(cfg: dict, *names: str) -> dict:
@@ -264,9 +281,9 @@ def analyze(cfg: dict) -> dict:
                          lambda v: np.asarray(v, dtype=float),
                          None if boundary is None
                          else geo.boundary_points(boundary, 3)[1])
-    profile_points = _read(cfg, "profile_points", int, 50)
-    curve_grid = _read(cfg, "curve_grid", int, 200)
-    mc_samples = _read(cfg, "mc_samples", int, 10000)
+    profile_points = _read(cfg, "profile_points", _count, 50)
+    curve_grid = _read(cfg, "curve_grid", _count, 200)
+    mc_samples = _read(cfg, "mc_samples", _count, 10000)
     outputs = _outputs(cfg, "report", "curves", "density_samples")
 
     data = load_csv(path, predictors, response)

@@ -148,8 +148,10 @@ def predict(gpfit: GPFit, Xs) -> tuple[np.ndarray, np.ndarray]:
     Returns (mean, variance), each of shape (m,). The mean is Ks^T alpha for
     the n x m cross-covariance Ks. The variance is k(x, x) minus the squared
     norm of each row of V^T = Ks^T L^-T: L^-1 is formed afresh from a copy of
-    gpfit.chol on every call, and one dtrmm overwrites Ks with V^T. Variances
-    are clamped to zero when round-off drives them slightly negative.
+    gpfit.chol on every call, and one dtrmm overwrites Ks with V^T. Ks is the
+    one n x m array a call makes; beside it are L^-1 (n x n) and arrays of
+    m values. Variances are clamped to zero when round-off drives them
+    slightly negative.
     """
     Xs = kernels._atleast_2d(Xs)
     if Xs.shape[1] != gpfit.data.p:

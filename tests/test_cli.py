@@ -339,6 +339,44 @@ class TestMain:
         assert cli.main(["analyze", "--config", str(cfg)]) == 2
         assert "'mc_samples'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["mc_samples", "curve_grid",
+                                     "profile_points"])
+    def test_count_below_one_fails_before_the_data_are_read(
+            self, tmp_path, capsys, monkeypatch, key):
+        def compare(*args, **kwargs):
+            raise AssertionError("compare ran before the config was read")
+        monkeypatch.setattr(cli.inference, "compare", compare)
+        cfg = tmp_path / "cfg.json"
+        # a data file that does not exist would be a data error (exit 3)
+        cfg.write_text(json.dumps(_base_config(
+            tmp_path, data=str(tmp_path / "no-such.csv"), **{key: 0})))
+        assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config key {key!r}")
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_two_kernels_with_one_label_are_a_config_error(
+            self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_base_config(tmp_path)))
+        argv = [command, "--config", str(cfg), "--kernels", "exp,exponential"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: config key 'kernels'")
+        assert "'exp'" in err
+
+
+class TestPlain:
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True),
+                                       np.bool_(False)])
+    def test_booleans_stay_booleans(self, value):
+        out = cli._plain({"flag": value, "flags": np.array([value]),
+                          "count": np.int64(3)})
+        assert out == {"flag": bool(value), "flags": [bool(value)], "count": 3}
+        assert [type(v) for v in (out["flag"], out["flags"][0], out["count"])
+                ] == [bool, bool, int]
+        assert json.loads(json.dumps(out)) == out
+
 
 class TestAtomicWrites:
     def test_json_replaces_existing(self, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,22 @@ class TestPredict:
         np.testing.assert_allclose(mean, omean, rtol=1e-6, atol=1e-7)
         np.testing.assert_allclose(var, np.maximum(ovar, 0.0),
                                    rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    def test_memory_is_one_cross_covariance(self, name):
+        # the n x m cross-covariance becomes V^T in place; L^-1 (n x n) and
+        # the kernel formula's chunk-sized scratch are the rest
+        rng = np.random.default_rng(300)
+        data, kern, noise = random_instance(rng, n=300, p=2, kernel_name=name)
+        f = fit(data, kern, noise)
+        Xs = rng.uniform(-3, 3, size=(2500, 2))
+        tracemalloc.start()
+        try:
+            predict(f, Xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 300 * 2500 * 8
 
     def test_dimension_mismatch(self, rng):
         data, kern, noise = random_instance(rng, n=4, p=2)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from gpqed import kernels
 from gpqed.errors import InputError
-from gpqed.kernels import KernelSpec, from_name
+from gpqed.kernels import SQRT3, GramStructure, KernelSpec, from_name
 
 from conftest import ALL_FAMILY_NAMES, oracle_kernel, random_kernel
 
@@ -111,6 +112,49 @@ class TestGramCross:
         se = from_name("se")
         with pytest.raises(InputError):
             kernels.cross(se, np.zeros((3, 2)), np.zeros((3, 1)))
+
+
+def _plain_formula(spec, X, Xs):
+    """The kernel formula over the whole array, in _stationary_from_r's
+    order of operations."""
+    v = spec.variance
+    if spec.family == "polynomial":
+        return (v * (X @ Xs.T) + spec.offset) ** spec.degree
+    r, l = cdist(X, Xs), spec.lengthscale
+    if spec.family == "exponential":
+        return v * np.exp(-r / l)
+    if spec.family == "squared_exponential":
+        return v * np.exp(-r ** 2 / l)
+    z = SQRT3 * r / l
+    return (z + 1.0) * v * np.exp(-z)
+
+
+CHUNK = kernels._CHUNK
+
+
+class TestCrossInChunks:
+    """cross evaluates its formula in place over chunks of the flattened
+    array; every value is bit-equal to the whole-array formula."""
+
+    @pytest.mark.parametrize("shape", [
+        (3, CHUNK // 4 - 5), (2, CHUNK // 2), (1, CHUNK + 1), (300, 2500)],
+        ids=["below", "one_chunk", "one_over", "300x2500"])
+    @pytest.mark.parametrize("name", [*ALL_FAMILY_NAMES, "poly3"])
+    def test_bit_equal_to_whole_array_formula(self, rng, name, shape):
+        spec = (from_name("poly", degree=3, variance=0.7, offset=0.4)
+                if name == "poly3" else random_kernel(rng, name))
+        X = rng.uniform(-3, 3, size=(shape[0], 2))
+        Xs = rng.uniform(-3, 3, size=(shape[1], 2))
+        np.testing.assert_array_equal(kernels.cross(spec, X, Xs),
+                                      _plain_formula(spec, X, Xs))
+
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    def test_gram_structure_keeps_its_cache(self, rng, name):
+        spec = random_kernel(rng, name)
+        structure = GramStructure(rng.uniform(-3, 3, size=(200, 2)))
+        # 40,000 entries: more than one chunk
+        first = structure.gram(spec).copy()
+        np.testing.assert_array_equal(structure.gram(spec), first)
 
 
 class TestNumHyperparameters:
