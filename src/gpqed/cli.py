@@ -158,9 +158,16 @@ def _json(kind: type):
     return check
 
 
+def _int(value) -> int:
+    """A JSON integer: true, 2.7 and "3" are not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def _count(value) -> int:
-    """An integer of at least 1."""
-    count = int(value)
+    """A JSON integer of at least 1."""
+    count = _int(value)
     if count < 1:
         raise ValueError(f"expected an integer >= 1, got {value!r}")
     return count
@@ -179,16 +186,16 @@ def _list_of(convert):
 def _threshold(value) -> inference.Threshold:
     if isinstance(value, dict):
         return inference.Threshold(
-            **_given(value, {"value": float, "dimension": int}))
+            **_given(value, {"value": float, "dimension": _int}))
     return inference.Threshold(value=float(value))
 
 
 def _opt_config(cfg: dict) -> OptConfig:
     """The "optimizer" section; its seed defaults to the top-level one."""
     opt = _given(_read(cfg, "optimizer", _json(dict), {}),
-                 {"restarts": int, "seed": int, "max_iterations": int,
+                 {"restarts": _count, "seed": _int, "max_iterations": _count,
                   "tolerance": float})
-    return OptConfig(**{**_given(cfg, {"seed": int}), **opt})
+    return OptConfig(**{**_given(cfg, {"seed": _int}), **opt})
 
 
 def _kernel_list(cfg: dict) -> list[kernels.KernelSpec]:
@@ -271,7 +278,7 @@ def analyze(cfg: dict) -> dict:
     path = _read(cfg, "data", _json(str))
     response = _read(cfg, "response", _json(str))
     kernel_list = _kernel_list(cfg)
-    seed = _read(cfg, "seed", int, 0)
+    seed = _read(cfg, "seed", _int, 0)
     opt = _opt_config(cfg)
     boundary = _read(cfg, "boundary", geo.load_boundary, None)
     label = (geo.BoundaryLabel(boundary) if boundary is not None
@@ -338,8 +345,8 @@ def simulate(cfg: dict) -> dict:
                     list(sim.DEFAULT_EFFECT_GRID))
     kernel_list = _kernel_list(cfg)
     template = sim.SimConfig(latent=latents[0], **_given(
-        cfg, {"n": int, "noise_sd": float, "threshold": float, "seed": int,
-              "repetitions": int}))
+        cfg, {"n": _count, "noise_sd": float, "threshold": float,
+              "seed": _int, "repetitions": _count}))
     opt = _opt_config(cfg)
     outputs = _outputs(cfg, "summary_json", "summary_csv")
     summary = sim.run_grid(latents, effects, template, kernel_list, opt=opt)

@@ -1,15 +1,15 @@
 """Maximize the log marginal likelihood over a hyperparameter vector.
 
 A model's hyperparameters are a plain float array in the order given by
-`hyper_names`: the kernel's free parameters, then the noise variance. All of
-them are positive except a polynomial kernel's offset (`positive_mask`). The
-objective is regularized by vague priors (Gamma(0.01, 0.01) on positive
-parameters, Normal(0, 1) on unconstrained ones); the reported objective value
-is the prior-free log marginal likelihood at the optimum, which is what enters
-the BIC. Optimization runs in a transformed space where positive parameters
-are log-transformed, using L-BFGS-B with the objective's analytic gradient
-carried through the prior, the log transform and its log-Jacobian.
-Everything is deterministic given the seed.
+`hyper_names`: the kernel's free parameters, then the noise variance. Every
+one of them is positive (a polynomial kernel's offset too: the kernel is
+positive semi-definite only for an offset >= 0). The objective is regularized
+by one vague Gamma(0.01, 0.01) prior on each parameter; the reported
+objective value is the prior-free log marginal likelihood at the optimum,
+which is what enters the BIC. Optimization runs over z = log(theta), using
+L-BFGS-B with the objective's analytic gradient carried through the prior,
+the log transform and its log-Jacobian. Everything is deterministic given
+the seed.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ def hyper_names(kernel: KernelSpec) -> list[str]:
     return kernel.param_names() + ["noise_variance"]
 
 
-def positive_mask(kernel: KernelSpec) -> np.ndarray:
-    """True where a hyperparameter must be positive (all but "offset")."""
-    return np.array([name != "offset" for name in hyper_names(kernel)])
-
-
 def kernel_and_noise(kernel: KernelSpec, theta) -> tuple[KernelSpec, float]:
     """Split a hyperparameter array into a kernel spec and a noise variance."""
     *values, noise = np.asarray(theta, dtype=float).tolist()
@@ -43,38 +38,28 @@ def kernel_and_noise(kernel: KernelSpec, theta) -> tuple[KernelSpec, float]:
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Vague hyperpriors: Gamma on positive, Normal on unconstrained params."""
+    """One vague Gamma(shape, rate) hyperprior on every hyperparameter."""
 
     gamma_shape: float = 0.01
     gamma_rate: float = 0.01
-    normal_mean: float = 0.0
-    normal_sd: float = 1.0
 
     def __post_init__(self):
-        if not (self.gamma_shape > 0 and self.gamma_rate > 0 and self.normal_sd > 0):
-            raise InputError("prior shape/rate/sd must be positive")
+        if not (self.gamma_shape > 0 and self.gamma_rate > 0):
+            raise InputError("prior shape/rate must be positive")
 
-    def log_density(self, theta, positive) -> float:
-        """Summed log prior of the array theta; positive marks Gamma entries."""
+    def log_density(self, theta) -> float:
+        """Summed log prior of the positive array theta."""
         total = 0.0
         a, b = self.gamma_shape, self.gamma_rate
-        for value, pos in zip(map(float, theta), positive):
-            if pos:
-                total += (a * math.log(b) - math.lgamma(a)
-                          + (a - 1.0) * math.log(value) - b * value)
-            else:
-                z = (value - self.normal_mean) / self.normal_sd
-                total += -0.5 * z * z - math.log(self.normal_sd) \
-                    - 0.5 * math.log(2.0 * math.pi)
+        for value in map(float, theta):
+            total += (a * math.log(b) - math.lgamma(a)
+                      + (a - 1.0) * math.log(value) - b * value)
         return total
 
-    def log_density_grad(self, theta, positive) -> np.ndarray:
+    def log_density_grad(self, theta) -> np.ndarray:
         """Gradient of `log_density` with respect to theta."""
         theta = np.asarray(theta, dtype=float)
-        grad = -(theta - self.normal_mean) / self.normal_sd ** 2
-        grad[positive] = ((self.gamma_shape - 1.0) / theta[positive]
-                          - self.gamma_rate)
-        return grad
+        return (self.gamma_shape - 1.0) / theta - self.gamma_rate
 
 
 @dataclass(frozen=True)
@@ -95,45 +80,44 @@ class OptConfig:
     priors: PriorSpec = field(default_factory=PriorSpec)
 
 
-def _from_unconstrained(z, positive):
-    v = np.array(z, dtype=float)
+def _from_unconstrained(z):
     # clip keeps exp() strictly positive and finite at extreme steps
-    v[positive] = np.exp(np.clip(v[positive], -700.0, 700.0))
-    return v
+    return np.exp(np.clip(np.asarray(z, dtype=float), -700.0, 700.0))
 
 
-def _neg_log_posterior(z, objective, priors: PriorSpec, positive):
-    """Minus (objective + log prior + log-Jacobian) at the transformed point
-    z, and its gradient in z. (1e30, zeros) marks a failed evaluation."""
-    theta = _from_unconstrained(z, positive)
+def _neg_log_posterior(z, objective, priors: PriorSpec):
+    """Minus (objective + log prior + log-Jacobian) at z = log(theta), and
+    its gradient in z. (1e30, zeros) marks a failed evaluation."""
+    theta = _from_unconstrained(z)
     try:
         val, grad, *_ = objective(theta)
     except NumericalError:
         return 1e30, np.zeros_like(z)
-    val += priors.log_density(theta, positive)
-    grad = grad + priors.log_density_grad(theta, positive)
-    # log-Jacobian of the log transform: MAP is taken in the transformed
-    # space, which keeps the Gamma prior's density spike at zero from
-    # dragging positive parameters into degeneracy
-    val += float(np.sum(z[positive]))
+    val += priors.log_density(theta)
+    grad = grad + priors.log_density_grad(theta)
+    # log-Jacobian of the log transform: MAP is taken in log space, which
+    # keeps the Gamma prior's density spike at zero from dragging the
+    # parameters into degeneracy
+    val += float(np.sum(z))
     # chain rule through theta = exp(z), plus the log-Jacobian's gradient
-    grad[positive] = grad[positive] * theta[positive] + 1.0
+    grad = grad * theta + 1.0
     if not (np.isfinite(val) and np.all(np.isfinite(grad))):
         return 1e30, np.zeros_like(z)
     return -val, -grad
 
 
-def optimize(objective, priors: PriorSpec, init, positive,
+def optimize(objective, priors: PriorSpec, init,
              restarts: int = 5, seed: int = 0,
              max_iterations: int = 500, tolerance: float = 1e-5) -> OptResult:
     """Maximize objective + log prior over theta; return the best restart.
 
     objective(theta) returns the value, its gradient with respect to theta
     and optionally further outputs, and raises NumericalError where it
-    cannot be evaluated. theta is a float array shaped like `init`, kept
-    positive where `positive` is true (InputError if `init` is not).
-    Restart 0 starts at `init`; later restarts perturb each transformed
-    parameter by Normal(0, 0.5) draws from a generator seeded with `seed`.
+    cannot be evaluated. theta is a positive float array shaped like
+    `init` (InputError if an entry of `init` is not > 0), searched as
+    z = log(theta) under the Gamma prior `priors`. Restart 0 starts at
+    `init`; later restarts perturb each z by Normal(0, 0.5) draws from a
+    generator seeded with `seed`.
     The best restart is chosen by the regularized objective, ties broken by
     the lowest restart index. Raises OptimizationError when every restart
     fails to produce a finite objective.
@@ -147,12 +131,10 @@ def optimize(objective, priors: PriorSpec, init, positive,
     if restarts < 1:
         raise InputError("restarts must be >= 1")
     init = np.asarray(init, dtype=float)
-    positive = np.asarray(positive, dtype=bool)
-    bad = np.flatnonzero(positive & ~(init > 0))
+    bad = np.flatnonzero(~(init > 0))
     if bad.size:
         raise InputError(f"hyperparameter {bad[0]} must be positive")
-    z0 = init.copy()
-    z0[positive] = np.log(init[positive])
+    z0 = np.log(init)
     rng = np.random.default_rng(seed)
     # L-BFGS-B stops at its last evaluated point or, after a failed line
     # search, back at its last iterate: a restart holds the evaluations at
@@ -180,7 +162,7 @@ def optimize(objective, priors: PriorSpec, init, positive,
         last = iterate = None
         # a failed start has a zero gradient, so L-BFGS-B stops right there
         res = minimize(_neg_log_posterior, z_init,
-                       args=(recorded, priors, positive), jac=True,
+                       args=(recorded, priors), jac=True,
                        method="L-BFGS-B", callback=new_iterate,
                        options={"maxiter": max_iterations, "gtol": tolerance,
                                 "ftol": 1e-12})
@@ -189,13 +171,13 @@ def optimize(objective, priors: PriorSpec, init, positive,
         # res.jac is the gradient L-BFGS-B already holds at res.x
         converged = bool(np.max(np.abs(res.jac)) < tolerance) or res.success
         if best is None or -res.fun > best[0]:
-            key = _from_unconstrained(res.x, positive).tobytes()
+            key = _from_unconstrained(res.x).tobytes()
             held = [e[1] for e in (last, iterate) if e and e[0] == key]
             best = (-res.fun, res.x, converged, held[0] if held else None)
     if best is None:
         raise OptimizationError("all optimizer restarts diverged")
     _, z_hat, converged, outputs = best
-    theta_hat = _from_unconstrained(z_hat, positive)
+    theta_hat = _from_unconstrained(z_hat)
     reevaluations = int(outputs is None)
     if reevaluations:
         outputs = objective(theta_hat)

@@ -154,7 +154,6 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, n: int, init,
                 sum(f.log_ml_grad for f in fitted), fitted)
 
     opt = hyperopt.optimize(objective, cfg.priors, init,
-                            hyperopt.positive_mask(kernel),
                             restarts=cfg.restarts, seed=cfg.seed,
                             max_iterations=cfg.max_iterations,
                             tolerance=cfg.tolerance)

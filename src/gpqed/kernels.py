@@ -10,8 +10,8 @@ r = ||x - x'||:
     matern32:     sigma_v^2 * (1 + sqrt(3) r / l) * exp(-sqrt(3) r / l)
     se:           sigma_v^2 * exp(-r^2 / l)
 
-The polynomial kernel is (sigma_v^2 * <x, x'> + gamma)^degree with the degree
-a fixed structural choice (never optimized).
+The polynomial kernel is (sigma_v^2 * <x, x'> + gamma)^degree with gamma >= 0
+and the degree a fixed structural choice (never optimized).
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ class KernelSpec:
                 raise InputError("polynomial kernel has no lengthscale")
             if self.offset is None:
                 object.__setattr__(self, "offset", 0.0)
+            if not self.offset >= 0:
+                # the kernel is not positive semi-definite for offset < 0
+                raise InputError("polynomial offset must be >= 0")
         else:
             if self.lengthscale is None:
                 object.__setattr__(self, "lengthscale", 1.0)

@@ -37,6 +37,10 @@ def _base_config(tmp_path, **extra):
     return cfg
 
 
+# values a JSON integer key rejects: a JSON boolean, a fraction, a string
+_NOT_INTEGERS = [True, 2.7, "3"]
+
+
 class TestLoadCsv:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -351,6 +355,39 @@ class TestMain:
         cfg.write_text(json.dumps(_base_config(
             tmp_path, data=str(tmp_path / "no-such.csv"), **{key: 0})))
         assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config key {key!r}")
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        (command, section, key, value)
+        for command, section, key, values in [
+            ("analyze", None, "seed", _NOT_INTEGERS),
+            ("analyze", "optimizer", "seed", _NOT_INTEGERS),
+            ("analyze", "threshold", "dimension", _NOT_INTEGERS),
+            ("analyze", "optimizer", "restarts", [*_NOT_INTEGERS, 0]),
+            ("analyze", "optimizer", "max_iterations", [*_NOT_INTEGERS, 0]),
+            ("analyze", None, "mc_samples", _NOT_INTEGERS),
+            ("analyze", None, "curve_grid", _NOT_INTEGERS),
+            ("analyze", None, "profile_points", _NOT_INTEGERS),
+            ("simulate", None, "n", [*_NOT_INTEGERS, 0]),
+            ("simulate", None, "repetitions", [*_NOT_INTEGERS, 0]),
+        ] for value in values])
+    def test_integer_key_takes_a_json_integer(
+            self, tmp_path, capsys, monkeypatch, command, section, key, value):
+        def run(*args, **kwargs):
+            raise AssertionError("the analysis ran before the config was read")
+        monkeypatch.setattr(cli.inference, "compare", run)
+        monkeypatch.setattr(cli.sim, "run_grid", run)
+        # a data file that does not exist would be a data error (exit 3)
+        cfg = _base_config(tmp_path, data=str(tmp_path / "no-such.csv"))
+        if section is None:
+            cfg[key] = value
+        else:
+            base = {"threshold": {"value": 0.0}}.get(section, cfg[section])
+            cfg[section] = {**base, key: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: config key {key!r}")
 

@@ -12,21 +12,22 @@ from gpqed.hyperopt import (
     hyper_names,
     kernel_and_noise,
     optimize,
-    positive_mask,
 )
 from gpqed.kernels import from_name
 
 
 def _flat_prior():
-    # wide Normal stands in for a flat prior on unconstrained parameters
-    return PriorSpec(normal_sd=1e3)
+    # a Gamma with vanishing shape and rate is flat in log space once the
+    # log-Jacobian is added
+    return PriorSpec(gamma_shape=1e-9, gamma_rate=1e-9)
 
 
 class TestHyperVector:
     def test_rejects_nonpositive_constrained(self):
-        with pytest.raises(InputError):
-            optimize(lambda theta: (0.0, np.zeros(1)), _flat_prior(),
-                     np.array([-1.0]), np.array([True]), restarts=1)
+        for bad in (-1.0, 0.0, float("nan")):
+            with pytest.raises(InputError):
+                optimize(lambda theta: (0.0, np.zeros(2)), _flat_prior(),
+                         np.array([1.0, bad]), restarts=1)
 
     def test_roundtrip_with_kernel(self):
         k = from_name("se", variance=2.0, lengthscale=0.7)
@@ -38,41 +39,34 @@ class TestHyperVector:
     def test_length_is_model_k(self):
         k = from_name("linear")
         assert len(hyper_names(k)) == len(k.param_names()) + 1
-        assert len(positive_mask(k)) == len(hyper_names(k))
 
 
 class TestPriors:
     def test_gamma_log_density_at_one(self):
         p = PriorSpec()
         expected = 0.01 * math.log(0.01) - math.lgamma(0.01) - 0.01
-        assert p.log_density(np.array([1.0]), np.array([True])) == \
+        assert p.log_density(np.array([1.0])) == \
             pytest.approx(expected, rel=1e-12)
-
-    def test_normal_log_density(self):
-        p = PriorSpec()
-        assert p.log_density(np.array([0.0]), np.array([False])) == \
-            pytest.approx(-0.5 * math.log(2 * math.pi))
 
 
 class TestOptimize:
     def test_quadratic_maximum(self):
         res = optimize(lambda theta: (-((theta[0] - 2.0) ** 2),
                                       np.array([-2.0 * (theta[0] - 2.0)])),
-                       _flat_prior(), np.array([0.5]), np.array([False]),
-                       restarts=1, seed=0)
+                       _flat_prior(), np.array([0.5]), restarts=1, seed=0)
         assert res.theta_hat[0] == pytest.approx(2.0, abs=1e-4)
         assert res.converged
 
     def test_deterministic_across_runs(self):
-        init, positive = np.array([1.0, 0.3]), np.array([True, False])
+        init = np.array([1.0, 0.3])
 
         def obj(theta):
-            value = -((math.log(theta[0]) - 1.0) ** 2 + (theta[1] + 2) ** 2)
+            value = -((math.log(theta[0]) - 1.0) ** 2 + (theta[1] - 2) ** 2)
             return value, np.array([-2.0 * (math.log(theta[0]) - 1.0) / theta[0],
-                                    -2.0 * (theta[1] + 2)])
+                                    -2.0 * (theta[1] - 2)])
 
-        r1 = optimize(obj, _flat_prior(), init, positive, restarts=4, seed=7)
-        r2 = optimize(obj, _flat_prior(), init, positive, restarts=4, seed=7)
+        r1 = optimize(obj, _flat_prior(), init, restarts=4, seed=7)
+        r2 = optimize(obj, _flat_prior(), init, restarts=4, seed=7)
         assert r1.theta_hat.tolist() == r2.theta_hat.tolist()
         assert r1.objective_value == r2.objective_value
 
@@ -82,54 +76,52 @@ class TestOptimize:
         def obj(theta):
             return -((theta[0] - 3.0) ** 2), np.array([-2.0 * (theta[0] - 3.0)])
 
-        res = optimize(obj, _flat_prior(), init, np.array([True]),
-                       restarts=3, seed=1)
+        res = optimize(obj, _flat_prior(), init, restarts=3, seed=1)
         assert res.objective_value >= obj(init)[0]
 
     def test_positive_constraints_preserved(self):
         res = optimize(lambda theta: (-(theta[0] - 1e-4) ** 2,
                                       np.array([-2.0 * (theta[0] - 1e-4)])),
-                       _flat_prior(), np.array([2.0]), np.array([True]),
-                       restarts=3, seed=2)
+                       _flat_prior(), np.array([2.0]), restarts=3, seed=2)
         assert res.theta_hat[0] > 0
 
     def test_all_restarts_diverge(self):
         with pytest.raises(OptimizationError):
             optimize(lambda theta: (float("nan"), np.zeros(1)), _flat_prior(),
-                     np.array([1.0]), np.array([False]), restarts=3, seed=0)
+                     np.array([1.0]), restarts=3, seed=0)
 
     def test_objective_value_excludes_prior(self):
         def obj(theta):
             return (-((math.log(theta[0])) ** 2),
                     np.array([-2.0 * math.log(theta[0]) / theta[0]]))
 
-        res = optimize(obj, PriorSpec(), np.array([1.0]), np.array([True]),
-                       restarts=1, seed=0)
+        res = optimize(obj, PriorSpec(), np.array([1.0]), restarts=1, seed=0)
         # reported value is the raw objective, which peaks at 0
         assert res.objective_value == pytest.approx(
             obj(res.theta_hat)[0], abs=1e-12)
 
     def test_unevaluated_optimum_is_evaluated_again(self, monkeypatch):
-        # an optimizer that ends one ulp off its last evaluated point
+        # an optimizer that ends a little off its last evaluated point
         minimize = hyperopt.minimize
 
         def nudged(*args, **kwargs):
             res = minimize(*args, **kwargs)
-            res.x = np.nextafter(res.x, np.inf)
+            res.x = res.x + 1e-9
             return res
 
         def obj(theta):
             return (-((theta[0] - 2.0) ** 2),
                     np.array([-2.0 * (theta[0] - 2.0)]), theta.tobytes())
 
-        args = (obj, _flat_prior(), np.array([0.5]), np.array([False]))
+        args = (obj, _flat_prior(), np.array([0.5]))
         exact = optimize(*args, restarts=2, seed=0)
         assert exact.reevaluations == 0
         assert exact.extra == (exact.theta_hat.tobytes(),)
         monkeypatch.setattr(hyperopt, "minimize", nudged)
         res = optimize(*args, restarts=2, seed=0)
         assert res.reevaluations == 1
-        assert res.theta_hat[0] == np.nextafter(exact.theta_hat[0], np.inf)
+        assert res.theta_hat[0] != exact.theta_hat[0]
+        assert res.theta_hat[0] == pytest.approx(exact.theta_hat[0], rel=1e-8)
         assert res.extra == (res.theta_hat.tobytes(),)
         assert res.objective_value == obj(res.theta_hat)[0]
 
@@ -143,13 +135,31 @@ class TestOptimize:
             return (-((theta[0] - 2.0) ** 2),
                     np.array([2.0 * (theta[0] - 2.0)]), theta.tobytes())
 
-        res = optimize(obj, _flat_prior(), np.array([0.5]),
-                       np.array([False]), restarts=1)
-        assert res.theta_hat.tolist() == [0.5]
+        res = optimize(obj, _flat_prior(), np.array([1.0]), restarts=1)
+        assert res.theta_hat.tolist() == [1.0]
         assert seen[-1] != res.theta_hat.tobytes()
         assert res.reevaluations == 0
         assert res.extra == (res.theta_hat.tobytes(),)
-        assert res.objective_value == -2.25
+        assert res.objective_value == -1.0
+
+    def test_linear_offset_search_stays_psd(self, monkeypatch):
+        # the offset searched in log space never leaves the region where
+        # the linear kernel is positive semi-definite, so no evaluation
+        # fails and M0 reaches its MAP optimum
+        values = []
+        neg_log_posterior = hyperopt._neg_log_posterior
+
+        def spy(*args):
+            out = neg_log_posterior(*args)
+            values.append(out[0])
+            return out
+
+        monkeypatch.setattr(hyperopt, "_neg_log_posterior", spy)
+        data = sim.generate(sim.SimConfig("Linear", n=100, effect=1.0), seed=0)
+        _, ev = inference.fit_continuous(
+            data, from_name("linear"), hyperopt.OptConfig(restarts=2, seed=0))
+        assert ev.log_ml >= -141.45
+        assert values and max(values) < 1e30
 
 
 def _central_difference(f, x):
@@ -163,9 +173,9 @@ def _central_difference(f, x):
 
 
 class TestAnalyticGradient:
-    """The fit objective's gradient and the optimizer's transformed-space
-    gradient against central differences, for every kernel family, through
-    the one-part (M0) and the two-part (M1) objective."""
+    """The fit objective's gradient and the optimizer's gradient in
+    z = log(theta) against central differences, for every kernel family,
+    through the one-part (M0) and the two-part (M1) objective."""
 
     KERNELS = [from_name("linear"), from_name("polynomial", degree=2),
                from_name("exp"), from_name("matern32"), from_name("se")]
@@ -204,15 +214,14 @@ class TestAnalyticGradient:
 
     def _check_gradients(self, monkeypatch, data, kernel, split):
         objective = self._objective(monkeypatch, data, kernel, split)
-        positive = positive_mask(kernel)
         for factors in self.FACTORS:
             theta = default_init(kernel, data) * factors
             grad = objective(theta)[1]
             np.testing.assert_allclose(
                 grad, _central_difference(lambda t: objective(t)[0], theta),
                 rtol=1e-5)
-            z = np.where(positive, np.log(theta), theta)
-            args = (objective, PriorSpec(), positive)
+            z = np.log(theta)
+            args = (objective, PriorSpec())
             _, grad_z = hyperopt._neg_log_posterior(z, *args)
             np.testing.assert_allclose(
                 grad_z, _central_difference(
@@ -224,7 +233,7 @@ class TestAnalyticGradient:
             raise NumericalError("no factor")
 
         value, grad = hyperopt._neg_log_posterior(
-            np.zeros(2), failing, PriorSpec(), np.array([True, False]))
+            np.zeros(2), failing, PriorSpec())
         assert value == 1e30
         assert grad.tolist() == [0.0, 0.0]
 
@@ -250,7 +259,9 @@ class TestDefaultInit:
         k = from_name("linear")
         i = hyper_names(k).index("offset")
         assert default_init(k, d)[i] == 1.0
-        assert not positive_mask(k)[i]
+        fit, _ = inference.fit_continuous(
+            d, k, hyperopt.OptConfig(restarts=1))
+        assert fit.kernel.offset > 0
 
 
 class TestPriorInfluence:
@@ -264,6 +275,5 @@ class TestPriorInfluence:
         opt_flat = inference.fit_continuous(
             data, kern, hyperopt.OptConfig(
                 restarts=2, seed=3,
-                priors=PriorSpec(gamma_shape=1e-9, gamma_rate=1e-9,
-                                 normal_sd=1e6)))[1]
+                priors=_flat_prior()))[1]
         assert abs(opt_with.log_ml - opt_flat.log_ml) < 0.5

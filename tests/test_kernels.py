@@ -183,6 +183,12 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             KernelSpec("polynomial", degree=0)
 
+    def test_rejects_negative_offset(self):
+        # (v <x, x'> + offset)^degree is not positive semi-definite then
+        with pytest.raises(InputError):
+            from_name("linear", offset=-0.5)
+        assert from_name("linear", offset=0.0).offset == 0.0
+
     def test_unknown_name(self):
         with pytest.raises(InputError):
             from_name("periodic")
