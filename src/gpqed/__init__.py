@@ -6,7 +6,7 @@ factors, and reports spike-plus-Gaussian model-averaged effect sizes.
 """
 
 from .gp import Dataset, GPFit, fit, log_marginal_likelihood, predict
-from .hyperopt import OptConfig, PriorSpec
+from .hyperopt import OptConfig
 from .inference import (
     ComparisonResult,
     EffectPosterior,
@@ -28,7 +28,6 @@ __all__ = [
     "GPFit",
     "KernelSpec",
     "OptConfig",
-    "PriorSpec",
     "Threshold",
     "bma_effect_samples",
     "compare",

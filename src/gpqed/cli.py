@@ -165,6 +165,23 @@ def _int(value) -> int:
     return value
 
 
+def _float(value) -> float:
+    """A finite JSON number: true, "0.5" and NaN are not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    # an exact comparison, so an integer too large for a float fails too
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _positive(value) -> float:
+    """A finite JSON number above 0."""
+    if not _float(value) > 0:
+        raise ValueError(f"expected a number > 0, got {value!r}")
+    return float(value)
+
+
 def _count(value) -> int:
     """A JSON integer of at least 1."""
     count = _int(value)
@@ -174,9 +191,9 @@ def _count(value) -> int:
 
 
 def _list_of(convert):
-    """A converter for a non-empty list; a lone string is a list of one."""
+    """A converter for a non-empty list; a lone value is a list of one."""
     def read(value) -> list:
-        value = [value] if isinstance(value, str) else _json(list)(value)
+        value = value if isinstance(value, list) else [value]
         if not value:
             raise ValueError("expected a non-empty list")
         return [convert(v) for v in value]
@@ -186,15 +203,15 @@ def _list_of(convert):
 def _threshold(value) -> inference.Threshold:
     if isinstance(value, dict):
         return inference.Threshold(
-            **_given(value, {"value": float, "dimension": _int}))
-    return inference.Threshold(value=float(value))
+            **_given(value, {"value": _float, "dimension": _int}))
+    return inference.Threshold(value=_float(value))
 
 
 def _opt_config(cfg: dict) -> OptConfig:
     """The "optimizer" section; its seed defaults to the top-level one."""
     opt = _given(_read(cfg, "optimizer", _json(dict), {}),
                  {"restarts": _count, "seed": _int, "max_iterations": _count,
-                  "tolerance": float})
+                  "tolerance": _positive})
     return OptConfig(**{**_given(cfg, {"seed": _int}), **opt})
 
 
@@ -202,11 +219,10 @@ def _kernel_list(cfg: dict) -> list[kernels.KernelSpec]:
     """The "kernels" list; results are keyed by label, so labels are unique."""
     specs = [kernels.from_name(n)
              for n in _read(cfg, "kernels", _list_of(_json(str)))]
-    labels = [spec.label for spec in specs]
-    for label in labels:
-        if labels.count(label) > 1:
-            raise ConfigError(
-                f"config key 'kernels': two kernels are both {label!r}")
+    try:
+        inference.kernel_labels(specs)
+    except ConfigError as exc:
+        raise ConfigError(f"config key 'kernels': {exc}") from None
     return specs
 
 
@@ -284,8 +300,7 @@ def analyze(cfg: dict) -> dict:
     label = (geo.BoundaryLabel(boundary) if boundary is not None
              else _read(cfg, "threshold", _threshold))
     # a boundary's default effect point is its arc-length midpoint
-    effect_point = _read(cfg, "effect_point",
-                         lambda v: np.asarray(v, dtype=float),
+    effect_point = _read(cfg, "effect_point", _list_of(_float),
                          None if boundary is None
                          else geo.boundary_points(boundary, 3)[1])
     profile_points = _read(cfg, "profile_points", _count, 50)
@@ -294,8 +309,6 @@ def analyze(cfg: dict) -> dict:
     outputs = _outputs(cfg, "report", "curves", "density_samples")
 
     data = load_csv(path, predictors, response)
-    if boundary is None and data.p == 1:
-        effect_point = None  # the threshold itself
 
     started = time.perf_counter()
     result = inference.compare(data, label, kernel_list, opt,
@@ -341,11 +354,11 @@ def analyze(cfg: dict) -> dict:
 def simulate(cfg: dict) -> dict:
     """Run a simulation grid from a config dict; returns the summary dict."""
     latents = _read(cfg, "latents", _list_of(_json(str)), ["Linear"])
-    effects = _read(cfg, "effects", _list_of(float),
+    effects = _read(cfg, "effects", _list_of(_float),
                     list(sim.DEFAULT_EFFECT_GRID))
     kernel_list = _kernel_list(cfg)
     template = sim.SimConfig(latent=latents[0], **_given(
-        cfg, {"n": _count, "noise_sd": float, "threshold": float,
+        cfg, {"n": _count, "noise_sd": _float, "threshold": _float,
               "seed": _int, "repetitions": _count}))
     opt = _opt_config(cfg)
     outputs = _outputs(cfg, "summary_json", "summary_csv")

@@ -2,20 +2,20 @@
 
 A model's hyperparameters are a plain float array in the order given by
 `hyper_names`: the kernel's free parameters, then the noise variance. Every
-one of them is positive (a polynomial kernel's offset too: the kernel is
+one of them is positive (the linear kernel's offset too: the kernel is
 positive semi-definite only for an offset >= 0). The objective is regularized
-by one vague Gamma(0.01, 0.01) prior on each parameter; the reported
-objective value is the prior-free log marginal likelihood at the optimum,
-which is what enters the BIC. Optimization runs over z = log(theta), using
-L-BFGS-B with the objective's analytic gradient carried through the prior,
-the log transform and its log-Jacobian. Everything is deterministic given
-the seed.
+by one vague Gamma(GAMMA_SHAPE, GAMMA_RATE) = Gamma(0.01, 0.01) prior on each
+parameter; the reported objective value is the prior-free log marginal
+likelihood at the optimum, which is what enters the BIC. Optimization runs
+over z = log(theta), using L-BFGS-B with the objective's analytic gradient
+carried through the prior, the log transform and its log-Jacobian.
+Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -36,30 +36,24 @@ def kernel_and_noise(kernel: KernelSpec, theta) -> tuple[KernelSpec, float]:
     return replace(kernel, **dict(zip(kernel.param_names(), values))), noise
 
 
-@dataclass(frozen=True)
-class PriorSpec:
-    """One vague Gamma(shape, rate) hyperprior on every hyperparameter."""
+# shape and rate of the Gamma prior on every hyperparameter
+GAMMA_SHAPE = GAMMA_RATE = 0.01
 
-    gamma_shape: float = 0.01
-    gamma_rate: float = 0.01
 
-    def __post_init__(self):
-        if not (self.gamma_shape > 0 and self.gamma_rate > 0):
-            raise InputError("prior shape/rate must be positive")
+def log_prior(theta) -> float:
+    """Summed log Gamma prior density of the positive array theta."""
+    total = 0.0
+    a, b = GAMMA_SHAPE, GAMMA_RATE
+    for value in map(float, theta):
+        total += (a * math.log(b) - math.lgamma(a)
+                  + (a - 1.0) * math.log(value) - b * value)
+    return total
 
-    def log_density(self, theta) -> float:
-        """Summed log prior of the positive array theta."""
-        total = 0.0
-        a, b = self.gamma_shape, self.gamma_rate
-        for value in map(float, theta):
-            total += (a * math.log(b) - math.lgamma(a)
-                      + (a - 1.0) * math.log(value) - b * value)
-        return total
 
-    def log_density_grad(self, theta) -> np.ndarray:
-        """Gradient of `log_density` with respect to theta."""
-        theta = np.asarray(theta, dtype=float)
-        return (self.gamma_shape - 1.0) / theta - self.gamma_rate
+def log_prior_grad(theta) -> np.ndarray:
+    """Gradient of `log_prior` with respect to theta."""
+    theta = np.asarray(theta, dtype=float)
+    return (GAMMA_SHAPE - 1.0) / theta - GAMMA_RATE
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,6 @@ class OptConfig:
     seed: int = 0
     max_iterations: int = 500
     tolerance: float = 1e-5
-    priors: PriorSpec = field(default_factory=PriorSpec)
 
 
 def _from_unconstrained(z):
@@ -85,7 +78,7 @@ def _from_unconstrained(z):
     return np.exp(np.clip(np.asarray(z, dtype=float), -700.0, 700.0))
 
 
-def _neg_log_posterior(z, objective, priors: PriorSpec):
+def _neg_log_posterior(z, objective):
     """Minus (objective + log prior + log-Jacobian) at z = log(theta), and
     its gradient in z. (1e30, zeros) marks a failed evaluation."""
     theta = _from_unconstrained(z)
@@ -93,8 +86,8 @@ def _neg_log_posterior(z, objective, priors: PriorSpec):
         val, grad, *_ = objective(theta)
     except NumericalError:
         return 1e30, np.zeros_like(z)
-    val += priors.log_density(theta)
-    grad = grad + priors.log_density_grad(theta)
+    val += log_prior(theta)
+    grad = grad + log_prior_grad(theta)
     # log-Jacobian of the log transform: MAP is taken in log space, which
     # keeps the Gamma prior's density spike at zero from dragging the
     # parameters into degeneracy
@@ -106,18 +99,18 @@ def _neg_log_posterior(z, objective, priors: PriorSpec):
     return -val, -grad
 
 
-def optimize(objective, priors: PriorSpec, init,
-             restarts: int = 5, seed: int = 0,
-             max_iterations: int = 500, tolerance: float = 1e-5) -> OptResult:
+def optimize(objective, init, cfg: OptConfig) -> OptResult:
     """Maximize objective + log prior over theta; return the best restart.
 
     objective(theta) returns the value, its gradient with respect to theta
     and optionally further outputs, and raises NumericalError where it
     cannot be evaluated. theta is a positive float array shaped like
     `init` (InputError if an entry of `init` is not > 0), searched as
-    z = log(theta) under the Gamma prior `priors`. Restart 0 starts at
-    `init`; later restarts perturb each z by Normal(0, 0.5) draws from a
-    generator seeded with `seed`.
+    z = log(theta) under the Gamma prior. cfg.restarts runs are made
+    (InputError if fewer than 1): restart 0 starts at `init`, and later
+    restarts perturb each z by Normal(0, 0.5) draws from a generator seeded
+    with cfg.seed. Each runs for at most cfg.max_iterations iterations and
+    counts as converged when its gradient is below cfg.tolerance.
     The best restart is chosen by the regularized objective, ties broken by
     the lowest restart index. Raises OptimizationError when every restart
     fails to produce a finite objective.
@@ -128,14 +121,14 @@ def optimize(objective, priors: PriorSpec, init,
     are held. Should theta_hat not be an evaluated point, it is evaluated
     once more and `reevaluations` is 1.
     """
-    if restarts < 1:
+    if cfg.restarts < 1:
         raise InputError("restarts must be >= 1")
     init = np.asarray(init, dtype=float)
     bad = np.flatnonzero(~(init > 0))
     if bad.size:
         raise InputError(f"hyperparameter {bad[0]} must be positive")
     z0 = np.log(init)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     # L-BFGS-B stops at its last evaluated point or, after a failed line
     # search, back at its last iterate: a restart holds the evaluations at
     # both, as (bytes of theta, outputs)
@@ -157,19 +150,20 @@ def optimize(objective, priors: PriorSpec, init,
         iterate = last
 
     best = None
-    for k in range(restarts):
+    for k in range(cfg.restarts):
         z_init = z0 if k == 0 else z0 + rng.normal(0.0, 0.5, size=len(z0))
         last = iterate = None
         # a failed start has a zero gradient, so L-BFGS-B stops right there
         res = minimize(_neg_log_posterior, z_init,
-                       args=(recorded, priors), jac=True,
+                       args=(recorded,), jac=True,
                        method="L-BFGS-B", callback=new_iterate,
-                       options={"maxiter": max_iterations, "gtol": tolerance,
-                                "ftol": 1e-12})
+                       options={"maxiter": cfg.max_iterations,
+                                "gtol": cfg.tolerance, "ftol": 1e-12})
         if res.fun >= 1e30:
             continue
         # res.jac is the gradient L-BFGS-B already holds at res.x
-        converged = bool(np.max(np.abs(res.jac)) < tolerance) or res.success
+        converged = (bool(np.max(np.abs(res.jac)) < cfg.tolerance)
+                     or res.success)
         if best is None or -res.fun > best[0]:
             key = _from_unconstrained(res.x).tobytes()
             held = [e[1] for e in (last, iterate) if e and e[0] == key]

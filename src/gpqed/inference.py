@@ -153,10 +153,7 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, n: int, init,
         return (sum(gp.log_marginal_likelihood(f) for f in fitted),
                 sum(f.log_ml_grad for f in fitted), fitted)
 
-    opt = hyperopt.optimize(objective, cfg.priors, init,
-                            restarts=cfg.restarts, seed=cfg.seed,
-                            max_iterations=cfg.max_iterations,
-                            tolerance=cfg.tolerance)
+    opt = hyperopt.optimize(objective, init, cfg)
     ev = Evidence(log_ml=opt.objective_value, k=len(init), n=n)
     fitted, = opt.extra
     return fitted, ev
@@ -213,6 +210,18 @@ def effect_size(fit_c: GPFit, fit_i: GPFit, x0) -> tuple[float, float]:
     return float(mi[0] - mc[0]), float(vi[0] + vc[0])
 
 
+def kernel_labels(kernel_list: list[KernelSpec]) -> list[str]:
+    """The labels that key the kernels' results; ConfigError unless there is
+    at least one kernel and no two share a label."""
+    if not kernel_list:
+        raise ConfigError("at least one kernel is required")
+    labels = [kern.label for kern in kernel_list]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(f"two kernels are both {label!r}")
+    return labels
+
+
 def compare(data: Dataset, label: LabelFunction,
             kernel_list: list[KernelSpec], cfg: OptConfig | None = None,
             effect_point=None) -> ComparisonResult:
@@ -222,8 +231,7 @@ def compare(data: Dataset, label: LabelFunction,
     to the threshold location for 1-D Threshold labels and must be supplied
     for other label functions.
     """
-    if not kernel_list:
-        raise ConfigError("at least one kernel is required")
+    kernel_labels(kernel_list)
     cfg = cfg or OptConfig()
     if effect_point is None:
         if isinstance(label, Threshold) and data.p == 1:
@@ -244,7 +252,7 @@ def compare(data: Dataset, label: LabelFunction,
         fit0, ev0 = fit_continuous(data, kern, cfg)
         fitc, fiti, ev1 = fit_discontinuous(data, label, kern, cfg)
         log_bf10 = ev1.log_evidence - ev0.log_evidence
-        p1 = float(expit(log_bf10))  # p(M1|D) under equal model priors
+        p1 = float(expit(log_bf10))  # p(M1|D) when p(M0) = p(M1)
         mean, var = effect_size(fitc, fiti, effect_point)
         effect = EffectPosterior(m1_mean=mean, m1_var=var,
                                  spike_weight=1.0 - p1, gaussian_weight=p1)

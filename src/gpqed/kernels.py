@@ -1,17 +1,13 @@
 """Covariance functions and their hyperparameter bookkeeping.
 
-Four families are supported: a polynomial kernel (degree 1 is the "linear"
-kernel), the exponential kernel, Matern with nu=3/2, and the squared
-exponential. The stationary kernels are parameterized by an output variance
-``sigma_v^2`` and a lengthscale ``l`` and evaluate on the Euclidean distance
-r = ||x - x'||:
+Four families are supported, each with two hyperparameters. The linear
+kernel is sigma_v^2 * <x, x'> + gamma with an offset gamma >= 0. The
+stationary kernels are parameterized by an output variance ``sigma_v^2`` and
+a lengthscale ``l`` and evaluate on the Euclidean distance r = ||x - x'||:
 
     exponential:  sigma_v^2 * exp(-r / l)
     matern32:     sigma_v^2 * (1 + sqrt(3) r / l) * exp(-sqrt(3) r / l)
     se:           sigma_v^2 * exp(-r^2 / l)
-
-The polynomial kernel is (sigma_v^2 * <x, x'> + gamma)^degree with gamma >= 0
-and the degree a fixed structural choice (never optimized).
 """
 
 from __future__ import annotations
@@ -24,19 +20,22 @@ from scipy.spatial.distance import cdist
 
 from .errors import InputError, NumericalError
 
-FAMILIES = ("polynomial", "exponential", "matern32", "squared_exponential")
+# each family and the label its results are reported under
+FAMILIES = {"linear": "linear", "exponential": "exp", "matern32": "matern32",
+            "squared_exponential": "se"}
 
+# the kernel names a config may use, and their families
 _ALIASES = {
-    "linear": ("polynomial", 1),
-    "poly": ("polynomial", 1),
-    "polynomial": ("polynomial", 1),
-    "exp": ("exponential", None),
-    "exponential": ("exponential", None),
-    "matern32": ("matern32", None),
-    "matern": ("matern32", None),
-    "se": ("squared_exponential", None),
-    "rbf": ("squared_exponential", None),
-    "squared_exponential": ("squared_exponential", None),
+    "linear": "linear",
+    "poly": "linear",
+    "polynomial": "linear",
+    "exp": "exponential",
+    "exponential": "exponential",
+    "matern32": "matern32",
+    "matern": "matern32",
+    "se": "squared_exponential",
+    "rbf": "squared_exponential",
+    "squared_exponential": "squared_exponential",
 }
 
 SQRT3 = np.sqrt(3.0)
@@ -62,45 +61,39 @@ class KernelSpec:
     variance: float = 1.0
     lengthscale: float | None = None
     offset: float | None = None
-    degree: int | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InputError(f"unknown kernel family {self.family!r}")
         if not self.variance > 0:
             raise InputError("kernel variance must be positive")
-        if self.family == "polynomial":
-            if self.degree is None or self.degree < 1:
-                raise InputError("polynomial degree must be a positive integer")
+        if self.family == "linear":
             if self.lengthscale is not None:
-                raise InputError("polynomial kernel has no lengthscale")
+                raise InputError("linear kernel has no lengthscale")
             if self.offset is None:
                 object.__setattr__(self, "offset", 0.0)
             if not self.offset >= 0:
                 # the kernel is not positive semi-definite for offset < 0
-                raise InputError("polynomial offset must be >= 0")
+                raise InputError("linear offset must be >= 0")
         else:
             if self.lengthscale is None:
                 object.__setattr__(self, "lengthscale", 1.0)
             if not self.lengthscale > 0:
                 raise InputError("lengthscale must be positive")
-            if self.offset is not None or self.degree is not None:
-                raise InputError("offset/degree only apply to the polynomial kernel")
+            if self.offset is not None:
+                raise InputError("offset only applies to the linear kernel")
 
     @property
     def stationary(self) -> bool:
-        return self.family != "polynomial"
+        return self.family != "linear"
 
     @property
     def label(self) -> str:
-        if self.family == "polynomial":
-            return "linear" if self.degree == 1 else f"polynomial{self.degree}"
-        return {"exponential": "exp", "matern32": "matern32",
-                "squared_exponential": "se"}[self.family]
+        return FAMILIES[self.family]
 
     def param_names(self) -> list[str]:
         """Names of the free (optimizable) kernel hyperparameters."""
-        if self.family == "polynomial":
+        if self.family == "linear":
             return ["variance", "offset"]
         return ["variance", "lengthscale"]
 
@@ -111,10 +104,7 @@ def from_name(name: str, **overrides) -> KernelSpec:
     if key not in _ALIASES:
         raise InputError(
             f"unknown kernel name {name!r}; valid: {sorted(set(_ALIASES))}")
-    family, degree = _ALIASES[key]
-    if degree is not None:
-        overrides = {"degree": degree, **overrides}
-    return KernelSpec(family=family, **overrides)
+    return KernelSpec(family=_ALIASES[key], **overrides)
 
 
 def _atleast_2d(X) -> np.ndarray:
@@ -147,8 +137,6 @@ def _stationary_from_r(spec: KernelSpec, r: np.ndarray,
     bit-equal to them; no temporary is larger than a chunk.
     """
     family, v, l = spec.family, spec.variance, spec.lengthscale
-    if family == "polynomial":
-        raise InputError(f"{family} is not stationary")
     out = np.empty(r.shape) if out is None else out
     # scratch for exp(-z), shaped like a chunk: e[:len(ks)] is all of it
     # when r is one chunk, and a chunk's length of it otherwise
@@ -175,15 +163,14 @@ def _stationary_from_r(spec: KernelSpec, r: np.ndarray,
     return out
 
 
-def _polynomial_from_dot(spec: KernelSpec, dots: np.ndarray,
-                         out: np.ndarray | None = None) -> np.ndarray:
-    """(variance * dots + offset)^degree, written into out as
-    _stationary_from_r writes its formulas."""
+def _linear_from_dot(spec: KernelSpec, dots: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """variance * dots + offset, written into out as _stationary_from_r
+    writes its formulas."""
     out = np.empty(dots.shape) if out is None else out
     for ds, ks in _chunks(dots, out):
         np.multiply(spec.variance, ds, out=ks)
         ks += spec.offset
-        ks **= spec.degree
     return out
 
 
@@ -202,7 +189,7 @@ def cross(spec: KernelSpec, X, Xs) -> np.ndarray:
         r = cdist(X, Xs)
         return _stationary_from_r(spec, r, out=r)
     dots = X @ Xs.T
-    return _polynomial_from_dot(spec, dots, out=dots)
+    return _linear_from_dot(spec, dots, out=dots)
 
 
 def diag(spec: KernelSpec, X) -> np.ndarray:
@@ -212,7 +199,7 @@ def diag(spec: KernelSpec, X) -> np.ndarray:
         return np.full(X.shape[0], float(spec.variance))
     # a stack of row-by-column products rounds like one point's x @ x, which
     # a plain sum of squares does not for p >= 2
-    return _polynomial_from_dot(spec, (X[:, None, :] @ X[:, :, None]).ravel())
+    return _linear_from_dot(spec, (X[:, None, :] @ X[:, :, None]).ravel())
 
 
 def gram(spec: KernelSpec, X) -> np.ndarray:
@@ -245,7 +232,7 @@ class GramStructure:
         if self._dots is None:
             dots = self.X @ self.X.T
             self._dots = 0.5 * (dots + dots.T)
-        return _polynomial_from_dot(spec, self._dots)
+        return _linear_from_dot(spec, self._dots)
 
     def derivative_traces(self, spec: KernelSpec, K: np.ndarray, trace_w,
                           trace_wk: float) -> list[float]:
@@ -254,9 +241,10 @@ class GramStructure:
         trace_w(M) returns tr(W M) for a symmetric n x n M, and trace_wk is
         tr(W K) for the noise-free K = gram(spec). K is the array gram(spec)
         returned, with anything added to its diagonal; it is overwritten with
-        the lengthscale (or offset) derivative, the only one built as a
-        matrix: the stationary variance derivative is K / variance, and the
-        polynomial one is the offset derivative times the dot products.
+        the one derivative built as a matrix: the lengthscale derivative of a
+        stationary kernel (whose variance derivative is K / variance), or the
+        linear kernel's offset derivative, a matrix of ones (its variance
+        derivative is the dot products).
         """
         if spec.stationary:
             r, l = self._dist, spec.lengthscale
@@ -277,14 +265,8 @@ class GramStructure:
                 K *= r
                 K /= l * l
             return [trace_wk / spec.variance, trace_w(K)]
-        # dK/d(offset) = degree (variance <x, x'> + offset)^(degree - 1)
-        np.multiply(self._dots, spec.variance, out=K)
-        K += spec.offset
-        K **= spec.degree - 1
-        K *= spec.degree
-        trace_offset = trace_w(K)
-        K *= self._dots
-        return [trace_w(K), trace_offset]
+        K.fill(1.0)
+        return [trace_w(self._dots), trace_w(K)]
 
 
 def jittered_cholesky(K: np.ndarray) -> tuple[np.ndarray, float]:

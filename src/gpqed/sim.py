@@ -178,7 +178,7 @@ def run_cell(config: SimConfig, kernel_list: list[KernelSpec],
     """Run `repetitions` independent analyses for one grid cell and aggregate."""
     opt = opt or OptConfig(restarts=2)
     label = Threshold(value=config.threshold)
-    labels = [k.label for k in kernel_list]
+    labels = inference.kernel_labels(kernel_list)
     values = {(m, lab): [] for m in METRICS for lab in labels}
     totals = []
     failures = 0

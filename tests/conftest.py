@@ -32,7 +32,7 @@ def random_kernel(rng, name=None) -> KernelSpec:
     name = name if name is not None else rng.choice(ALL_FAMILY_NAMES)
     variance = float(rng.uniform(0.2, 3.0))
     if name == "linear":
-        # nonnegative offset keeps the polynomial kernel PSD
+        # nonnegative offset keeps the linear kernel PSD
         return kernels.from_name("linear", variance=variance,
                                  offset=float(rng.uniform(0.0, 2.0)))
     return kernels.from_name(name, variance=variance,
@@ -55,8 +55,8 @@ def oracle_kernel(spec, x, xp) -> float:
     xp = np.asarray(xp, dtype=float).reshape(-1)
     assert x.shape == xp.shape
     v = spec.variance
-    if spec.family == "polynomial":
-        return (v * float(x @ xp) + spec.offset) ** spec.degree
+    if spec.family == "linear":
+        return v * float(x @ xp) + spec.offset
     r, l = float(np.linalg.norm(x - xp)), spec.lengthscale
     if spec.family == "exponential":
         return v * np.exp(-r / l)

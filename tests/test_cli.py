@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from gpqed import cli, sim
+from gpqed import cli, inference, sim
 from gpqed.errors import ConfigError, DataError
+from gpqed.hyperopt import OptConfig
+from gpqed.kernels import from_name
 
 
 def _write_csv(path, rows, header=("x", "y")):
@@ -153,6 +155,17 @@ class TestAnalyze:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 500
+
+    def test_effect_point_at_a_1d_threshold(self, tmp_path):
+        # the effect is reported where the config asks, not at the threshold
+        cfg = _base_config(tmp_path, effect_point=0.5)
+        report = cli.analyze(cfg)
+        assert report["effect_point"] == [0.5]
+        data = cli.load_csv(cfg["data"], ["x"], "y")
+        want = inference.compare(data, inference.Threshold(0.0),
+                                 [from_name("exp")], OptConfig(restarts=1),
+                                 effect_point=0.5)
+        assert report["totals"]["effect_m1_mean"] == want.bma_m1_mean
 
     def test_lone_kernel_name_is_a_list_of_one(self, tmp_path):
         report = cli.analyze(_base_config(tmp_path, kernels="exp"))
@@ -386,6 +399,43 @@ class TestMain:
             base = {"threshold": {"value": 0.0}}.get(section, cfg[section])
             cfg[section] = {**base, key: value}
         path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config key {key!r}")
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("analyze", None, "threshold", float("nan")),
+        ("analyze", None, "threshold", True),
+        ("analyze", "threshold", "value", float("inf")),
+        ("analyze", None, "effect_point", ["nan", 0.0]),
+        ("analyze", None, "effect_point", [float("nan"), 0.0]),
+        ("analyze", "optimizer", "tolerance", "nan"),
+        ("analyze", "optimizer", "tolerance", -1),
+        ("analyze", "optimizer", "tolerance", 0.0),
+        ("simulate", None, "effects", [1.0, float("-inf")]),
+        ("simulate", None, "noise_sd", False),
+        ("simulate", None, "threshold", float("nan")),
+    ], ids=["threshold-nan", "threshold-true", "value-inf",
+            "effect_point-string", "effect_point-nan", "tolerance-string",
+            "tolerance-negative", "tolerance-zero", "effects-inf",
+            "noise_sd-false", "simulate-threshold-nan"])
+    def test_float_key_takes_a_finite_json_number(
+            self, tmp_path, capsys, monkeypatch, command, section, key, value):
+        def run(*args, **kwargs):
+            raise AssertionError("the analysis ran before the config was read")
+        monkeypatch.setattr(cli.inference, "compare", run)
+        monkeypatch.setattr(cli.sim, "run_grid", run)
+        # a data file that does not exist would be a data error (exit 3)
+        cfg = _base_config(tmp_path, data=str(tmp_path / "no-such.csv"),
+                           predictors=["u", "v"])
+        if section is None:
+            cfg[key] = value
+        else:
+            base = {"threshold": {"dimension": 1}}.get(section, cfg.get(section))
+            cfg[section] = {**base, key: value}
+        path = tmp_path / "cfg.json"
+        # json writes NaN and Infinity, which json.load reads back
         path.write_text(json.dumps(cfg))
         assert cli.main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err

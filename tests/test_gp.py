@@ -64,11 +64,12 @@ class TestFit:
             fit(Dataset([0.0], [0.0]), from_name("se"), 0.0)
 
     def test_overflowing_covariance_is_numerical_error(self):
-        # the optimizer's clip lets variance reach e^700; a cubic kernel
-        # then overflows the Gram matrix to inf
-        cubic = from_name("poly", degree=3, variance=np.exp(700.0))
+        # the optimizer's clip lets variance reach e^700 (about 1e304); a
+        # linear kernel then overflows the Gram matrix to inf once x^2 > 1e4
+        linear = from_name("linear", variance=np.exp(700.0))
         with pytest.raises(NumericalError):
-            fit(Dataset(np.linspace(0.5, 1.0, 5), np.zeros(5)), cubic, 0.1)
+            fit(Dataset(np.linspace(200.0, 400.0, 5), np.zeros(5)), linear,
+                0.1)
 
 
 class TestLogMarginalLikelihood:

@@ -1,9 +1,12 @@
-"""Every name a module under src/gpqed imports is used in that module."""
+"""Every name a module under src/gpqed imports is used in that module, and
+every name the package exports exists."""
 
 import ast
 import pathlib
 
 import pytest
+
+import gpqed
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gpqed"
 
@@ -29,3 +32,8 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+@pytest.mark.parametrize("name", gpqed.__all__)
+def test_exported_name_resolves(name):
+    assert hasattr(gpqed, name)

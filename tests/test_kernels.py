@@ -64,11 +64,6 @@ class TestEval:
         for k in [random_kernel(rng, name) for name in ALL_FAMILY_NAMES]:
             np.testing.assert_array_equal(
                 kernels.diag(k, X), [oracle_kernel(k, x, x) for x in X])
-        # numpy squares exactly where the oracle's scalar pow() may be off by
-        # an ulp
-        k = from_name("poly", degree=2, offset=0.3)
-        np.testing.assert_allclose(
-            kernels.diag(k, X), [oracle_kernel(k, x, x) for x in X], rtol=1e-15)
 
     def test_cross_matches_pointwise_oracle(self, rng):
         X, Xs = rng.uniform(-3, 3, size=(2, 6, 2))
@@ -118,8 +113,8 @@ def _plain_formula(spec, X, Xs):
     """The kernel formula over the whole array, in _stationary_from_r's
     order of operations."""
     v = spec.variance
-    if spec.family == "polynomial":
-        return (v * (X @ Xs.T) + spec.offset) ** spec.degree
+    if spec.family == "linear":
+        return v * (X @ Xs.T) + spec.offset
     r, l = cdist(X, Xs), spec.lengthscale
     if spec.family == "exponential":
         return v * np.exp(-r / l)
@@ -139,10 +134,9 @@ class TestCrossInChunks:
     @pytest.mark.parametrize("shape", [
         (3, CHUNK // 4 - 5), (2, CHUNK // 2), (1, CHUNK + 1), (300, 2500)],
         ids=["below", "one_chunk", "one_over", "300x2500"])
-    @pytest.mark.parametrize("name", [*ALL_FAMILY_NAMES, "poly3"])
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
     def test_bit_equal_to_whole_array_formula(self, rng, name, shape):
-        spec = (from_name("poly", degree=3, variance=0.7, offset=0.4)
-                if name == "poly3" else random_kernel(rng, name))
+        spec = random_kernel(rng, name)
         X = rng.uniform(-3, 3, size=(shape[0], 2))
         Xs = rng.uniform(-3, 3, size=(shape[1], 2))
         np.testing.assert_array_equal(kernels.cross(spec, X, Xs),
@@ -165,10 +159,6 @@ class TestNumHyperparameters:
     def test_counts(self, name):
         assert len(from_name(name).param_names()) == 2
 
-    def test_degree_not_counted(self):
-        assert from_name("poly", degree=3).param_names() == [
-            "variance", "offset"]
-
 
 class TestSpecValidation:
     def test_rejects_nonpositive_variance(self):
@@ -179,12 +169,8 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             KernelSpec("matern32", lengthscale=-1.0)
 
-    def test_rejects_zero_degree(self):
-        with pytest.raises(InputError):
-            KernelSpec("polynomial", degree=0)
-
     def test_rejects_negative_offset(self):
-        # (v <x, x'> + offset)^degree is not positive semi-definite then
+        # v <x, x'> + offset is not positive semi-definite then
         with pytest.raises(InputError):
             from_name("linear", offset=-0.5)
         assert from_name("linear", offset=0.0).offset == 0.0
@@ -194,7 +180,10 @@ class TestSpecValidation:
             from_name("periodic")
 
     def test_linear_alias(self):
-        assert from_name("linear").degree == 1
+        # configs may still name the linear kernel "poly" or "polynomial"
+        for name in ("linear", "poly", "polynomial"):
+            spec = from_name(name)
+            assert (spec.family, spec.label) == ("linear", "linear")
 
 
 class TestProperties:

@@ -155,3 +155,16 @@ class TestRunGrid:
         cfg = SimConfig(latent="Linear", n=40, repetitions=1)
         with pytest.raises(ConfigError):
             sim.run_grid([], [1.0], cfg, [from_name("exp")])
+
+    @pytest.mark.parametrize("names", [[], ["exp", "exponential"]],
+                             ids=["empty", "duplicate"])
+    def test_kernel_list_checked_before_any_repetition(self, monkeypatch,
+                                                       names):
+        # results are keyed by label: two kernels with one label would be
+        # pooled, and no kernel would make every repetition a failure
+        def compare(*args, **kwargs):
+            raise AssertionError("a repetition ran")
+        monkeypatch.setattr(sim.inference, "compare", compare)
+        cfg = SimConfig(latent="Linear", n=40, repetitions=2)
+        with pytest.raises(ConfigError):
+            sim.run_cell(cfg, [from_name(name) for name in names])
