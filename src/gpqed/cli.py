@@ -303,6 +303,13 @@ def analyze(cfg: dict) -> dict:
     effect_point = _read(cfg, "effect_point", _list_of(_float),
                          None if boundary is None
                          else geo.boundary_points(boundary, 3)[1])
+    # compare() checks these too, but only once the data are loaded
+    if effect_point is None and len(predictors) == 2:
+        raise ConfigError("config key 'effect_point' is required for a "
+                          "threshold on two predictors")
+    if effect_point is not None and len(effect_point) != len(predictors):
+        raise ConfigError("config key 'effect_point' must have one entry "
+                          f"per predictor ({len(predictors)})")
     profile_points = _read(cfg, "profile_points", _count, 50)
     curve_grid = _read(cfg, "curve_grid", _count, 200)
     mc_samples = _read(cfg, "mc_samples", _count, 10000)

@@ -97,7 +97,10 @@ def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
     c = float(np.mean(data.y)) if mean_constant is None else float(mean_constant)
     if structure is None:
         structure = GramStructure(data.X)
-    K = structure.gram(kernel)
+    # an extreme trial step can overflow the formula; jittered_cholesky's
+    # finiteness check then raises NumericalError instead of a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = structure.gram(kernel)
     # in place: no identity matrix and no second n x n copy
     K.flat[::data.n + 1] += noise_variance
     L, jitter = jittered_cholesky(K)

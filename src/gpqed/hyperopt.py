@@ -6,10 +6,10 @@ one of them is positive (the linear kernel's offset too: the kernel is
 positive semi-definite only for an offset >= 0). The objective is regularized
 by one vague Gamma(GAMMA_SHAPE, GAMMA_RATE) = Gamma(0.01, 0.01) prior on each
 parameter; the reported objective value is the prior-free log marginal
-likelihood at the optimum, which is what enters the BIC. Optimization runs
-over z = log(theta), using L-BFGS-B with the objective's analytic gradient
-carried through the prior, the log transform and its log-Jacobian.
-Everything is deterministic given the seed.
+likelihood at the best point evaluated, which is what enters the BIC.
+Optimization runs over z = log(theta), using L-BFGS-B with the objective's
+analytic gradient carried through the prior, the log transform and its
+log-Jacobian. Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -58,11 +58,10 @@ def log_prior_grad(theta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptResult:
-    theta_hat: np.ndarray        # hyperparameters at the best restart
+    theta_hat: np.ndarray        # the best point evaluated
     objective_value: float       # prior-free log marginal likelihood
     converged: bool
     extra: tuple = ()            # the objective's other outputs at theta_hat
-    reevaluations: int = 0       # 1 if theta_hat had to be evaluated again
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def _neg_log_posterior(z, objective):
 
 
 def optimize(objective, init, cfg: OptConfig) -> OptResult:
-    """Maximize objective + log prior over theta; return the best restart.
+    """Maximize objective + log prior over theta; return the best point.
 
     objective(theta) returns the value, its gradient with respect to theta
     and optionally further outputs, and raises NumericalError where it
@@ -111,15 +110,12 @@ def optimize(objective, init, cfg: OptConfig) -> OptResult:
     restarts perturb each z by Normal(0, 0.5) draws from a generator seeded
     with cfg.seed. Each runs for at most cfg.max_iterations iterations and
     counts as converged when its gradient is below cfg.tolerance.
-    The best restart is chosen by the regularized objective, ties broken by
-    the lowest restart index. Raises OptimizationError when every restart
-    fails to produce a finite objective.
 
-    theta_hat is not evaluated again: `objective_value` and `extra` (the
-    further outputs) come from the evaluation L-BFGS-B made there, matched
-    on the exact bytes of theta. Only the best finished restart's outputs
-    are held. Should theta_hat not be an evaluated point, it is evaluated
-    once more and `reevaluations` is 1.
+    theta_hat is the evaluated point with the best regularized objective
+    over all restarts, the first of equals winning. `objective_value` and
+    `extra` (the further outputs) are those of that evaluation, and
+    `converged` is its restart's flag; theta_hat is not evaluated again.
+    Raises OptimizationError when no evaluation gives a finite objective.
     """
     if cfg.restarts < 1:
         raise InputError("restarts must be >= 1")
@@ -129,56 +125,39 @@ def optimize(objective, init, cfg: OptConfig) -> OptResult:
         raise InputError(f"hyperparameter {bad[0]} must be positive")
     z0 = np.log(init)
     rng = np.random.default_rng(cfg.seed)
-    # L-BFGS-B stops at its last evaluated point or, after a failed line
-    # search, back at its last iterate: a restart holds the evaluations at
-    # both, as (bytes of theta, outputs)
-    last = iterate = None
+    # (minimized value, theta, outputs, restart); a failed evaluation's
+    # 1e30 never beats the start
+    best = (1e30, None, None, None)
 
-    def recorded(theta):
-        nonlocal last, iterate
-        # a trial point that is not the iterate can no longer be returned
-        last = None
-        out = objective(theta)
-        last = (theta.tobytes(), out)
-        if iterate is None:
-            iterate = last
-        return out
+    def tracked(z, restart):
+        nonlocal best
+        held = []
 
-    def new_iterate(_):
-        # an iterate is the point the line search evaluated last
-        nonlocal iterate
-        iterate = last
+        def recorded(theta):
+            held.append((theta, objective(theta)))
+            return held[0][1]
 
-    best = None
+        value, grad = _neg_log_posterior(z, recorded)
+        if value < best[0]:
+            best = (value, *held[0], restart)
+        return value, grad
+
+    converged = []
     for k in range(cfg.restarts):
         z_init = z0 if k == 0 else z0 + rng.normal(0.0, 0.5, size=len(z0))
-        last = iterate = None
-        # a failed start has a zero gradient, so L-BFGS-B stops right there
-        res = minimize(_neg_log_posterior, z_init,
-                       args=(recorded,), jac=True,
-                       method="L-BFGS-B", callback=new_iterate,
+        res = minimize(tracked, z_init, args=(k,), jac=True,
+                       method="L-BFGS-B",
                        options={"maxiter": cfg.max_iterations,
                                 "gtol": cfg.tolerance, "ftol": 1e-12})
-        if res.fun >= 1e30:
-            continue
         # res.jac is the gradient L-BFGS-B already holds at res.x
-        converged = (bool(np.max(np.abs(res.jac)) < cfg.tolerance)
-                     or res.success)
-        if best is None or -res.fun > best[0]:
-            key = _from_unconstrained(res.x).tobytes()
-            held = [e[1] for e in (last, iterate) if e and e[0] == key]
-            best = (-res.fun, res.x, converged, held[0] if held else None)
-    if best is None:
+        converged.append(bool(np.max(np.abs(res.jac)) < cfg.tolerance)
+                         or res.success)
+    _, theta_hat, outputs, restart = best
+    if theta_hat is None:
         raise OptimizationError("all optimizer restarts diverged")
-    _, z_hat, converged, outputs = best
-    theta_hat = _from_unconstrained(z_hat)
-    reevaluations = int(outputs is None)
-    if reevaluations:
-        outputs = objective(theta_hat)
     value, _, *extra = outputs
     return OptResult(theta_hat=theta_hat, objective_value=float(value),
-                     converged=converged, extra=tuple(extra),
-                     reevaluations=reevaluations)
+                     converged=converged[restart], extra=tuple(extra))
 
 
 def default_init(kernel: KernelSpec, data: Dataset) -> np.ndarray:

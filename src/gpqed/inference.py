@@ -135,15 +135,19 @@ class ComparisonResult:
 # ---------------------------------------------------------------------------
 # fitting
 
-def _fit_parts(parts: list[Dataset], kernel: KernelSpec, n: int, init,
-               cfg: OptConfig, c: float) -> tuple[list[GPFit], Evidence]:
-    """Fit independent GPs to `parts` with one shared hyperparameter vector.
+def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
+               cfg: OptConfig | None) -> tuple[list[GPFit], Evidence]:
+    """Fit independent GPs to `parts` of `data` with one shared
+    hyperparameter vector.
 
-    The shared vector maximizes the sum of the parts' log marginal
-    likelihoods; the evidence applies one BIC penalty with the total n. The
-    fits returned are the ones the optimizer's evaluation at the optimum
-    made.
+    The shared vector starts at `hyperopt.default_init(kernel, data)` and
+    maximizes the sum of the parts' log marginal likelihoods; every part
+    takes the mean of all of data.y as its constant mean, and the evidence
+    applies one BIC penalty with n = data.n. The fits returned are the ones
+    the optimizer's evaluation at the optimum made.
     """
+    init = hyperopt.default_init(kernel, data)
+    c = float(np.mean(data.y))
     structures = [GramStructure(part.X) for part in parts]
 
     def objective(theta):
@@ -153,8 +157,8 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, n: int, init,
         return (sum(gp.log_marginal_likelihood(f) for f in fitted),
                 sum(f.log_ml_grad for f in fitted), fitted)
 
-    opt = hyperopt.optimize(objective, init, cfg)
-    ev = Evidence(log_ml=opt.objective_value, k=len(init), n=n)
+    opt = hyperopt.optimize(objective, init, cfg or OptConfig())
+    ev = Evidence(log_ml=opt.objective_value, k=len(init), n=data.n)
     fitted, = opt.extra
     return fitted, ev
 
@@ -164,9 +168,7 @@ def fit_continuous(data: Dataset, kernel: KernelSpec,
     """Fit one GP to all data; evidence via BIC at the optimized hypers."""
     if data.n < 2:
         raise ConfigError("need at least 2 observations")
-    (fit,), ev = _fit_parts([data], kernel, data.n,
-                            hyperopt.default_init(kernel, data),
-                            cfg or OptConfig(), float(np.mean(data.y)))
+    (fit,), ev = _fit_parts([data], kernel, data, cfg)
     return fit, ev
 
 
@@ -189,8 +191,7 @@ def fit_discontinuous(data: Dataset, label: LabelFunction, kernel: KernelSpec,
     sides take the mean of all of data.y as their constant mean.
     """
     (fit_c, fit_i), ev = _fit_parts(list(split_by_label(data, label)), kernel,
-                                    data.n, hyperopt.default_init(kernel, data),
-                                    cfg or OptConfig(), float(np.mean(data.y)))
+                                    data, cfg)
     return fit_c, fit_i, ev
 
 

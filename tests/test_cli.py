@@ -441,6 +441,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: config key {key!r}")
 
+    @pytest.mark.parametrize("extra", [
+        {"effect_point": [0.5, 0.2]},
+        {"predictors": ["u", "v"]},
+    ], ids=["two-entries-one-predictor", "missing-for-a-2d-threshold"])
+    def test_effect_point_checked_before_the_data_are_read(
+            self, tmp_path, capsys, extra):
+        # a data file that does not exist would be a data error (exit 3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_base_config(
+            tmp_path, data=str(tmp_path / "no-such.csv"), **extra)))
+        assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: config key 'effect_point'")
+
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_two_kernels_with_one_label_are_a_config_error(
             self, tmp_path, capsys, command):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -65,11 +66,14 @@ class TestFit:
 
     def test_overflowing_covariance_is_numerical_error(self):
         # the optimizer's clip lets variance reach e^700 (about 1e304); a
-        # linear kernel then overflows the Gram matrix to inf once x^2 > 1e4
+        # linear kernel then overflows the Gram matrix to inf once x^2 > 1e4,
+        # and no RuntimeWarning escapes on the way
         linear = from_name("linear", variance=np.exp(700.0))
-        with pytest.raises(NumericalError):
-            fit(Dataset(np.linspace(200.0, 400.0, 5), np.zeros(5)), linear,
-                0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError):
+                fit(Dataset(np.linspace(200.0, 400.0, 5), np.zeros(5)),
+                    linear, 0.1)
 
 
 class TestLogMarginalLikelihood:
