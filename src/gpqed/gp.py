@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from . import kernels
-from .errors import DataError, InputError
+from .errors import DataError, InputError, NumericalError
 from .kernels import (GramStructure, KernelSpec, cholesky_inverse,
                       jittered_cholesky, lower_inverse)
 
@@ -62,9 +62,11 @@ class Dataset:
 class GPFit:
     """A trained GP: kernel, constant mean, noise, and its Cholesky state.
 
-    log_ml_grad is the gradient of the log marginal likelihood with respect
-    to the hyperparameters in the order kernel.param_names(), then the noise
-    variance. jitter is what jittered_cholesky added to the diagonal of
+    grad_terms holds the two terms of the log marginal likelihood's gradient
+    with respect to the hyperparameters in the order kernel.param_names(),
+    then the noise variance: row 0 is the data term alpha^T dKy alpha / 2,
+    row 1 the complexity term tr(Ky^-1 dKy) / 2, and log_ml_grad is their
+    difference. jitter is what jittered_cholesky added to the diagonal of
     K + sigma_n^2 I before chol factorized it (0.0 when none was needed).
     """
 
@@ -75,48 +77,59 @@ class GPFit:
     data: Dataset
     chol: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
-    log_ml_grad: np.ndarray = field(repr=False)
+    grad_terms: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.data.n
 
+    @property
+    def log_ml_grad(self) -> np.ndarray:
+        return self.grad_terms[0] - self.grad_terms[1]
+
 
 def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
         mean_constant: float | None = None,
         structure: GramStructure | None = None) -> GPFit:
-    """Precompute the Cholesky factor of K + sigma_n^2 I, alpha and the
-    log marginal likelihood's gradient.
+    """Precompute the Cholesky factor of K + sigma_n^2 I, alpha and the two
+    terms of the log marginal likelihood's gradient.
 
     mean_constant defaults to the empirical mean of data.y; pass an explicit
     value to share one constant across several sub-fits. A GramStructure for
-    data.X may be supplied to reuse cached pairwise distances.
+    data.X may be supplied to reuse cached pairwise distances. Raises
+    NumericalError when the covariance cannot be factorized or the gradient
+    is not finite.
     """
     if not noise_variance > 0:
         raise InputError("noise variance must be positive")
     c = float(np.mean(data.y)) if mean_constant is None else float(mean_constant)
     if structure is None:
         structure = GramStructure(data.X)
-    # an extreme trial step can overflow the formula; jittered_cholesky's
-    # finiteness check then raises NumericalError instead of a warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an extreme trial step can overflow the kernel formula, or underflow
+    # the square of a lengthscale the gradient divides by; the finiteness
+    # checks of jittered_cholesky and below then raise NumericalError
+    # instead of a warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         K = structure.gram(kernel)
-    # in place: no identity matrix and no second n x n copy
-    K.flat[::data.n + 1] += noise_variance
-    L, jitter = jittered_cholesky(K)
-    resid = data.y - c
-    alpha, _ = lapack.dpotrs(L, resid, lower=1)
-    grad = _log_ml_grad(structure, kernel, noise_variance, K, L, resid, alpha)
+        # in place: no identity matrix and no second n x n copy
+        K.flat[::data.n + 1] += noise_variance
+        L, jitter = jittered_cholesky(K)
+        resid = data.y - c
+        alpha, _ = lapack.dpotrs(L, resid, lower=1)
+        terms = _log_ml_grad_terms(structure, kernel, noise_variance, K, L,
+                                   resid, alpha)
+    if not np.all(np.isfinite(terms)):
+        raise NumericalError("log marginal likelihood gradient is not finite")
     return GPFit(kernel=kernel, mean_constant=c, noise_variance=noise_variance,
-                 jitter=jitter, data=data, chol=L, alpha=alpha, log_ml_grad=grad)
+                 jitter=jitter, data=data, chol=L, alpha=alpha, grad_terms=terms)
 
 
-def _log_ml_grad(structure: GramStructure, kernel: KernelSpec, noise: float,
-                 Ky: np.ndarray, L: np.ndarray, resid: np.ndarray,
-                 alpha: np.ndarray) -> np.ndarray:
-    """d log-ML / d theta = tr(W dKy/d theta) / 2 with W = alpha alpha^T -
-    Ky^-1 (Rasmussen & Williams 2006, eq. 5.9), for theta = kernel
-    parameters, then noise.
+def _log_ml_grad_terms(structure: GramStructure, kernel: KernelSpec,
+                       noise: float, Ky: np.ndarray, L: np.ndarray,
+                       resid: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The terms of d log-ML / d theta = alpha^T dKy alpha / 2 -
+    tr(Ky^-1 dKy) / 2 (Rasmussen & Williams 2006, eq. 5.9) as the rows of a
+    2 x p array, for theta = kernel parameters, then noise.
 
     Ky^-1 comes from the factor L through kernels.cholesky_inverse and is
     the one n x n array added; every trace is a reduction, not a matrix
@@ -125,16 +138,18 @@ def _log_ml_grad(structure: GramStructure, kernel: KernelSpec, noise: float,
     # Ky^-1 in the upper triangle (zeros below) of a C-ordered view
     U = cholesky_inverse(L).T
 
-    def trace_w(M):
-        # tr(Ky^-1 M) over the upper triangle of a symmetric M
+    def traces(M):
+        # alpha^T M alpha and tr(Ky^-1 M), over the upper triangle of a
+        # symmetric M
         inv_term = 2.0 * np.vdot(U, M) - np.vdot(U.diagonal(), M.diagonal())
-        return float(alpha @ (M @ alpha)) - inv_term
+        return np.array([float(alpha @ (M @ alpha)), inv_term])
 
-    trace_w_noise = float(alpha @ alpha) - float(np.trace(U))
-    # K = Ky - noise I and tr(W Ky) = alpha^T resid - n
-    trace_wk = float(alpha @ resid) - len(alpha) - noise * trace_w_noise
-    traces = structure.derivative_traces(kernel, Ky, trace_w, trace_wk)
-    return 0.5 * np.array(traces + [trace_w_noise])
+    noise_traces = np.array([float(alpha @ alpha), float(np.trace(U))])
+    # K = Ky - noise I, alpha^T Ky alpha = alpha^T resid and tr(Ky^-1 Ky) = n
+    k_traces = (np.array([float(alpha @ resid), float(len(alpha))])
+                - noise * noise_traces)
+    param_traces = structure.derivative_traces(kernel, Ky, traces, k_traces)
+    return 0.5 * np.array(param_traces + [noise_traces]).T
 
 
 def log_marginal_likelihood(gpfit: GPFit) -> float:

@@ -3,7 +3,8 @@
 The continuous model M0 fits one GP to all data. The discontinuous model M1
 splits the data by a label function into a control and an intervention part,
 fits an independent GP to each, and optimizes one shared hyperparameter vector
-against the sum of the two log marginal likelihoods (M0 is one part). Model
+against the sum of the two log marginal likelihoods (M0 is one part), with
+the kernel variance profiled out of that search in closed form. Model
 evidences are BIC approximations log p(D|M) ~= logML(theta_hat) - (k/2) log n;
 both models share k and n, so the BIC penalties cancel in the Bayes factor.
 
@@ -16,13 +17,13 @@ averaged across kernels under a uniform kernel prior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit, logsumexp
 
 from . import gp, hyperopt, kernels
-from .errors import ConfigError, InputError
+from .errors import ConfigError, DataError, InputError
 from .gp import Dataset, GPFit
 from .hyperopt import OptConfig
 from .kernels import GramStructure, KernelSpec
@@ -141,26 +142,55 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
     hyperparameter vector.
 
     The shared vector starts at `hyperopt.default_init(kernel, data)` and
-    maximizes the sum of the parts' log marginal likelihoods; every part
-    takes the mean of all of data.y as its constant mean, and the evidence
-    applies one BIC penalty with n = data.n. The fits returned are the ones
-    the optimizer's evaluation at the optimum made.
+    maximizes the sum of the parts' log marginal likelihoods under the
+    prior; every part takes the mean of all of data.y as its constant mean,
+    and the evidence applies one BIC penalty with n = data.n and k the
+    length of the vector. The kernel variance v is profiled out: an
+    evaluation fits each part once at v = 1 (`hyperopt.scale_powers` gives
+    the other hyperparameters there), takes v-hat from
+    `hyperopt.profiled_scale`, and returns the log-ML and its gradient at
+    v-hat, scaled from the unit fits. The fits returned are the best
+    evaluation's unit fits scaled to v-hat, not fitted again. Raises
+    DataError when data.y is constant: the log posterior then grows without
+    bound as v and the noise go to 0.
     """
+    if np.all(data.y == data.y[0]):
+        raise DataError("the response is constant, so the hyperparameters "
+                        "have no MAP estimate")
     init = hyperopt.default_init(kernel, data)
+    powers = hyperopt.scale_powers(kernel)
     c = float(np.mean(data.y))
     structures = [GramStructure(part.X) for part in parts]
 
     def objective(theta):
-        k, noise = hyperopt.kernel_and_noise(kernel, theta)
+        unit = theta / theta[0] ** powers
+        k, noise = hyperopt.kernel_and_noise(kernel, unit)
         fitted = [gp.fit(part, k, noise, mean_constant=c, structure=s)
                   for part, s in zip(parts, structures)]
-        return (sum(gp.log_marginal_likelihood(f) for f in fitted),
-                sum(f.log_ml_grad for f in fitted), fitted)
+        quad = sum(float((f.data.y - c) @ f.alpha) for f in fitted)
+        u = hyperopt.profiled_scale(quad, data.n, unit, powers)
+        # gp.log_marginal_likelihood of the fits scaled to u
+        logdet = sum(2.0 * float(np.sum(np.log(f.chol.diagonal())))
+                     for f in fitted)
+        log_ml = -0.5 * (quad / u + logdet
+                         + data.n * (np.log(u) + gp.LOG_2PI))
+        terms = sum(f.grad_terms for f in fitted)
+        grad = (terms[0] / u - terms[1]) / u ** powers
+        return log_ml, grad, unit * u ** powers, fitted
 
     opt = hyperopt.optimize(objective, init, cfg or OptConfig())
     ev = Evidence(log_ml=opt.objective_value, k=len(init), n=data.n)
     fitted, = opt.extra
-    return fitted, ev
+    u = opt.theta_hat[0]
+    k, noise = hyperopt.kernel_and_noise(kernel, opt.theta_hat)
+    # at scale u, alpha is alpha / u, and each hyperparameter's gradient
+    # data term scales by u ** -(power + 1) and its complexity term by
+    # u ** -power
+    term_scale = u ** (powers + np.array([[1.0], [0.0]]))
+    return [replace(f, kernel=k, noise_variance=noise, jitter=f.jitter * u,
+                    chol=f.chol * np.sqrt(u), alpha=f.alpha / u,
+                    grad_terms=f.grad_terms / term_scale)
+            for f in fitted], ev
 
 
 def fit_continuous(data: Dataset, kernel: KernelSpec,

@@ -235,16 +235,18 @@ class GramStructure:
         return _linear_from_dot(spec, self._dots)
 
     def derivative_traces(self, spec: KernelSpec, K: np.ndarray, trace_w,
-                          trace_wk: float) -> list[float]:
-        """tr(W dK/dp) for each p in spec.param_names(), for a symmetric W.
+                          trace_wk) -> list:
+        """trace_w(dK/dp) for each p in spec.param_names().
 
-        trace_w(M) returns tr(W M) for a symmetric n x n M, and trace_wk is
-        tr(W K) for the noise-free K = gram(spec). K is the array gram(spec)
-        returned, with anything added to its diagonal; it is overwritten with
-        the one derivative built as a matrix: the lengthscale derivative of a
-        stationary kernel (whose variance derivative is K / variance), or the
-        linear kernel's offset derivative, a matrix of ones (its variance
-        derivative is the dot products).
+        trace_w(M) returns the traces tr(W M) of a symmetric n x n M against
+        the caller's symmetric W (one or an array of several), and trace_wk
+        is trace_w(K) for the noise-free K = gram(spec). K is the array
+        gram(spec) returned, with anything added to its diagonal; it is
+        overwritten with the one derivative built as a matrix: the
+        lengthscale derivative of a stationary kernel (whose variance
+        derivative is K / variance), or the linear kernel's offset
+        derivative, a matrix of ones (its variance derivative is the dot
+        products).
         """
         if spec.stationary:
             r, l = self._dist, spec.lengthscale

@@ -76,6 +76,19 @@ class TestFit:
                     linear, 0.1)
 
 
+    @pytest.mark.parametrize("name", ["se", "exp"])
+    def test_underflowing_gradient_is_numerical_error(self, name):
+        # l * l is subnormal below l of about 1e-154 and 0 below about
+        # 2e-162, where the lengthscale derivative divides 0 by 0; the
+        # covariance itself factorizes
+        kern = from_name(name, lengthscale=1e-170)
+        data = Dataset(np.linspace(0.0, 1.0, 6), np.arange(6.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="gradient"):
+                fit(data, kern, 0.1)
+
+
 class TestLogMarginalLikelihood:
     def test_scalar_case(self):
         # n=1, residual zero, k(x,x)=1, noise 1: -log(2)/2 - log(2*pi)/2

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from gpqed import hyperopt, inference, sim
+from gpqed import gp, hyperopt, inference, sim
 from gpqed.errors import InputError, NumericalError, OptimizationError
 from gpqed.gp import Dataset
 from gpqed.hyperopt import (
@@ -32,8 +33,13 @@ class TestHyperVector:
     def test_rejects_nonpositive_constrained(self):
         for bad in (-1.0, 0.0, float("nan")):
             with pytest.raises(InputError):
-                optimize(lambda theta: (0.0, np.zeros(2)),
+                optimize(lambda theta: (0.0, np.zeros(2), theta),
                          np.array([1.0, bad]), OptConfig(restarts=1))
+
+    def test_rejects_a_scale_alone(self):
+        with pytest.raises(InputError):
+            optimize(lambda theta: (0.0, np.zeros(1), theta),
+                     np.array([1.0]), OptConfig(restarts=1))
 
     def test_roundtrip_with_kernel(self):
         k = from_name("se", variance=2.0, lengthscale=0.7)
@@ -46,6 +52,10 @@ class TestHyperVector:
         k = from_name("linear")
         assert len(hyper_names(k)) == len(k.param_names()) + 1
 
+    def test_scale_powers(self):
+        assert hyperopt.scale_powers(from_name("se")).tolist() == [1, 0, 1]
+        assert hyperopt.scale_powers(from_name("linear")).tolist() == [1, 1, 1]
+
 
 class TestPriors:
     def test_gamma_log_density_at_one(self):
@@ -54,53 +64,74 @@ class TestPriors:
             pytest.approx(expected, rel=1e-12)
 
 
+def _held(f, df):
+    """A toy objective of theta[1:] that leaves the scale theta[0] where it
+    is, in optimize's contract."""
+    def objective(theta):
+        return f(theta[1:]), np.concatenate(([0.0], df(theta[1:]))), theta
+    return objective
+
+
 class TestOptimize:
     def test_quadratic_maximum(self, flat_prior):
-        res = optimize(lambda theta: (-((theta[0] - 2.0) ** 2),
-                                      np.array([-2.0 * (theta[0] - 2.0)])),
-                       np.array([0.5]), OptConfig(restarts=1, seed=0))
-        assert res.theta_hat[0] == pytest.approx(2.0, abs=1e-4)
+        obj = _held(lambda t: -((t[0] - 2.0) ** 2),
+                    lambda t: np.array([-2.0 * (t[0] - 2.0)]))
+        res = optimize(obj, np.array([3.0, 0.5]),
+                       OptConfig(restarts=1, seed=0))
+        assert res.theta_hat[1] == pytest.approx(2.0, abs=1e-4)
+        # the scale stays where it started
+        assert res.theta_hat[0] == pytest.approx(3.0, rel=1e-15)
         assert res.converged
 
-    def test_deterministic_across_runs(self, flat_prior):
-        init = np.array([1.0, 0.3])
-
+    def test_profiled_scale_is_the_one_reported(self, flat_prior):
+        # -(log a - log b)^2 - (log b - 1)^2 is largest over the scale a at
+        # a = b; the objective moves a there, so the search runs over b
+        # alone and theta_hat carries the scale the objective chose
         def obj(theta):
-            value = -((math.log(theta[0]) - 1.0) ** 2 + (theta[1] - 2) ** 2)
-            return value, np.array([-2.0 * (math.log(theta[0]) - 1.0) / theta[0],
-                                    -2.0 * (theta[1] - 2)])
+            b = theta[1]
+            return (-((math.log(b) - 1.0) ** 2),
+                    np.array([0.0, -2.0 * (math.log(b) - 1.0) / b]),
+                    np.array([b, b]))
 
+        res = optimize(obj, np.array([5.0, 0.5]), OptConfig(restarts=2))
+        np.testing.assert_allclose(res.theta_hat, [math.e, math.e],
+                                   rtol=1e-4)
+        assert res.theta_hat[0] == res.theta_hat[1]
+
+    def test_deterministic_across_runs(self, flat_prior):
+        init = np.array([2.0, 1.0, 0.3])
+        obj = _held(lambda t: -((math.log(t[0]) - 1.0) ** 2 + (t[1] - 2) ** 2),
+                    lambda t: np.array([-2.0 * (math.log(t[0]) - 1.0) / t[0],
+                                        -2.0 * (t[1] - 2)]))
         r1 = optimize(obj, init, OptConfig(restarts=4, seed=7))
         r2 = optimize(obj, init, OptConfig(restarts=4, seed=7))
         assert r1.theta_hat.tolist() == r2.theta_hat.tolist()
         assert r1.objective_value == r2.objective_value
 
     def test_monotone_improvement(self, flat_prior):
-        init = np.array([0.1])
-
-        def obj(theta):
-            return -((theta[0] - 3.0) ** 2), np.array([-2.0 * (theta[0] - 3.0)])
-
+        init = np.array([1.0, 0.1])
+        obj = _held(lambda t: -((t[0] - 3.0) ** 2),
+                    lambda t: np.array([-2.0 * (t[0] - 3.0)]))
         res = optimize(obj, init, OptConfig(restarts=3, seed=1))
         assert res.objective_value >= obj(init)[0]
 
     def test_positive_constraints_preserved(self, flat_prior):
-        res = optimize(lambda theta: (-(theta[0] - 1e-4) ** 2,
-                                      np.array([-2.0 * (theta[0] - 1e-4)])),
-                       np.array([2.0]), OptConfig(restarts=3, seed=2))
-        assert res.theta_hat[0] > 0
+        obj = _held(lambda t: -(t[0] - 1e-4) ** 2,
+                    lambda t: np.array([-2.0 * (t[0] - 1e-4)]))
+        res = optimize(obj, np.array([1.0, 2.0]),
+                       OptConfig(restarts=3, seed=2))
+        assert np.all(res.theta_hat > 0)
 
     def test_all_restarts_diverge(self, flat_prior):
         with pytest.raises(OptimizationError):
-            optimize(lambda theta: (float("nan"), np.zeros(1)),
-                     np.array([1.0]), OptConfig(restarts=3, seed=0))
+            optimize(_held(lambda t: float("nan"), lambda t: np.zeros(1)),
+                     np.array([1.0, 1.0]), OptConfig(restarts=3, seed=0))
 
     def test_objective_value_excludes_prior(self):
-        def obj(theta):
-            return (-((math.log(theta[0])) ** 2),
-                    np.array([-2.0 * math.log(theta[0]) / theta[0]]))
-
-        res = optimize(obj, np.array([1.0]), OptConfig(restarts=1, seed=0))
+        obj = _held(lambda t: -((math.log(t[0])) ** 2),
+                    lambda t: np.array([-2.0 * math.log(t[0]) / t[0]]))
+        res = optimize(obj, np.array([1.0, 1.0]),
+                       OptConfig(restarts=1, seed=0))
         # reported value is the raw objective, which peaks at 0
         assert res.objective_value == pytest.approx(
             obj(res.theta_hat)[0], abs=1e-12)
@@ -119,16 +150,18 @@ class TestOptimize:
 
         def obj(theta):
             (seen if inside[0] else outside).append(theta.tobytes())
-            return (-((theta[0] - 2.0) ** 2),
-                    np.array([-2.0 * (theta[0] - 2.0)]), theta.tobytes())
+            return (-((theta[1] - 2.0) ** 2),
+                    np.array([0.0, -2.0 * (theta[1] - 2.0)]), theta,
+                    theta.tobytes())
 
         monkeypatch.setattr(hyperopt, "minimize", nudged)
-        res = optimize(obj, np.array([0.5]), OptConfig(restarts=2, seed=0))
+        res = optimize(obj, np.array([1.0, 0.5]),
+                       OptConfig(restarts=2, seed=0))
         assert outside == []
         assert res.theta_hat.tobytes() in seen
         assert res.extra == (res.theta_hat.tobytes(),)
         assert res.objective_value == obj(res.theta_hat)[0]
-        assert res.theta_hat[0] == pytest.approx(2.0, abs=1e-4)
+        assert res.theta_hat[1] == pytest.approx(2.0, abs=1e-4)
 
     def test_failed_line_search_keeps_the_iterate(self, flat_prior):
         # a gradient pointing the wrong way makes every line search fail,
@@ -137,11 +170,12 @@ class TestOptimize:
 
         def obj(theta):
             seen.append(theta.tobytes())
-            return (-((theta[0] - 2.0) ** 2),
-                    np.array([2.0 * (theta[0] - 2.0)]), theta.tobytes())
+            return (-((theta[1] - 2.0) ** 2),
+                    np.array([0.0, 2.0 * (theta[1] - 2.0)]), theta,
+                    theta.tobytes())
 
-        res = optimize(obj, np.array([1.0]), OptConfig(restarts=1))
-        assert res.theta_hat.tolist() == [1.0]
+        res = optimize(obj, np.array([1.0, 1.0]), OptConfig(restarts=1))
+        assert res.theta_hat.tolist() == [1.0, 1.0]
         assert seen[-1] != res.theta_hat.tobytes()
         assert res.extra == (res.theta_hat.tobytes(),)
         assert res.objective_value == -1.0
@@ -176,13 +210,30 @@ def _central_difference(f, x):
     return grad
 
 
-class TestAnalyticGradient:
-    """The fit objective's gradient and the optimizer's gradient in
-    z = log(theta) against central differences, for every kernel family,
-    through the one-part (M0) and the two-part (M1) objective."""
+KERNELS = [from_name("linear"), from_name("exp"), from_name("matern32"),
+           from_name("se")]
 
-    KERNELS = [from_name("linear"), from_name("exp"), from_name("matern32"),
-               from_name("se")]
+
+def _parts(data, split, cutoff=0.0):
+    return (inference.split_by_label(data, inference.Threshold(cutoff))
+            if split else (data,))
+
+
+def _log_ml(parts, kernel, theta, c):
+    """The summed log-ML of the parts at theta and its gradient, from
+    gp.fit at theta itself."""
+    k, noise = kernel_and_noise(kernel, theta)
+    fits = [gp.fit(part, k, noise, mean_constant=c) for part in parts]
+    return (sum(gp.log_marginal_likelihood(f) for f in fits),
+            sum(f.log_ml_grad for f in fits))
+
+
+class TestAnalyticGradient:
+    """gp.fit's log-ML gradient, summed over the parts of the one-part (M0)
+    and the two-part (M1) model, and the gradient of the profiled log
+    posterior that optimize searches, against central differences, for
+    every kernel family."""
+
     # off-optimum points: default_init times these factors
     FACTORS = [np.array([1.7, 0.6, 2.0]), np.array([0.4, 1.9, 0.5])]
 
@@ -217,27 +268,96 @@ class TestAnalyticGradient:
             self._check_gradients(monkeypatch, Dataset(x, y), kernel, split)
 
     def _check_gradients(self, monkeypatch, data, kernel, split):
+        parts = _parts(data, split)
+        c = float(np.mean(data.y))
         objective = self._objective(monkeypatch, data, kernel, split)
         for factors in self.FACTORS:
             theta = default_init(kernel, data) * factors
-            grad = objective(theta)[1]
+            value, grad = _log_ml(parts, kernel, theta, c)
             np.testing.assert_allclose(
-                grad, _central_difference(lambda t: objective(t)[0], theta),
+                grad, _central_difference(
+                    lambda t: _log_ml(parts, kernel, t, c)[0], theta),
                 rtol=1e-5)
+            # the objective's value and gradient are gp.fit's at the point
+            # it evaluates, which has the profiled scale
+            got_value, got_grad, at, _ = objective(theta)
+            want_value, want_grad = _log_ml(parts, kernel, at, c)
+            assert got_value == pytest.approx(want_value, rel=1e-10)
+            np.testing.assert_allclose(got_grad, want_grad, rtol=1e-8)
             z = np.log(theta)
-            _, grad_z = hyperopt._neg_log_posterior(z, objective)
+
+            def searched(w):
+                return hyperopt._neg_log_posterior(w, z[0], objective)
+
             np.testing.assert_allclose(
-                grad_z, _central_difference(
-                    lambda u: hyperopt._neg_log_posterior(u, objective)[0], z),
+                searched(z[1:])[1],
+                _central_difference(lambda w: searched(w)[0], z[1:]),
                 rtol=1e-5)
 
     def test_failed_evaluation_has_zero_gradient(self):
         def failing(theta):
             raise NumericalError("no factor")
 
-        value, grad = hyperopt._neg_log_posterior(np.zeros(2), failing)
+        value, grad = hyperopt._neg_log_posterior(np.zeros(2), 0.0, failing)
         assert value == 1e30
         assert grad.tolist() == [0.0, 0.0]
+
+
+def _lee_repetition_13():
+    """Criterion 6's repetition 13 (Lee, n = 200, noise 0.1) and its
+    optimizer config."""
+    cfg = sim.SimConfig(latent="Lee", n=200, effect=0.0, noise_sd=0.1,
+                        seed=0, repetitions=100)
+    data = sim.generate(cfg, seed=sim.rep_seed(cfg.seed, 0, 13))
+    opt_seed = sim.rep_seed(cfg.seed, 0, 13, stream=1)
+    return data, OptConfig(restarts=2,
+                           seed=int(opt_seed.generate_state(1)[0]))
+
+
+class TestProfiledOptimum:
+    """The optimum of the profiled search is the optimum of the full log
+    posterior over all three log-hyperparameters: a 3-D L-BFGS-B started
+    there gains nothing, and the derivative in log v with the ratios
+    theta / v ** powers held (the direction profiling removes) is zero."""
+
+    INPUTS = {
+        "lee13": _lee_repetition_13,
+        "linear": lambda: (sim.generate(sim.SimConfig("Linear", n=100,
+                                                      effect=1.0), seed=3),
+                           OptConfig(restarts=2, seed=0)),
+    }
+
+    @staticmethod
+    def _log_posterior(parts, kernel, c, z):
+        theta = np.exp(z)
+        value, grad = _log_ml(parts, kernel, theta, c)
+        value += hyperopt.log_prior(theta) + float(np.sum(z))
+        grad = (grad + hyperopt.log_prior_grad(theta)) * theta + 1.0
+        return value, grad
+
+    @pytest.mark.parametrize("split", [False, True], ids=["M0", "M1"])
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.label)
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_full_search_gains_nothing(self, name, kernel, split):
+        data, cfg = self.INPUTS[name]()
+        if split:
+            fit, _, _ = inference.fit_discontinuous(
+                data, inference.Threshold(0.0), kernel, cfg)
+        else:
+            fit, _ = inference.fit_continuous(data, kernel, cfg)
+        theta_hat = np.array([getattr(fit.kernel, p)
+                              for p in fit.kernel.param_names()]
+                             + [fit.noise_variance])
+        parts = _parts(data, split)
+        c = float(np.mean(data.y))
+        z_hat = np.log(theta_hat)
+        at_hat, grad = self._log_posterior(parts, kernel, c, z_hat)
+        assert abs(hyperopt.scale_powers(kernel) @ grad) < 1e-6
+        res = minimize(lambda z: tuple(-v for v in self._log_posterior(
+                           parts, kernel, c, z)),
+                       z_hat, jac=True, method="L-BFGS-B",
+                       options={"gtol": 1e-10, "ftol": 1e-15})
+        assert -res.fun - at_hat <= 1e-6
 
 
 class TestDefaultInit:
