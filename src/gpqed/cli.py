@@ -288,7 +288,7 @@ def analyze(cfg: dict) -> dict:
     predictors = _read(cfg, "predictors", _list_of(_json(str)))
     if len(predictors) not in (1, 2):
         raise ConfigError("1 or 2 predictor columns are supported")
-    if ("threshold" in cfg) == ("boundary" in cfg):
+    if (cfg.get("threshold") is None) == (cfg.get("boundary") is None):
         raise ConfigError(
             "config must specify exactly one of 'threshold' or 'boundary'")
     path = _read(cfg, "data", _json(str))

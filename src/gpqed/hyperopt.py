@@ -1,20 +1,21 @@
-"""Maximize the log marginal likelihood over a hyperparameter vector.
+"""Maximum a posteriori search over a hyperparameter vector.
 
 A model's hyperparameters are a plain float array in the order given by
 `hyper_names`: the kernel's free parameters, then the noise variance. Every
 one of them is positive (the linear kernel's offset too: the kernel is
-positive semi-definite only for an offset >= 0). The objective is regularized
-by one vague Gamma(GAMMA_SHAPE, GAMMA_RATE) = Gamma(0.01, 0.01) prior on each
-parameter; the reported objective value is the prior-free log marginal
-likelihood at the best point evaluated, which is what enters the BIC.
+positive semi-definite only for an offset >= 0) and carries one vague
+Gamma(GAMMA_SHAPE, GAMMA_RATE) = Gamma(0.01, 0.01) prior; MAP is taken in
+z = log(theta), so `log_prior` adds the log-Jacobian, which keeps the
+prior's density spike at zero from dragging the parameters into
+degeneracy.
 
 The first hyperparameter, the kernel variance v, is a scale: the covariance
-is v times a unit-scale matrix of the others' ratios to it (`scale_powers`).
+at theta is v times the covariance at theta / v ** `scale_powers`.
 Its optimum given the others has a closed form (`profiled_scale`), so the
-objective profiles it out and L-BFGS-B searches only the other coordinates
-of z = log(theta), with the objective's analytic gradient carried through
-the prior, the log transform and its log-Jacobian. Everything is
-deterministic given the seed.
+search runs over the log unit-scale coordinates alone, from the points
+`starts` gives. `optimize` is a plain multi-start L-BFGS-B minimizer of
+whatever objective it is handed. Everything is deterministic given the
+seed.
 """
 
 from __future__ import annotations
@@ -55,20 +56,15 @@ def kernel_and_noise(kernel: KernelSpec, theta) -> tuple[KernelSpec, float]:
 GAMMA_SHAPE = GAMMA_RATE = 0.01
 
 
-def log_prior(theta) -> float:
-    """Summed log Gamma prior density of the positive array theta."""
-    total = 0.0
-    a, b = GAMMA_SHAPE, GAMMA_RATE
-    for value in map(float, theta):
-        total += (a * math.log(b) - math.lgamma(a)
-                  + (a - 1.0) * math.log(value) - b * value)
-    return total
-
-
-def log_prior_grad(theta) -> np.ndarray:
-    """Gradient of `log_prior` with respect to theta."""
+def log_prior(theta) -> tuple[float, np.ndarray]:
+    """Summed log Gamma prior density of the positive array theta plus the
+    log-Jacobian sum(log theta) of the search in log space, and its
+    gradient with respect to log theta."""
     theta = np.asarray(theta, dtype=float)
-    return (GAMMA_SHAPE - 1.0) / theta - GAMMA_RATE
+    a, b = GAMMA_SHAPE, GAMMA_RATE
+    value = (theta.size * (a * math.log(b) - math.lgamma(a))
+             + a * float(np.sum(np.log(theta))) - b * float(np.sum(theta)))
+    return value, a - b * theta
 
 
 def profiled_scale(quad: float, n: int, unit: np.ndarray,
@@ -99,14 +95,6 @@ def profiled_scale(quad: float, n: int, unit: np.ndarray,
 
 
 @dataclass(frozen=True)
-class OptResult:
-    theta_hat: np.ndarray        # the best point evaluated
-    objective_value: float       # prior-free log marginal likelihood
-    converged: bool
-    extra: tuple = ()            # the objective's other outputs at theta_hat
-
-
-@dataclass(frozen=True)
 class OptConfig:
     restarts: int = 5
     seed: int = 0
@@ -114,104 +102,76 @@ class OptConfig:
     tolerance: float = 1e-5
 
 
-def _from_unconstrained(z):
-    # clip keeps exp() strictly positive and finite at extreme steps
-    return np.exp(np.clip(np.asarray(z, dtype=float), -700.0, 700.0))
+def starts(init, powers, cfg: OptConfig) -> np.ndarray:
+    """The restarts' start points in the unit-scale log coordinates
+    w = log(theta[1:] / theta[0] ** powers[1:]), one row per restart.
 
-
-def _neg_log_posterior(w, scale, objective):
-    """Minus (objective + log prior + log-Jacobian) at the point the
-    objective evaluates for theta = exp([scale, *w]), and its gradient in w.
-    (1e30, zeros) marks a failed evaluation."""
-    theta = _from_unconstrained(np.concatenate(([scale], w)))
-    try:
-        val, grad, theta, *_ = objective(theta)
-    except NumericalError:
-        return 1e30, np.zeros_like(w)
-    val += log_prior(theta)
-    grad = grad + log_prior_grad(theta)
-    # log-Jacobian of the log transform: MAP is taken in log space, which
-    # keeps the Gamma prior's density spike at zero from dragging the
-    # parameters into degeneracy
-    val += float(np.sum(np.log(theta)))
-    # chain rule through theta = exp(z), plus the log-Jacobian's gradient
-    grad = grad * theta + 1.0
-    if not (np.isfinite(val) and np.all(np.isfinite(grad))):
-        return 1e30, np.zeros_like(w)
-    # w moves z[1:] one for one; a profiling objective also moves theta
-    # along its scale, where the log posterior is flat (envelope theorem)
-    return -val, -grad[1:]
-
-
-def optimize(objective, init, cfg: OptConfig) -> OptResult:
-    """Maximize objective + log prior over theta; return the best point.
-
-    objective(theta) returns the value at the point it evaluates, the
-    value's gradient with respect to theta there, that point, and
-    optionally further outputs; it raises NumericalError where it cannot be
-    evaluated. theta is a positive float array shaped like `init` (at least
-    two entries, InputError if one is not > 0), searched as z = log(theta)
-    under the Gamma prior. The objective evaluates either theta itself or
-    theta with its scale theta[0] moved to its optimum given the rest (as
-    `profiled_scale` gives it), and L-BFGS-B searches z[1:] with z[0] held
-    at its start; a profiling objective makes that a search of the unit
-    coordinates theta[1:] / theta[0] ** powers, shifted by a constant.
-
-    cfg.restarts runs are made (InputError if fewer than 1): restart 0
-    starts at `init`, and later restarts perturb each entry of z by
-    Normal(0, 0.5) draws from a generator seeded with cfg.seed. Each runs
-    for at most cfg.max_iterations iterations and counts as converged when
-    its gradient is below cfg.tolerance.
-
-    theta_hat is the evaluated point with the best regularized objective
-    over all restarts, the first of equals winning. `objective_value` and
-    `extra` (the further outputs) are those of that evaluation, and
-    `converged` is its restart's flag; theta_hat is not evaluated again.
-    Raises OptimizationError when no evaluation gives a finite objective.
+    init is the positive hyperparameter array of restart 0 (InputError if an
+    entry is not > 0, or if cfg.restarts < 1). Restart k > 0 starts at
+    z = log(init) plus Normal(0, 0.5) draws on every entry, from a generator
+    seeded with cfg.seed, taken to w.
     """
     if cfg.restarts < 1:
         raise InputError("restarts must be >= 1")
     init = np.asarray(init, dtype=float)
-    if init.size < 2:
-        raise InputError("need a scale and at least one more hyperparameter")
     bad = np.flatnonzero(~(init > 0))
     if bad.size:
         raise InputError(f"hyperparameter {bad[0]} must be positive")
-    z0 = np.log(init)
     rng = np.random.default_rng(cfg.seed)
-    # (minimized value, outputs, restart); a failed evaluation's 1e30 never
-    # beats the start
+    z = np.log(init) + np.vstack([
+        np.zeros(init.size),
+        rng.normal(0.0, 0.5, size=(cfg.restarts - 1, init.size))])
+    return z[:, 1:] - powers[1:] * z[:, :1]
+
+
+@dataclass(frozen=True)
+class OptResult:
+    outputs: tuple    # the best evaluation's outputs after value and gradient
+    converged: bool   # whether that evaluation's run converged
+
+
+def optimize(objective, points, cfg: OptConfig) -> OptResult:
+    """Minimize objective by L-BFGS-B from each row of points; return the
+    best evaluation.
+
+    objective(x) returns the value, its gradient and any further outputs;
+    an evaluation that raises NumericalError, or whose value or gradient is
+    not finite, counts as failed (value 1e30, zero gradient). Each run makes
+    at most cfg.max_iterations iterations and counts as converged when its
+    gradient is below cfg.tolerance.
+
+    The result holds the outputs of the evaluation with the lowest value
+    over all runs, the first of equals winning, and its run's `converged`;
+    no point is evaluated again. Raises OptimizationError when no evaluation
+    succeeds.
+    """
+    # (value, outputs, run); a failed evaluation's 1e30 never beats it
     best = (1e30, None, None)
 
-    def tracked(w, scale, restart):
+    def tracked(x, run):
         nonlocal best
-        held = []
-
-        def recorded(theta):
-            held.append(objective(theta))
-            return held[0]
-
-        value, grad = _neg_log_posterior(w, scale, recorded)
+        try:
+            value, grad, *outputs = objective(x)
+        except NumericalError:
+            return 1e30, np.zeros_like(x)
+        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+            return 1e30, np.zeros_like(x)
         if value < best[0]:
-            best = (value, held[0], restart)
+            best = (value, tuple(outputs), run)
         return value, grad
 
     converged = []
-    for k in range(cfg.restarts):
-        z_init = z0 if k == 0 else z0 + rng.normal(0.0, 0.5, size=len(z0))
-        res = minimize(tracked, z_init[1:], args=(z_init[0], k), jac=True,
-                       method="L-BFGS-B",
+    for run, x0 in enumerate(points):
+        res = minimize(tracked, x0, args=(run,), jac=True, method="L-BFGS-B",
                        options={"maxiter": cfg.max_iterations,
                                 "gtol": cfg.tolerance, "ftol": 1e-12})
         # res.jac is the gradient L-BFGS-B already holds at res.x
         converged.append(bool(np.max(np.abs(res.jac)) < cfg.tolerance)
                          or res.success)
-    _, outputs, restart = best
+    _, outputs, run = best
     if outputs is None:
         raise OptimizationError("all optimizer restarts diverged")
-    value, _, theta_hat, *extra = outputs
-    return OptResult(theta_hat=theta_hat, objective_value=float(value),
-                     converged=converged[restart], extra=tuple(extra))
+    return OptResult(outputs=outputs, converged=converged[run])
 
 
 def default_init(kernel: KernelSpec, data: Dataset) -> np.ndarray:

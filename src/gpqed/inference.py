@@ -139,50 +139,57 @@ class ComparisonResult:
 def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
                cfg: OptConfig | None) -> tuple[list[GPFit], Evidence]:
     """Fit independent GPs to `parts` of `data` with one shared
-    hyperparameter vector.
+    hyperparameter vector theta, at its MAP point.
 
-    The shared vector starts at `hyperopt.default_init(kernel, data)` and
-    maximizes the sum of the parts' log marginal likelihoods under the
-    prior; every part takes the mean of all of data.y as its constant mean,
-    and the evidence applies one BIC penalty with n = data.n and k the
-    length of the vector. The kernel variance v is profiled out: an
-    evaluation fits each part once at v = 1 (`hyperopt.scale_powers` gives
-    the other hyperparameters there), takes v-hat from
-    `hyperopt.profiled_scale`, and returns the log-ML and its gradient at
-    v-hat, scaled from the unit fits. The fits returned are the best
-    evaluation's unit fits scaled to v-hat, not fitted again. Raises
-    DataError when data.y is constant: the log posterior then grows without
-    bound as v and the noise go to 0.
+    Every part takes the mean of all of data.y as its constant mean; the
+    evidence is the parts' summed log marginal likelihood with one BIC
+    penalty, n = data.n and k = len(theta). The kernel variance v is
+    profiled out: the search runs over w = log(theta[1:] / v ** powers[1:])
+    (`hyperopt.scale_powers`) from `hyperopt.starts`, and its objective, the
+    one place the log posterior is built, fits each part once at
+    unit = exp([0, w]), takes v-hat from `hyperopt.profiled_scale` and
+    returns minus the log posterior at theta = unit * v-hat ** powers, its
+    gradient in w, and the log-ML, v-hat, theta and unit fits. The fits
+    returned are the best evaluation's, scaled to v-hat, not fitted again.
+
+    Raises DataError when every part's response is constant: the log
+    posterior then grows without bound as v and the noise go to 0.
     """
-    if np.all(data.y == data.y[0]):
-        raise DataError("the response is constant, so the hyperparameters "
-                        "have no MAP estimate")
+    if all(np.all(part.y == part.y[0]) for part in parts):
+        raise DataError("every part's response is constant, so the "
+                        "hyperparameters have no MAP estimate")
+    cfg = cfg or OptConfig()
     init = hyperopt.default_init(kernel, data)
     powers = hyperopt.scale_powers(kernel)
     c = float(np.mean(data.y))
     structures = [GramStructure(part.X) for part in parts]
 
-    def objective(theta):
-        unit = theta / theta[0] ** powers
+    def objective(w):
+        # clip keeps exp() strictly positive and finite at extreme steps
+        unit = np.exp(np.clip(np.concatenate(([0.0], w)), -700.0, 700.0))
         k, noise = hyperopt.kernel_and_noise(kernel, unit)
         fitted = [gp.fit(part, k, noise, mean_constant=c, structure=s)
                   for part, s in zip(parts, structures)]
         quad = sum(float((f.data.y - c) @ f.alpha) for f in fitted)
         u = hyperopt.profiled_scale(quad, data.n, unit, powers)
+        theta = unit * u ** powers
         # gp.log_marginal_likelihood of the fits scaled to u
         logdet = sum(2.0 * float(np.sum(np.log(f.chol.diagonal())))
                      for f in fitted)
         log_ml = -0.5 * (quad / u + logdet
                          + data.n * (np.log(u) + gp.LOG_2PI))
+        prior, prior_grad = hyperopt.log_prior(theta)
+        # the log posterior's gradient in log theta; along w it is the
+        # profiled one, as the log posterior is flat along v at v-hat
         terms = sum(f.grad_terms for f in fitted)
-        grad = (terms[0] / u - terms[1]) / u ** powers
-        return log_ml, grad, unit * u ** powers, fitted
+        grad = (terms[0] / u - terms[1]) / u ** powers * theta + prior_grad
+        return -(log_ml + prior), -grad[1:], log_ml, u, theta, fitted
 
-    opt = hyperopt.optimize(objective, init, cfg or OptConfig())
-    ev = Evidence(log_ml=opt.objective_value, k=len(init), n=data.n)
-    fitted, = opt.extra
-    u = opt.theta_hat[0]
-    k, noise = hyperopt.kernel_and_noise(kernel, opt.theta_hat)
+    # looked up at each call, so that a wrapper on the module sees it
+    opt = hyperopt.optimize(objective, hyperopt.starts(init, powers, cfg), cfg)
+    log_ml, u, theta, fitted = opt.outputs
+    ev = Evidence(log_ml=float(log_ml), k=len(init), n=data.n)
+    k, noise = hyperopt.kernel_and_noise(kernel, theta)
     # at scale u, alpha is alpha / u, and each hyperparameter's gradient
     # data term scales by u ** -(power + 1) and its complexity term by
     # u ** -power

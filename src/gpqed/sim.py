@@ -87,6 +87,9 @@ class SimConfig:
             raise ConfigError("repetitions must be >= 1")
         if not self.noise_sd > 0:
             raise ConfigError("noise sd must be positive")
+        # x ~ U(-1, 1), so any other threshold leaves a side empty
+        if not -1.0 < self.threshold < 1.0:
+            raise ConfigError("threshold must lie strictly between -1 and 1")
 
 
 def generate(config: SimConfig, seed=None) -> Dataset:
@@ -214,12 +217,13 @@ def run_cell(config: SimConfig, kernel_list: list[KernelSpec],
 def run_grid(latents: list[str], effects: list[float], template: SimConfig,
              kernel_list: list[KernelSpec],
              opt: OptConfig | None = None) -> SimSummary:
-    """Sweep (latent, d) cells; per-cell failures are recorded, never fatal."""
+    """Sweep (latent, d) cells; per-cell failures are recorded, never fatal.
+    Every cell's config is checked before the first cell runs."""
     if not latents or not effects:
         raise ConfigError("latent and effect grids must be non-empty")
-    cells = [run_cell(replace(template, latent=latent, effect=d), kernel_list,
-                      cell_index=i, opt=opt)
-             for i, (latent, d) in enumerate(itertools.product(latents,
-                                                               effects))]
+    configs = [replace(template, latent=latent, effect=d)
+               for latent, d in itertools.product(latents, effects)]
+    cells = [run_cell(config, kernel_list, cell_index=i, opt=opt)
+             for i, config in enumerate(configs)]
     return SimSummary(cells=tuple(cells),
                       kernel_labels=tuple(k.label for k in kernel_list))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gpqed import cli, inference, sim
-from gpqed.errors import ConfigError, DataError
+from gpqed.errors import ConfigError, DataError, NumericalError
 from gpqed.hyperopt import OptConfig
 from gpqed.kernels import from_name
 
@@ -118,6 +118,16 @@ class TestAnalyze:
         with pytest.raises(ConfigError):
             cli.analyze(cfg)
 
+    def test_null_assignment_rule_is_absent(self, tmp_path):
+        # a null threshold next to a boundary is read as no threshold, so
+        # the boundary file is what fails to load here
+        cfg = _base_config(tmp_path, threshold=None,
+                           boundary=str(tmp_path / "b.txt"))
+        with pytest.raises(ConfigError, match="config key 'boundary'"):
+            cli.analyze(cfg)
+        report = cli.analyze(_base_config(tmp_path, boundary=None))
+        assert list(report["kernels"]) == ["exp"]
+
     def test_missing_required_key(self, tmp_path):
         cfg = _base_config(tmp_path)
         del cfg["response"]
@@ -211,12 +221,15 @@ class TestSimulateCommand:
         assert len(rows) == 6
         assert rows[-1]["kernel"] == "all"
 
-    def test_failed_cell_gives_strict_json(self, tmp_path):
-        # a threshold right of every x fails all repetitions; the cell's NaN
-        # means must reach the file as null, not as a bare NaN token
+    def test_failed_cell_gives_strict_json(self, tmp_path, monkeypatch):
+        # a cell whose repetitions all fail has NaN means, which must reach
+        # the file as null, not as a bare NaN token
+        def compare(*args, **kwargs):
+            raise NumericalError("diverged")
+        monkeypatch.setattr(sim.inference, "compare", compare)
         out_json = tmp_path / "grid.json"
         cfg = {"latents": ["Linear"], "effects": [1.0], "kernels": ["exp"],
-               "n": 20, "repetitions": 2, "seed": 0, "threshold": 5.0,
+               "n": 20, "repetitions": 2, "seed": 0,
                "optimizer": {"restarts": 1},
                "output": {"summary_json": str(out_json)}}
         cli.simulate(cfg)
@@ -230,6 +243,14 @@ class TestSimulateCommand:
         for m in sim.METRICS:
             assert cell[f"mean_{m}"] == {"exp": None}
             assert cell[f"se_{m}"] == {"exp": None}
+
+    def test_threshold_outside_the_x_range(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"latents": ["Linear"], "effects": [1.0],
+                                   "kernels": ["exp"], "n": 20,
+                                   "repetitions": 2, "threshold": 5}))
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        assert "threshold" in capsys.readouterr().err
 
     def test_invalid_latent_lists_valid_names(self):
         cfg = {"latents": ["Cosine"], "effects": [1.0], "kernels": ["exp"],

@@ -24,22 +24,14 @@ def _flatten_prior(monkeypatch):
     monkeypatch.setattr(hyperopt, "GAMMA_RATE", 1e-9)
 
 
-@pytest.fixture
-def flat_prior(monkeypatch):
-    _flatten_prior(monkeypatch)
-
-
 class TestHyperVector:
     def test_rejects_nonpositive_constrained(self):
         for bad in (-1.0, 0.0, float("nan")):
             with pytest.raises(InputError):
-                optimize(lambda theta: (0.0, np.zeros(2), theta),
-                         np.array([1.0, bad]), OptConfig(restarts=1))
-
-    def test_rejects_a_scale_alone(self):
+                hyperopt.starts(np.array([1.0, bad]), np.ones(2),
+                                OptConfig(restarts=1))
         with pytest.raises(InputError):
-            optimize(lambda theta: (0.0, np.zeros(1), theta),
-                     np.array([1.0]), OptConfig(restarts=1))
+            hyperopt.starts(np.ones(2), np.ones(2), OptConfig(restarts=0))
 
     def test_roundtrip_with_kernel(self):
         k = from_name("se", variance=2.0, lengthscale=0.7)
@@ -57,86 +49,126 @@ class TestHyperVector:
         assert hyperopt.scale_powers(from_name("linear")).tolist() == [1, 1, 1]
 
 
+class TestStarts:
+    def test_restart_k_is_the_unit_coordinates_of_its_draw(self):
+        # restart 0 at z = log(init), restart k > 0 at z plus the k-th
+        # draw of Normal(0, 0.5) on every entry, taken to the unit
+        # coordinates z[1:] - powers[1:] * z[0]
+        init = np.array([2.0, 0.7, 0.3])
+        powers = np.array([1.0, 0.0, 1.0])
+        got = hyperopt.starts(init, powers, OptConfig(restarts=4, seed=11))
+        assert got.shape == (4, 2)
+        z0 = np.log(init)
+        rng = np.random.default_rng(11)
+        for k in range(4):
+            z_init = z0 if k == 0 else z0 + rng.normal(0.0, 0.5, size=3)
+            assert got[k].tolist() == \
+                (z_init[1:] - powers[1:] * z_init[0]).tolist()
+
+
 class TestPriors:
     def test_gamma_log_density_at_one(self):
         expected = 0.01 * math.log(0.01) - math.lgamma(0.01) - 0.01
-        assert hyperopt.log_prior(np.array([1.0])) == \
-            pytest.approx(expected, rel=1e-12)
+        value, grad = hyperopt.log_prior(np.array([1.0]))
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert grad.tolist() == [pytest.approx(0.0, abs=1e-15)]
+
+    def test_log_jacobian_and_gradient_in_log_theta(self):
+        theta = np.array([0.3, 2.0, 40.0])
+        value, grad = hyperopt.log_prior(theta)
+        a = b = 0.01
+        density = sum(a * math.log(b) - math.lgamma(a)
+                      + (a - 1.0) * math.log(t) - b * t for t in theta)
+        assert value == pytest.approx(density + np.sum(np.log(theta)),
+                                      rel=1e-12)
+        np.testing.assert_allclose(
+            grad, _central_difference(
+                lambda z: hyperopt.log_prior(np.exp(z))[0], np.log(theta)),
+            rtol=1e-6)
 
 
-def _held(f, df):
-    """A toy objective of theta[1:] that leaves the scale theta[0] where it
-    is, in optimize's contract."""
-    def objective(theta):
-        return f(theta[1:]), np.concatenate(([0.0], df(theta[1:]))), theta
+def _quadratic(target, sign=1.0):
+    """sum((x - target)^2), with its gradient times sign (a wrong sign
+    makes every line search fail), and x's bytes as the output."""
+    def objective(x):
+        return (float(np.sum((x - target) ** 2)), sign * 2.0 * (x - target),
+                x.tobytes())
     return objective
 
 
 class TestOptimize:
-    def test_quadratic_maximum(self, flat_prior):
-        obj = _held(lambda t: -((t[0] - 2.0) ** 2),
-                    lambda t: np.array([-2.0 * (t[0] - 2.0)]))
-        res = optimize(obj, np.array([3.0, 0.5]),
+    def test_quadratic_maximum(self):
+        res = optimize(_quadratic(2.0), np.array([[0.5]]),
                        OptConfig(restarts=1, seed=0))
-        assert res.theta_hat[1] == pytest.approx(2.0, abs=1e-4)
-        # the scale stays where it started
-        assert res.theta_hat[0] == pytest.approx(3.0, rel=1e-15)
+        x, = np.frombuffer(res.outputs[0])
+        assert x == pytest.approx(2.0, abs=1e-4)
         assert res.converged
 
-    def test_profiled_scale_is_the_one_reported(self, flat_prior):
-        # -(log a - log b)^2 - (log b - 1)^2 is largest over the scale a at
-        # a = b; the objective moves a there, so the search runs over b
-        # alone and theta_hat carries the scale the objective chose
-        def obj(theta):
-            b = theta[1]
-            return (-((math.log(b) - 1.0) ** 2),
-                    np.array([0.0, -2.0 * (math.log(b) - 1.0) / b]),
-                    np.array([b, b]))
+    def test_deterministic_across_runs(self):
+        points = np.array([[1.0, 0.3], [0.2, -1.0], [3.0, 2.0]])
 
-        res = optimize(obj, np.array([5.0, 0.5]), OptConfig(restarts=2))
-        np.testing.assert_allclose(res.theta_hat, [math.e, math.e],
-                                   rtol=1e-4)
-        assert res.theta_hat[0] == res.theta_hat[1]
+        def obj(x):
+            value = (math.log1p(x[0] ** 2) - 1.0) ** 2 + (x[1] - 2.0) ** 2
+            grad = np.array([4.0 * (math.log1p(x[0] ** 2) - 1.0) * x[0]
+                             / (1.0 + x[0] ** 2), 2.0 * (x[1] - 2.0)])
+            return value, grad, x.tobytes()
 
-    def test_deterministic_across_runs(self, flat_prior):
-        init = np.array([2.0, 1.0, 0.3])
-        obj = _held(lambda t: -((math.log(t[0]) - 1.0) ** 2 + (t[1] - 2) ** 2),
-                    lambda t: np.array([-2.0 * (math.log(t[0]) - 1.0) / t[0],
-                                        -2.0 * (t[1] - 2)]))
-        r1 = optimize(obj, init, OptConfig(restarts=4, seed=7))
-        r2 = optimize(obj, init, OptConfig(restarts=4, seed=7))
-        assert r1.theta_hat.tolist() == r2.theta_hat.tolist()
-        assert r1.objective_value == r2.objective_value
+        r1 = optimize(obj, points, OptConfig())
+        r2 = optimize(obj, points, OptConfig())
+        assert r1 == r2
 
-    def test_monotone_improvement(self, flat_prior):
-        init = np.array([1.0, 0.1])
-        obj = _held(lambda t: -((t[0] - 3.0) ** 2),
-                    lambda t: np.array([-2.0 * (t[0] - 3.0)]))
-        res = optimize(obj, init, OptConfig(restarts=3, seed=1))
-        assert res.objective_value >= obj(init)[0]
+    def test_monotone_improvement(self):
+        obj = _quadratic(np.array([3.0, -1.0]))
+        points = np.array([[1.0, 0.1], [5.0, 2.0], [0.0, 0.0]])
+        res = optimize(obj, points, OptConfig())
+        best = obj(np.frombuffer(res.outputs[0]))[0]
+        assert all(best <= obj(p)[0] for p in points)
 
-    def test_positive_constraints_preserved(self, flat_prior):
-        obj = _held(lambda t: -(t[0] - 1e-4) ** 2,
-                    lambda t: np.array([-2.0 * (t[0] - 1e-4)]))
-        res = optimize(obj, np.array([1.0, 2.0]),
-                       OptConfig(restarts=3, seed=2))
-        assert np.all(res.theta_hat > 0)
+    def test_positive_constraints_preserved(self):
+        # the linear offset's MAP is near 0 on this input; the search in
+        # log space keeps every hyperparameter positive
+        data = sim.generate(sim.SimConfig("Linear", n=100, effect=1.0),
+                            seed=1)
+        fit, _ = inference.fit_continuous(data, from_name("linear"),
+                                          OptConfig(restarts=2, seed=0))
+        assert fit.kernel.offset < 1e-3
+        assert min(fit.kernel.variance, fit.kernel.offset,
+                   fit.noise_variance) > 0
 
-    def test_all_restarts_diverge(self, flat_prior):
-        with pytest.raises(OptimizationError):
-            optimize(_held(lambda t: float("nan"), lambda t: np.zeros(1)),
-                     np.array([1.0, 1.0]), OptConfig(restarts=3, seed=0))
+    def test_all_restarts_diverge(self):
+        def failing(x):
+            raise NumericalError("no factor")
 
-    def test_objective_value_excludes_prior(self):
-        obj = _held(lambda t: -((math.log(t[0])) ** 2),
-                    lambda t: np.array([-2.0 * math.log(t[0]) / t[0]]))
-        res = optimize(obj, np.array([1.0, 1.0]),
-                       OptConfig(restarts=1, seed=0))
-        # reported value is the raw objective, which peaks at 0
-        assert res.objective_value == pytest.approx(
-            obj(res.theta_hat)[0], abs=1e-12)
+        for obj in (failing, lambda x: (float("nan"), np.zeros(1)),
+                    lambda x: (0.0, np.array([np.inf]))):
+            with pytest.raises(OptimizationError):
+                optimize(obj, np.zeros((3, 1)), OptConfig(restarts=3))
 
-    def test_returns_best_evaluated_point(self, monkeypatch, flat_prior):
+    def test_objective_value_excludes_prior(self, monkeypatch):
+        # the search minimizes minus the log posterior; the evidence reads
+        # the prior-free log-ML, which the fits it returns give
+        data = sim.generate(sim.SimConfig("Linear", n=60, effect=1.0), seed=4)
+        kernel = from_name("se")
+        results, objectives = [], []
+
+        def spy(objective, *args):
+            objectives.append(objective)
+            results.append(optimize(objective, *args))
+            return results[-1]
+
+        monkeypatch.setattr(hyperopt, "optimize", spy)
+        fit, ev = inference.fit_continuous(data, kernel, OptConfig(restarts=1))
+        log_ml, _, theta, _ = results[0].outputs
+        assert ev.log_ml == log_ml
+        assert ev.log_ml == pytest.approx(gp.log_marginal_likelihood(fit),
+                                          rel=1e-12)
+        powers = hyperopt.scale_powers(kernel)
+        w = np.log(theta[1:]) - powers[1:] * np.log(theta[0])
+        value = objectives[0](w)[0]
+        assert -value - log_ml == pytest.approx(
+            hyperopt.log_prior(theta)[0], rel=1e-9)
+
+    def test_returns_best_evaluated_point(self, monkeypatch):
         # an optimizer that ends a little off its last evaluated point
         minimize = hyperopt.minimize
         inside, seen, outside = [False], [], []
@@ -148,56 +180,54 @@ class TestOptimize:
             res.x = res.x + 1e-9
             return res
 
-        def obj(theta):
-            (seen if inside[0] else outside).append(theta.tobytes())
-            return (-((theta[1] - 2.0) ** 2),
-                    np.array([0.0, -2.0 * (theta[1] - 2.0)]), theta,
-                    theta.tobytes())
+        quadratic = _quadratic(2.0)
+
+        def obj(x):
+            (seen if inside[0] else outside).append(x.tobytes())
+            return quadratic(x)
 
         monkeypatch.setattr(hyperopt, "minimize", nudged)
-        res = optimize(obj, np.array([1.0, 0.5]),
-                       OptConfig(restarts=2, seed=0))
+        res = optimize(obj, np.array([[0.5], [3.0]]), OptConfig())
         assert outside == []
-        assert res.theta_hat.tobytes() in seen
-        assert res.extra == (res.theta_hat.tobytes(),)
-        assert res.objective_value == obj(res.theta_hat)[0]
-        assert res.theta_hat[1] == pytest.approx(2.0, abs=1e-4)
+        assert res.outputs[0] in seen
+        best = quadratic(np.frombuffer(res.outputs[0]))[0]
+        assert best == min(quadratic(np.frombuffer(x))[0] for x in seen)
+        assert np.frombuffer(res.outputs[0])[0] == pytest.approx(2.0,
+                                                                 abs=1e-4)
 
-    def test_failed_line_search_keeps_the_iterate(self, flat_prior):
+    def test_failed_line_search_keeps_the_iterate(self):
         # a gradient pointing the wrong way makes every line search fail,
         # so L-BFGS-B returns its start, which it did not evaluate last
         seen = []
+        quadratic = _quadratic(2.0, sign=-1.0)
 
-        def obj(theta):
-            seen.append(theta.tobytes())
-            return (-((theta[1] - 2.0) ** 2),
-                    np.array([0.0, 2.0 * (theta[1] - 2.0)]), theta,
-                    theta.tobytes())
+        def obj(x):
+            seen.append(x.tobytes())
+            return quadratic(x)
 
-        res = optimize(obj, np.array([1.0, 1.0]), OptConfig(restarts=1))
-        assert res.theta_hat.tolist() == [1.0, 1.0]
-        assert seen[-1] != res.theta_hat.tobytes()
-        assert res.extra == (res.theta_hat.tobytes(),)
-        assert res.objective_value == -1.0
+        res = optimize(obj, np.array([[1.0]]), OptConfig(restarts=1))
+        assert np.frombuffer(res.outputs[0]).tolist() == [1.0]
+        assert seen[-1] != res.outputs[0]
 
     def test_linear_offset_search_stays_psd(self, monkeypatch):
         # the offset searched in log space never leaves the region where
         # the linear kernel is positive semi-definite, so no evaluation
         # fails and M0 reaches its MAP optimum
         values = []
-        neg_log_posterior = hyperopt._neg_log_posterior
 
-        def spy(*args):
-            out = neg_log_posterior(*args)
-            values.append(out[0])
-            return out
+        def spy(objective, *args):
+            def recorded(w):
+                out = objective(w)
+                values.append(out[0])
+                return out
+            return optimize(recorded, *args)
 
-        monkeypatch.setattr(hyperopt, "_neg_log_posterior", spy)
+        monkeypatch.setattr(hyperopt, "optimize", spy)
         data = sim.generate(sim.SimConfig("Linear", n=100, effect=1.0), seed=0)
         _, ev = inference.fit_continuous(
             data, from_name("linear"), hyperopt.OptConfig(restarts=2, seed=0))
         assert ev.log_ml >= -141.45
-        assert values and max(values) < 1e30
+        assert values and np.all(np.isfinite(values))
 
 
 def _central_difference(f, x):
@@ -231,7 +261,7 @@ def _log_ml(parts, kernel, theta, c):
 class TestAnalyticGradient:
     """gp.fit's log-ML gradient, summed over the parts of the one-part (M0)
     and the two-part (M1) model, and the gradient of the profiled log
-    posterior that optimize searches, against central differences, for
+    posterior that `_fit_parts` searches, against central differences, for
     every kernel family."""
 
     # off-optimum points: default_init times these factors
@@ -270,6 +300,7 @@ class TestAnalyticGradient:
     def _check_gradients(self, monkeypatch, data, kernel, split):
         parts = _parts(data, split)
         c = float(np.mean(data.y))
+        powers = hyperopt.scale_powers(kernel)
         objective = self._objective(monkeypatch, data, kernel, split)
         for factors in self.FACTORS:
             theta = default_init(kernel, data) * factors
@@ -278,29 +309,51 @@ class TestAnalyticGradient:
                 grad, _central_difference(
                     lambda t: _log_ml(parts, kernel, t, c)[0], theta),
                 rtol=1e-5)
-            # the objective's value and gradient are gp.fit's at the point
-            # it evaluates, which has the profiled scale
-            got_value, got_grad, at, _ = objective(theta)
-            want_value, want_grad = _log_ml(parts, kernel, at, c)
-            assert got_value == pytest.approx(want_value, rel=1e-10)
-            np.testing.assert_allclose(got_grad, want_grad, rtol=1e-8)
-            z = np.log(theta)
-
-            def searched(w):
-                return hyperopt._neg_log_posterior(w, z[0], objective)
-
+            # the objective at the unit coordinates of theta evaluates
+            # theta with its scale moved to v-hat: its log-ML is gp.fit's
+            # there, its value minus that plus the prior, and its gradient
+            # in w that of the log posterior in log(theta[1:]) at fixed v
+            w = np.log(theta[1:]) - powers[1:] * np.log(theta[0])
+            got_value, got_grad, log_ml, u, at, _ = objective(w)
+            assert at[0] == u
             np.testing.assert_allclose(
-                searched(z[1:])[1],
-                _central_difference(lambda w: searched(w)[0], z[1:]),
+                np.log(at[1:]) - powers[1:] * np.log(u), w, atol=1e-12)
+            want_value, want_grad = _log_ml(parts, kernel, at, c)
+            prior, prior_grad = hyperopt.log_prior(at)
+            assert log_ml == pytest.approx(want_value, rel=1e-10)
+            assert got_value == pytest.approx(-(want_value + prior),
+                                              rel=1e-10)
+            np.testing.assert_allclose(
+                got_grad, -(want_grad * at + prior_grad)[1:], rtol=1e-8)
+            np.testing.assert_allclose(
+                got_grad,
+                _central_difference(lambda v: objective(v)[0], w),
                 rtol=1e-5)
 
-    def test_failed_evaluation_has_zero_gradient(self):
-        def failing(theta):
+    def test_failed_evaluation_has_zero_gradient(self, monkeypatch):
+        # what L-BFGS-B is handed for an evaluation that raises
+        # NumericalError or gives a non-finite value or gradient
+        handed = []
+        minimize = hyperopt.minimize
+
+        def spy(fun, x0, args=(), **kwargs):
+            def recorded(x, *a):
+                handed.append(fun(x, *a))
+                return handed[-1]
+            return minimize(recorded, x0, args=args, **kwargs)
+
+        def failing(x):
             raise NumericalError("no factor")
 
-        value, grad = hyperopt._neg_log_posterior(np.zeros(2), 0.0, failing)
-        assert value == 1e30
-        assert grad.tolist() == [0.0, 0.0]
+        monkeypatch.setattr(hyperopt, "minimize", spy)
+        for obj in (failing, lambda x: (float("inf"), np.zeros(2)),
+                    lambda x: (0.0, np.array([0.0, np.nan]))):
+            with pytest.raises(OptimizationError):
+                optimize(obj, np.zeros((1, 2)), OptConfig(restarts=1))
+        assert len(handed) == 3
+        for value, grad in handed:
+            assert value == 1e30
+            assert grad.tolist() == [0.0, 0.0]
 
 
 def _lee_repetition_13():
@@ -331,9 +384,8 @@ class TestProfiledOptimum:
     def _log_posterior(parts, kernel, c, z):
         theta = np.exp(z)
         value, grad = _log_ml(parts, kernel, theta, c)
-        value += hyperopt.log_prior(theta) + float(np.sum(z))
-        grad = (grad + hyperopt.log_prior_grad(theta)) * theta + 1.0
-        return value, grad
+        prior, prior_grad = hyperopt.log_prior(theta)
+        return value + prior, grad * theta + prior_grad
 
     @pytest.mark.parametrize("split", [False, True], ids=["M0", "M1"])
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.label)

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from gpqed import gp, hyperopt, inference, kernels, sim
+from gpqed import cli, gp, hyperopt, inference
 from gpqed.errors import ConfigError, DataError
 from gpqed.gp import Dataset
 from gpqed.hyperopt import OptConfig
@@ -122,7 +124,7 @@ class TestFitDiscontinuous:
 class TestNoPointFittedTwice:
     """The fits and log-ML at the optimum come from the optimizer's own
     evaluation there, scaled from unit kernel variance to the profiled one,
-    and equal a fresh fit at theta_hat to rounding."""
+    and equal a fresh fit at the MAP hyperparameters to rounding."""
 
     @pytest.mark.parametrize("split", [False, True], ids=["M0", "M1"])
     def test_fit_calls_and_fits_at_optimum(self, monkeypatch, split):
@@ -136,9 +138,9 @@ class TestNoPointFittedTwice:
             return fit(*args, **kwargs)
 
         def spy(objective, *args, **kwargs):
-            def counted(theta):
-                seen.append(theta.tobytes())
-                return objective(theta)
+            def counted(w):
+                seen.append(w.tobytes())
+                return objective(w)
             results.append(optimize(counted, *args, **kwargs))
             return results[-1]
 
@@ -153,11 +155,13 @@ class TestNoPointFittedTwice:
         monkeypatch.undo()
 
         opt, = results
-        # every evaluation fits each part once, and no theta is evaluated
+        # every evaluation fits each part once, and no point is evaluated
         # twice
         assert len(fit_calls) == len(parts) * len(seen)
         assert len(set(seen)) == len(seen)
-        k, noise = hyperopt.kernel_and_noise(kernel, opt.theta_hat)
+        log_ml, _, theta, _ = opt.outputs
+        assert ev.log_ml == log_ml
+        k, noise = hyperopt.kernel_and_noise(kernel, theta)
         c = float(np.mean(data.y))
         fresh = [gp.fit(part, k, noise, mean_constant=c) for part in parts]
         for got, want in zip(fits, fresh):
@@ -227,6 +231,24 @@ class TestCompare:
         data = Dataset(np.linspace(-1.0, 1.0, 30), np.full(30, 2.0))
         with pytest.raises(DataError, match="constant"):
             compare(data, Threshold(0.0), [from_name(name)], FAST)
+
+    def test_constant_parts_are_a_data_error(self, tmp_path, capsys):
+        # a noise-free step: M0 fits, but each side of M1 is constant, so
+        # M1's v and noise go to 0 with no maximum of the log posterior
+        x = np.linspace(-1.0, 1.0, 30)
+        y = np.where(x < 0.0, 1.0, 3.0)
+        with pytest.raises(DataError, match="constant"):
+            compare(Dataset(x, y), Threshold(0.0),
+                    [from_name("linear"), from_name("se")], FAST)
+        data = tmp_path / "step.csv"
+        data.write_text("x,y\n" + "".join(f"{a},{b}\n"
+                                          for a, b in zip(x, y)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": str(data), "response": "y",
+                                   "predictors": ["x"], "threshold": 0.0,
+                                   "kernels": ["se"]}))
+        assert cli.main(["analyze", "--config", str(cfg)]) == 3
+        assert "every part's response is constant" in capsys.readouterr().err
 
     def test_requires_kernel(self):
         with pytest.raises(ConfigError):

@@ -79,6 +79,14 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             SimConfig(latent="Nope")
 
+    @pytest.mark.parametrize("threshold", [5.0, 1.0, -1.0, float("nan")])
+    def test_threshold_outside_the_x_range_rejected(self, threshold):
+        # x ~ U(-1, 1): such a threshold leaves one side empty in every
+        # repetition
+        with pytest.raises(ConfigError, match="threshold"):
+            SimConfig(latent="Linear", threshold=threshold)
+        assert SimConfig(latent="Linear", threshold=0.99).threshold == 0.99
+
 
 class TestRmse:
     def test_point_mass_at_truth(self):
@@ -150,6 +158,18 @@ class TestRunGrid:
         monkeypatch.setattr(sim.inference, "compare", fails(KeyError("bug")))
         with pytest.raises(KeyError):
             sim.run_cell(cfg, [from_name("exp")])
+
+    def test_every_cell_checked_before_any_runs(self, monkeypatch):
+        calls = []
+
+        def run_cell(*args, **kwargs):
+            calls.append(args)
+        monkeypatch.setattr(sim, "run_cell", run_cell)
+        cfg = SimConfig(latent="Linear", n=40, repetitions=1)
+        with pytest.raises(ConfigError, match="Bogus"):
+            sim.run_grid(["Linear", "Bogus"], [1.0, 2.0], cfg,
+                         [from_name("exp")])
+        assert calls == []
 
     def test_empty_grid_rejected(self):
         cfg = SimConfig(latent="Linear", n=40, repetitions=1)
