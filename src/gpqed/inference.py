@@ -179,10 +179,11 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
         log_ml = -0.5 * (quad / u + logdet
                          + data.n * (np.log(u) + gp.LOG_2PI))
         prior, prior_grad = hyperopt.log_prior(theta)
-        # the log posterior's gradient in log theta; along w it is the
-        # profiled one, as the log posterior is flat along v at v-hat
+        # the log posterior's gradient in log theta (theta / u ** powers
+        # cancels the terms' scaling to unit); along w it is the profiled
+        # one, as the log posterior is flat along v at v-hat
         terms = sum(f.grad_terms for f in fitted)
-        grad = (terms[0] / u - terms[1]) / u ** powers * theta + prior_grad
+        grad = (terms[0] / u - terms[1]) * unit + prior_grad
         return -(log_ml + prior), -grad[1:], log_ml, u, theta, fitted
 
     # looked up at each call, so that a wrapper on the module sees it

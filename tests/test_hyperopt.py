@@ -217,7 +217,11 @@ class TestOptimize:
 
         def spy(objective, *args):
             def recorded(w):
-                out = objective(w)
+                try:
+                    out = objective(w)
+                except NumericalError:
+                    values.append(np.inf)
+                    raise
                 values.append(out[0])
                 return out
             return optimize(recorded, *args)
