@@ -149,6 +149,16 @@ def _given(cfg: dict, readers: dict) -> dict:
             for key, convert in readers.items() if cfg.get(key) is not None}
 
 
+def _section(cfg: dict, name: str, readers: dict) -> dict:
+    """`_given` on the section cfg[name]; a key readers lacks is an error."""
+    section = _read(cfg, name, _json(dict), {})
+    for key in section:
+        if key not in readers:
+            raise ConfigError(f"config key {key!r} is not one of "
+                              f"{sorted(readers)} in section {name!r}")
+    return _given(section, readers)
+
+
 def _json(kind: type):
     """A converter that passes a value of the JSON type `kind` unchanged."""
     def check(value):
@@ -175,13 +185,6 @@ def _float(value) -> float:
     return float(value)
 
 
-def _positive(value) -> float:
-    """A finite JSON number above 0."""
-    if not _float(value) > 0:
-        raise ValueError(f"expected a number > 0, got {value!r}")
-    return float(value)
-
-
 def _count(value) -> int:
     """A JSON integer of at least 1."""
     count = _int(value)
@@ -200,18 +203,9 @@ def _list_of(convert):
     return read
 
 
-def _threshold(value) -> inference.Threshold:
-    if isinstance(value, dict):
-        return inference.Threshold(
-            **_given(value, {"value": _float, "dimension": _int}))
-    return inference.Threshold(value=_float(value))
-
-
 def _opt_config(cfg: dict) -> OptConfig:
     """The "optimizer" section; its seed defaults to the top-level one."""
-    opt = _given(_read(cfg, "optimizer", _json(dict), {}),
-                 {"restarts": _count, "seed": _int, "max_iterations": _count,
-                  "tolerance": _positive})
+    opt = _section(cfg, "optimizer", {"restarts": _count, "seed": _int})
     return OptConfig(**{**_given(cfg, {"seed": _int}), **opt})
 
 
@@ -227,8 +221,7 @@ def _kernel_list(cfg: dict) -> list[kernels.KernelSpec]:
 
 
 def _outputs(cfg: dict, *names: str) -> dict:
-    return _given(_read(cfg, "output", _json(dict), {}),
-                  dict.fromkeys(names, _json(str)))
+    return _section(cfg, "output", dict.fromkeys(names, _json(str)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +260,6 @@ def _analysis_report(result: inference.ComparisonResult) -> dict:
 def _export_curves(path: str, result: inference.ComparisonResult,
                    data: Dataset, label: inference.LabelFunction,
                    grid_size: int) -> None:
-    if data.p != 1:
-        raise ConfigError("curve export is only available for 1-D predictors")
     lo, hi = float(data.X.min()), float(data.X.max())
     grid = np.linspace(lo, hi, grid_size).reshape(-1, 1)
     side = label.labels(grid)
@@ -298,7 +289,7 @@ def analyze(cfg: dict) -> dict:
     opt = _opt_config(cfg)
     boundary = _read(cfg, "boundary", geo.load_boundary, None)
     label = (geo.BoundaryLabel(boundary) if boundary is not None
-             else _read(cfg, "threshold", _threshold))
+             else inference.Threshold(_read(cfg, "threshold", _float)))
     # a boundary's default effect point is its arc-length midpoint
     effect_point = _read(cfg, "effect_point", _list_of(_float),
                          None if boundary is None
@@ -314,6 +305,9 @@ def analyze(cfg: dict) -> dict:
     curve_grid = _read(cfg, "curve_grid", _count, 200)
     mc_samples = _read(cfg, "mc_samples", _count, 10000)
     outputs = _outputs(cfg, "report", "curves", "density_samples")
+    if outputs.get("curves") and len(predictors) != 1:
+        raise ConfigError("config key 'curves': curve export is only "
+                          "available for 1-D predictors")
 
     data = load_csv(path, predictors, response)
 

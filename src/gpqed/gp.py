@@ -65,7 +65,7 @@ class GPFit:
     grad_terms holds the two terms of the log marginal likelihood's gradient
     with respect to the hyperparameters in the order kernel.param_names(),
     then the noise variance: row 0 is the data term alpha^T dKy alpha / 2,
-    row 1 the complexity term tr(Ky^-1 dKy) / 2, and log_ml_grad is their
+    row 1 the complexity term tr(Ky^-1 dKy) / 2; the gradient is their
     difference. jitter is what jittered_cholesky added to the diagonal of
     K + sigma_n^2 I before chol factorized it (0.0 when none was needed).
     """
@@ -82,10 +82,6 @@ class GPFit:
     @property
     def n(self) -> int:
         return self.data.n
-
-    @property
-    def log_ml_grad(self) -> np.ndarray:
-        return self.grad_terms[0] - self.grad_terms[1]
 
 
 def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,

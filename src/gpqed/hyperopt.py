@@ -13,9 +13,9 @@ The first hyperparameter, the kernel variance v, is a scale: the covariance
 at theta is v times the covariance at theta / v ** `scale_powers`.
 Its optimum given the others has a closed form (`profiled_scale`), so the
 search runs over the log unit-scale coordinates alone, from the points
-`starts` gives. `optimize` is a plain multi-start L-BFGS-B minimizer of
-whatever objective it is handed. Everything is deterministic given the
-seed.
+`starts` gives, one per `OptConfig` restart and seeded by its seed.
+`optimize` is a plain multi-start L-BFGS-B minimizer of whatever objective
+it is handed, under the one stopping rule `STOPPING`.
 """
 
 from __future__ import annotations
@@ -59,8 +59,10 @@ GAMMA_SHAPE = GAMMA_RATE = 0.01
 def log_prior(theta) -> tuple[float, np.ndarray]:
     """Summed log Gamma prior density of the positive array theta plus the
     log-Jacobian sum(log theta) of the search in log space, and its
-    gradient with respect to log theta."""
+    gradient with respect to log theta; NumericalError unless theta > 0."""
     theta = np.asarray(theta, dtype=float)
+    if not theta.min() > 0.0:
+        raise NumericalError("a hyperparameter is not positive")
     a, b = GAMMA_SHAPE, GAMMA_RATE
     value = (theta.size * (a * math.log(b) - math.lgamma(a))
              + a * float(np.sum(np.log(theta))) - b * float(np.sum(theta)))
@@ -98,8 +100,10 @@ def profiled_scale(quad: float, n: int, unit: np.ndarray,
 class OptConfig:
     restarts: int = 5
     seed: int = 0
-    max_iterations: int = 500
-    tolerance: float = 1e-5
+
+
+# L-BFGS-B's stopping rule for every run of every search
+STOPPING = {"maxiter": 500, "gtol": 1e-5, "ftol": 1e-12}
 
 
 def starts(init, powers, cfg: OptConfig) -> np.ndarray:
@@ -130,15 +134,15 @@ class OptResult:
     converged: bool   # whether that evaluation's run converged
 
 
-def optimize(objective, points, cfg: OptConfig) -> OptResult:
+def optimize(objective, points) -> OptResult:
     """Minimize objective by L-BFGS-B from each row of points; return the
     best evaluation.
 
     objective(x) returns the value, its gradient and any further outputs;
     an evaluation that raises NumericalError, or whose value or gradient is
-    not finite, counts as failed (value 1e30, zero gradient). Each run makes
-    at most cfg.max_iterations iterations and counts as converged when its
-    gradient is below cfg.tolerance.
+    not finite, counts as failed (value 1e30, zero gradient). Each run stops
+    by `STOPPING` and counts as converged when L-BFGS-B reports success or
+    its final gradient is below STOPPING["gtol"].
 
     The result holds the outputs of the evaluation with the lowest value
     over all runs, the first of equals winning, and its run's `converged`;
@@ -163,10 +167,9 @@ def optimize(objective, points, cfg: OptConfig) -> OptResult:
     converged = []
     for run, x0 in enumerate(points):
         res = minimize(tracked, x0, args=(run,), jac=True, method="L-BFGS-B",
-                       options={"maxiter": cfg.max_iterations,
-                                "gtol": cfg.tolerance, "ftol": 1e-12})
+                       options=STOPPING)
         # res.jac is the gradient L-BFGS-B already holds at res.x
-        converged.append(bool(np.max(np.abs(res.jac)) < cfg.tolerance)
+        converged.append(bool(np.max(np.abs(res.jac)) < STOPPING["gtol"])
                          or res.success)
     _, outputs, run = best
     if outputs is None:

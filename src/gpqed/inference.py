@@ -41,17 +41,13 @@ class LabelFunction:
 
 @dataclass(frozen=True)
 class Threshold(LabelFunction):
-    """label = 1 iff x[dimension] >= value; the boundary itself is treated."""
+    """label = 1 iff x[0] >= value: the threshold applies to the first
+    predictor, and the boundary itself is treated."""
 
     value: float
-    dimension: int = 0
 
     def labels(self, X: np.ndarray) -> np.ndarray:
-        X = kernels._atleast_2d(X)
-        if not 0 <= self.dimension < X.shape[1]:
-            raise InputError(
-                f"threshold dimension {self.dimension} out of range for p={X.shape[1]}")
-        return (X[:, self.dimension] >= self.value).astype(int)
+        return (kernels._atleast_2d(X)[:, 0] >= self.value).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +133,7 @@ class ComparisonResult:
 # fitting
 
 def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
-               cfg: OptConfig | None) -> tuple[list[GPFit], Evidence]:
+               cfg: OptConfig = OptConfig()) -> tuple[list[GPFit], Evidence]:
     """Fit independent GPs to `parts` of `data` with one shared
     hyperparameter vector theta, at its MAP point.
 
@@ -158,7 +154,6 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
     if all(np.all(part.y == part.y[0]) for part in parts):
         raise DataError("every part's response is constant, so the "
                         "hyperparameters have no MAP estimate")
-    cfg = cfg or OptConfig()
     init = hyperopt.default_init(kernel, data)
     powers = hyperopt.scale_powers(kernel)
     c = float(np.mean(data.y))
@@ -187,7 +182,7 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
         return -(log_ml + prior), -grad[1:], log_ml, u, theta, fitted
 
     # looked up at each call, so that a wrapper on the module sees it
-    opt = hyperopt.optimize(objective, hyperopt.starts(init, powers, cfg), cfg)
+    opt = hyperopt.optimize(objective, hyperopt.starts(init, powers, cfg))
     log_ml, u, theta, fitted = opt.outputs
     ev = Evidence(log_ml=float(log_ml), k=len(init), n=data.n)
     k, noise = hyperopt.kernel_and_noise(kernel, theta)
@@ -202,7 +197,7 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
 
 
 def fit_continuous(data: Dataset, kernel: KernelSpec,
-                   cfg: OptConfig | None = None) -> tuple[GPFit, Evidence]:
+                   cfg: OptConfig = OptConfig()) -> tuple[GPFit, Evidence]:
     """Fit one GP to all data; evidence via BIC at the optimized hypers."""
     if data.n < 2:
         raise ConfigError("need at least 2 observations")
@@ -220,7 +215,7 @@ def split_by_label(data: Dataset, label: LabelFunction) -> tuple[Dataset, Datase
 
 
 def fit_discontinuous(data: Dataset, label: LabelFunction, kernel: KernelSpec,
-                      cfg: OptConfig | None = None
+                      cfg: OptConfig = OptConfig()
                       ) -> tuple[GPFit, GPFit, Evidence]:
     """Fit independent GPs to each side with one shared hyperparameter vector.
 
@@ -262,7 +257,7 @@ def kernel_labels(kernel_list: list[KernelSpec]) -> list[str]:
 
 
 def compare(data: Dataset, label: LabelFunction,
-            kernel_list: list[KernelSpec], cfg: OptConfig | None = None,
+            kernel_list: list[KernelSpec], cfg: OptConfig = OptConfig(),
             effect_point=None) -> ComparisonResult:
     """Run the full comparison for every kernel and aggregate across kernels.
 
@@ -271,7 +266,6 @@ def compare(data: Dataset, label: LabelFunction,
     for other label functions.
     """
     kernel_labels(kernel_list)
-    cfg = cfg or OptConfig()
     if effect_point is None:
         if isinstance(label, Threshold) and data.p == 1:
             effect_point = np.array([[label.value]])

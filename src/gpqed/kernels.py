@@ -24,20 +24,6 @@ from .errors import InputError, NumericalError
 FAMILIES = {"linear": "linear", "exponential": "exp", "matern32": "matern32",
             "squared_exponential": "se"}
 
-# the kernel names a config may use, and their families
-_ALIASES = {
-    "linear": "linear",
-    "poly": "linear",
-    "polynomial": "linear",
-    "exp": "exponential",
-    "exponential": "exponential",
-    "matern32": "matern32",
-    "matern": "matern32",
-    "se": "squared_exponential",
-    "rbf": "squared_exponential",
-    "squared_exponential": "squared_exponential",
-}
-
 SQRT3 = np.sqrt(3.0)
 
 # up to this order L^-1 is one LAPACK dtrtri call; above it the recursion's
@@ -99,12 +85,14 @@ class KernelSpec:
 
 
 def from_name(name: str, **overrides) -> KernelSpec:
-    """Build a KernelSpec from a config key like "linear", "exp", "se"."""
+    """Build a KernelSpec from a family name or its label, like "linear",
+    "exp" or "squared_exponential"."""
     key = name.strip().lower()
-    if key not in _ALIASES:
-        raise InputError(
-            f"unknown kernel name {name!r}; valid: {sorted(set(_ALIASES))}")
-    return KernelSpec(family=_ALIASES[key], **overrides)
+    for family, label in FAMILIES.items():
+        if key in (family, label):
+            return KernelSpec(family=family, **overrides)
+    raise InputError(f"unknown kernel name {name!r}; valid: "
+                     f"{sorted({*FAMILIES, *FAMILIES.values()})}")
 
 
 def _atleast_2d(X) -> np.ndarray:

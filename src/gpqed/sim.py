@@ -177,9 +177,9 @@ def rep_seed(master_seed: int, cell_index: int, repetition: int,
 
 
 def run_cell(config: SimConfig, kernel_list: list[KernelSpec],
-             cell_index: int = 0, opt: OptConfig | None = None) -> CellSummary:
+             cell_index: int = 0,
+             opt: OptConfig = OptConfig()) -> CellSummary:
     """Run `repetitions` independent analyses for one grid cell and aggregate."""
-    opt = opt or OptConfig(restarts=2)
     label = Threshold(value=config.threshold)
     labels = inference.kernel_labels(kernel_list)
     values = {(m, lab): [] for m in METRICS for lab in labels}
@@ -216,7 +216,7 @@ def run_cell(config: SimConfig, kernel_list: list[KernelSpec],
 
 def run_grid(latents: list[str], effects: list[float], template: SimConfig,
              kernel_list: list[KernelSpec],
-             opt: OptConfig | None = None) -> SimSummary:
+             opt: OptConfig = OptConfig()) -> SimSummary:
     """Sweep (latent, d) cells; per-cell failures are recorded, never fatal.
     Every cell's config is checked before the first cell runs."""
     if not latents or not effects:

@@ -338,7 +338,8 @@ class TestMain:
         ("analyze", {"optimizer": "fast"}, ["--restarts", "2"], "optimizer"),
         ("analyze", {"seed": "s"}, [], "seed"),
         ("analyze", {"threshold": "abc"}, [], "threshold"),
-        ("analyze", {"threshold": {"dimension": 0}}, [], "threshold"),
+        ("analyze", {"threshold": {"value": 0.0, "dimension": 0}}, [],
+         "threshold"),
         ("analyze", {"curve_grid": "many"}, [], "curve_grid"),
         ("analyze", {"output": {"report": 5}}, [], "report"),
         ("simulate", {"effects": ["a"]}, [], "effects"),
@@ -397,9 +398,7 @@ class TestMain:
         for command, section, key, values in [
             ("analyze", None, "seed", _NOT_INTEGERS),
             ("analyze", "optimizer", "seed", _NOT_INTEGERS),
-            ("analyze", "threshold", "dimension", _NOT_INTEGERS),
             ("analyze", "optimizer", "restarts", [*_NOT_INTEGERS, 0]),
-            ("analyze", "optimizer", "max_iterations", [*_NOT_INTEGERS, 0]),
             ("analyze", None, "mc_samples", _NOT_INTEGERS),
             ("analyze", None, "curve_grid", _NOT_INTEGERS),
             ("analyze", None, "profile_points", _NOT_INTEGERS),
@@ -417,32 +416,27 @@ class TestMain:
         if section is None:
             cfg[key] = value
         else:
-            base = {"threshold": {"value": 0.0}}.get(section, cfg[section])
-            cfg[section] = {**base, key: value}
+            cfg[section] = {**cfg[section], key: value}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert cli.main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: config key {key!r}")
 
-    @pytest.mark.parametrize("command, section, key, value", [
-        ("analyze", None, "threshold", float("nan")),
-        ("analyze", None, "threshold", True),
-        ("analyze", "threshold", "value", float("inf")),
-        ("analyze", None, "effect_point", ["nan", 0.0]),
-        ("analyze", None, "effect_point", [float("nan"), 0.0]),
-        ("analyze", "optimizer", "tolerance", "nan"),
-        ("analyze", "optimizer", "tolerance", -1),
-        ("analyze", "optimizer", "tolerance", 0.0),
-        ("simulate", None, "effects", [1.0, float("-inf")]),
-        ("simulate", None, "noise_sd", False),
-        ("simulate", None, "threshold", float("nan")),
+    @pytest.mark.parametrize("command, key, value", [
+        ("analyze", "threshold", float("nan")),
+        ("analyze", "threshold", True),
+        ("analyze", "threshold", float("inf")),
+        ("analyze", "effect_point", ["nan", 0.0]),
+        ("analyze", "effect_point", [float("nan"), 0.0]),
+        ("simulate", "effects", [1.0, float("-inf")]),
+        ("simulate", "noise_sd", False),
+        ("simulate", "threshold", float("nan")),
     ], ids=["threshold-nan", "threshold-true", "value-inf",
-            "effect_point-string", "effect_point-nan", "tolerance-string",
-            "tolerance-negative", "tolerance-zero", "effects-inf",
+            "effect_point-string", "effect_point-nan", "effects-inf",
             "noise_sd-false", "simulate-threshold-nan"])
     def test_float_key_takes_a_finite_json_number(
-            self, tmp_path, capsys, monkeypatch, command, section, key, value):
+            self, tmp_path, capsys, monkeypatch, command, key, value):
         def run(*args, **kwargs):
             raise AssertionError("the analysis ran before the config was read")
         monkeypatch.setattr(cli.inference, "compare", run)
@@ -450,11 +444,7 @@ class TestMain:
         # a data file that does not exist would be a data error (exit 3)
         cfg = _base_config(tmp_path, data=str(tmp_path / "no-such.csv"),
                            predictors=["u", "v"])
-        if section is None:
-            cfg[key] = value
-        else:
-            base = {"threshold": {"dimension": 1}}.get(section, cfg.get(section))
-            cfg[section] = {**base, key: value}
+        cfg[key] = value
         path = tmp_path / "cfg.json"
         # json writes NaN and Infinity, which json.load reads back
         path.write_text(json.dumps(cfg))
@@ -475,6 +465,46 @@ class TestMain:
         assert cli.main(["analyze", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: config key 'effect_point'")
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("analyze", "optimizer", "tolernce"),
+        ("analyze", "optimizer", "tolerance"),
+        ("analyze", "optimizer", "max_iterations"),
+        ("analyze", "output", "summary_json"),
+        ("simulate", "output", "report"),
+    ])
+    def test_unknown_section_key_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch, command, section, key):
+        def run(*args, **kwargs):
+            raise AssertionError("the analysis ran before the config was read")
+        monkeypatch.setattr(cli.inference, "compare", run)
+        monkeypatch.setattr(cli.sim, "run_grid", run)
+        # a data file that does not exist would be a data error (exit 3)
+        cfg = _base_config(tmp_path, data=str(tmp_path / "no-such.csv"))
+        cfg[section] = {**cfg.get(section, {}), key: 1}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config key {key!r}")
+        assert repr(section) in err
+
+    def test_curves_need_one_predictor_before_the_data_are_read(
+            self, tmp_path, capsys, monkeypatch):
+        def compare(*args, **kwargs):
+            raise AssertionError("compare ran before the config was read")
+        monkeypatch.setattr(cli.inference, "compare", compare)
+        bfile = tmp_path / "border.txt"
+        bfile.write_text("-2 0\n2 0\n")
+        cfg = _base_config(tmp_path, predictors=["u", "v"],
+                           boundary=str(bfile),
+                           output={"curves": str(tmp_path / "curves.csv")})
+        del cfg["threshold"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["analyze", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: config key 'curves'")
 
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_two_kernels_with_one_label_are_a_config_error(

@@ -86,6 +86,14 @@ class TestPriors:
                 lambda z: hyperopt.log_prior(np.exp(z))[0], np.log(theta)),
             rtol=1e-6)
 
+    def test_underflowed_entry_is_a_numerical_error(self):
+        # a trial step of a linear M1 fit reached this theta, whose offset
+        # had underflowed to 0; the optimizer counts a NumericalError as a
+        # failed evaluation
+        for theta in ([6.8e-299, 6.9e5, 0.0], [1.0, -2.0, 3.0]):
+            with pytest.raises(NumericalError):
+                hyperopt.log_prior(np.array(theta))
+
 
 def _quadratic(target, sign=1.0):
     """sum((x - target)^2), with its gradient times sign (a wrong sign
@@ -98,11 +106,23 @@ def _quadratic(target, sign=1.0):
 
 class TestOptimize:
     def test_quadratic_maximum(self):
-        res = optimize(_quadratic(2.0), np.array([[0.5]]),
-                       OptConfig(restarts=1, seed=0))
+        res = optimize(_quadratic(2.0), np.array([[0.5]]))
         x, = np.frombuffer(res.outputs[0])
         assert x == pytest.approx(2.0, abs=1e-4)
         assert res.converged
+
+    def test_one_stopping_rule(self, monkeypatch):
+        # every run stops by the module's rule; nothing sets another
+        seen = []
+        minimize = hyperopt.minimize
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["options"])
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(hyperopt, "minimize", spy)
+        optimize(_quadratic(2.0), np.array([[0.5], [1.0]]))
+        assert seen == [{"maxiter": 500, "gtol": 1e-5, "ftol": 1e-12}] * 2
 
     def test_deterministic_across_runs(self):
         points = np.array([[1.0, 0.3], [0.2, -1.0], [3.0, 2.0]])
@@ -113,14 +133,14 @@ class TestOptimize:
                              / (1.0 + x[0] ** 2), 2.0 * (x[1] - 2.0)])
             return value, grad, x.tobytes()
 
-        r1 = optimize(obj, points, OptConfig())
-        r2 = optimize(obj, points, OptConfig())
+        r1 = optimize(obj, points)
+        r2 = optimize(obj, points)
         assert r1 == r2
 
     def test_monotone_improvement(self):
         obj = _quadratic(np.array([3.0, -1.0]))
         points = np.array([[1.0, 0.1], [5.0, 2.0], [0.0, 0.0]])
-        res = optimize(obj, points, OptConfig())
+        res = optimize(obj, points)
         best = obj(np.frombuffer(res.outputs[0]))[0]
         assert all(best <= obj(p)[0] for p in points)
 
@@ -142,7 +162,7 @@ class TestOptimize:
         for obj in (failing, lambda x: (float("nan"), np.zeros(1)),
                     lambda x: (0.0, np.array([np.inf]))):
             with pytest.raises(OptimizationError):
-                optimize(obj, np.zeros((3, 1)), OptConfig(restarts=3))
+                optimize(obj, np.zeros((3, 1)))
 
     def test_objective_value_excludes_prior(self, monkeypatch):
         # the search minimizes minus the log posterior; the evidence reads
@@ -187,7 +207,7 @@ class TestOptimize:
             return quadratic(x)
 
         monkeypatch.setattr(hyperopt, "minimize", nudged)
-        res = optimize(obj, np.array([[0.5], [3.0]]), OptConfig())
+        res = optimize(obj, np.array([[0.5], [3.0]]))
         assert outside == []
         assert res.outputs[0] in seen
         best = quadratic(np.frombuffer(res.outputs[0]))[0]
@@ -205,7 +225,7 @@ class TestOptimize:
             seen.append(x.tobytes())
             return quadratic(x)
 
-        res = optimize(obj, np.array([[1.0]]), OptConfig(restarts=1))
+        res = optimize(obj, np.array([[1.0]]))
         assert np.frombuffer(res.outputs[0]).tolist() == [1.0]
         assert seen[-1] != res.outputs[0]
 
@@ -259,7 +279,7 @@ def _log_ml(parts, kernel, theta, c):
     k, noise = kernel_and_noise(kernel, theta)
     fits = [gp.fit(part, k, noise, mean_constant=c) for part in parts]
     return (sum(gp.log_marginal_likelihood(f) for f in fits),
-            sum(f.log_ml_grad for f in fits))
+            sum(f.grad_terms[0] - f.grad_terms[1] for f in fits))
 
 
 class TestAnalyticGradient:
@@ -353,7 +373,7 @@ class TestAnalyticGradient:
         for obj in (failing, lambda x: (float("inf"), np.zeros(2)),
                     lambda x: (0.0, np.array([0.0, np.nan]))):
             with pytest.raises(OptimizationError):
-                optimize(obj, np.zeros((1, 2)), OptConfig(restarts=1))
+                optimize(obj, np.zeros((1, 2)))
         assert len(handed) == 3
         for value, grad in handed:
             assert value == 1e30

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from gpqed import cli, gp, hyperopt, inference
-from gpqed.errors import ConfigError, DataError
+from gpqed import cli, gp, hyperopt, inference, sim
+from gpqed.errors import ConfigError, DataError, NumericalError
 from gpqed.gp import Dataset
 from gpqed.hyperopt import OptConfig
 from gpqed.inference import (
@@ -21,7 +21,7 @@ from gpqed.inference import (
 )
 from gpqed.kernels import from_name
 
-from conftest import PointRule
+from conftest import ALL_FAMILY_NAMES, PointRule
 
 FAST = OptConfig(restarts=2, seed=0)
 
@@ -37,6 +37,11 @@ class TestLabels:
     def test_threshold_tie_goes_to_intervention(self):
         lab = Threshold(value=1.0)
         assert lab.labels(np.array([[0.9], [1.0], [1.1]])).tolist() == [0, 1, 1]
+
+    def test_threshold_applies_to_the_first_predictor(self):
+        lab = Threshold(0.5)
+        X = np.array([[0.4, 9.0], [0.6, -9.0]])
+        assert lab.labels(X).tolist() == [0, 1]
 
     def test_predicate(self):
         lab = PointRule(lambda x: x[0] + x[1] > 0)
@@ -250,6 +255,28 @@ class TestCompare:
         assert cli.main(["analyze", "--config", str(cfg)]) == 3
         assert "every part's response is constant" in capsys.readouterr().err
 
+    def test_underflowed_step_is_a_failed_evaluation(self, monkeypatch):
+        # an interrupted time series (t = 1..59, threshold 37) on which a
+        # trial step of the linear M1 search underflows the offset to 0;
+        # the prior there is a NumericalError, which the optimizer counts
+        # as a failed evaluation, and no warning leaks
+        t = np.arange(1.0, 60.0)
+        rng = np.random.default_rng(11)
+        y = (200.0 + 0.5 * t + 8.0 * np.sin(2.0 * np.pi * t / 12.0)
+             - 30.0 * (t >= 37.0) + rng.normal(0.0, 10.0, t.size))
+        log_prior, failed = hyperopt.log_prior, []
+
+        def counted(theta):
+            try:
+                return log_prior(theta)
+            except NumericalError:
+                failed.append(theta)
+                raise
+        monkeypatch.setattr(hyperopt, "log_prior", counted)
+        result = compare(Dataset(t, y), Threshold(37.0), [from_name("linear")],
+                         OptConfig(restarts=5, seed=0))
+        assert failed and np.isfinite(result.total_log_bf)
+
     def test_requires_kernel(self):
         with pytest.raises(ConfigError):
             compare(_step_data(20), Threshold(0.0), [], FAST)
@@ -259,6 +286,53 @@ class TestCompare:
         with pytest.raises(ConfigError):
             compare(data, PointRule(lambda x: x[0] >= 0),
                     [from_name("se")], FAST)
+
+
+def _lee(rep):
+    """A Lee input (n = 100, d = 0.5, noise sd 0.3) and an optimizer
+    config, both seeded by rep."""
+    cfg = sim.SimConfig("Lee", n=100, effect=0.5, noise_sd=0.3)
+    return sim.generate(cfg, seed=rep), OptConfig(restarts=2, seed=rep)
+
+
+class TestInvariance:
+    """Transforms of the data under which compare() keeps its log BF and
+    its effect up to rounding. Each catches what no oracle does: a side
+    swap or sign error in the effect, a mean constant taken per side, a
+    stationary kernel that is not. (The linear kernel v <x, x'> + gamma
+    depends on where x = 0 is, so it is left out of the shift in x.)"""
+
+    REPS = (0, 1, 2)
+    # on 10 such inputs: at most 3.5e-8 in log BF and 5.8e-9 in effect
+    TOL = 1e-6
+
+    @staticmethod
+    def _compare(x, y, cutoff, name, opt):
+        kr, = compare(Dataset(x, y), Threshold(cutoff), [from_name(name)],
+                      opt).kernel_results
+        return kr.log_bf10, kr.effect.m1_mean
+
+    def _check(self, name, transform, sign=1.0):
+        for rep in self.REPS:
+            data, opt = _lee(rep)
+            log_bf, effect = self._compare(data.X, data.y, 0.0, name, opt)
+            got_bf, got_effect = self._compare(*transform(data), name, opt)
+            assert got_bf == pytest.approx(log_bf, rel=0, abs=self.TOL)
+            assert got_effect == pytest.approx(sign * effect, rel=0,
+                                               abs=self.TOL)
+
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    def test_reflection_negates_the_effect(self, name):
+        # x -> -x swaps the sides at threshold 0
+        self._check(name, lambda d: (-d.X, d.y, 0.0), sign=-1.0)
+
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    def test_shift_in_y(self, name):
+        self._check(name, lambda d: (d.X, d.y + 10.0, 0.0))
+
+    @pytest.mark.parametrize("name", ["exp", "matern32", "se"])
+    def test_shift_in_x_and_threshold(self, name):
+        self._check(name, lambda d: (d.X + 5.0, d.y, 5.0))
 
 
 class TestMixtureIdentities:

@@ -6,7 +6,7 @@ from scipy.spatial.distance import cdist
 
 from gpqed import kernels
 from gpqed.errors import InputError
-from gpqed.kernels import SQRT3, GramStructure, KernelSpec, from_name
+from gpqed.kernels import FAMILIES, SQRT3, GramStructure, KernelSpec, from_name
 
 from conftest import ALL_FAMILY_NAMES, oracle_kernel, random_kernel
 
@@ -179,11 +179,14 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             from_name("periodic")
 
-    def test_linear_alias(self):
-        # configs may still name the linear kernel "poly" or "polynomial"
-        for name in ("linear", "poly", "polynomial"):
-            spec = from_name(name)
-            assert (spec.family, spec.label) == ("linear", "linear")
+    def test_one_name_per_family(self):
+        # a family is named by itself or by its label, and by nothing else
+        for family, label in FAMILIES.items():
+            assert from_name(family).family == family
+            assert from_name(label).family == family
+        for name in ("poly", "polynomial", "matern", "rbf"):
+            with pytest.raises(InputError, match="unknown kernel name"):
+                from_name(name)
 
 
 class TestProperties:
