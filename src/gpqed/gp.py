@@ -1,13 +1,14 @@
 """Exact Gaussian-process regression with Gaussian observation noise.
 
 Everything is routed through one Cholesky factorization L of
-K + sigma_n^2 I. Two inverses are formed from it, both through
-kernels.lower_inverse, a recursive blocked L^-1 (OpenBLAS's dpotri and
-dtrtrs run several times slower): K^-1 for the log marginal likelihood's
-gradient in fit, and L^-1 for the predictive variances in predict. Neither
-is kept in a GPFit. The mean function is a constant, by default the
-empirical mean of the responses used in the fit. Predictive variances are
-latent-function variances (observation noise excluded).
+K + sigma_n^2 I. fit takes alpha and the log-determinant from L, then
+overwrites L with L^-1 by kernels.cholesky_inverse, a recursive blocked
+inverse (OpenBLAS's dpotri and dtrtrs run several times slower), which also
+returns K^-1 for the log marginal likelihood's gradient. A GPFit keeps L^-1,
+so predict's variances cost one triangular product and no inverse; K^-1 is
+not kept. The mean function is a constant, by default the empirical mean of
+the responses used in the fit. Predictive variances are latent-function
+variances (observation noise excluded).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from scipy.linalg import blas, lapack
 from . import kernels
 from .errors import DataError, InputError, NumericalError
 from .kernels import (GramStructure, KernelSpec, cholesky_inverse,
-                      jittered_cholesky, lower_inverse)
+                      jittered_cholesky)
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -62,20 +63,25 @@ class Dataset:
 class GPFit:
     """A trained GP: kernel, constant mean, noise, and its Cholesky state.
 
-    grad_terms holds the two terms of the log marginal likelihood's gradient
-    with respect to the hyperparameters in the order kernel.param_names(),
-    then the noise variance: row 0 is the data term alpha^T dKy alpha / 2,
-    row 1 the complexity term tr(Ky^-1 dKy) / 2; the gradient is their
-    difference. jitter is what jittered_cholesky added to the diagonal of
-    K + sigma_n^2 I before chol factorized it (0.0 when none was needed).
+    chol_inv is L^-1 for the lower Cholesky factor L of Ky = K + sigma_n^2 I
+    (plus jitter), Fortran-ordered with an exactly zero upper triangle;
+    log_det is log |Ky| = 2 sum(log diag L), taken from L before it was
+    inverted. grad_terms holds the two terms of the log marginal
+    likelihood's gradient with respect to the hyperparameters in the order
+    kernel.param_names(), then the noise variance: row 0 is the data term
+    alpha^T dKy alpha / 2, row 1 the complexity term tr(Ky^-1 dKy) / 2; the
+    gradient is their difference. jitter is what jittered_cholesky added to
+    the diagonal of K + sigma_n^2 I before it was factorized (0.0 when none
+    was needed).
     """
 
     kernel: KernelSpec
     mean_constant: float
     noise_variance: float
     jitter: float
+    log_det: float
     data: Dataset
-    chol: np.ndarray = field(repr=False)
+    chol_inv: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
     grad_terms: np.ndarray = field(repr=False)
 
@@ -87,8 +93,9 @@ class GPFit:
 def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
         mean_constant: float | None = None,
         structure: GramStructure | None = None) -> GPFit:
-    """Precompute the Cholesky factor of K + sigma_n^2 I, alpha and the two
-    terms of the log marginal likelihood's gradient.
+    """Factorize K + sigma_n^2 I as L L^T and precompute alpha, the
+    log-determinant, L^-1 and the two terms of the log marginal likelihood's
+    gradient.
 
     mean_constant defaults to the empirical mean of data.y; pass an explicit
     value to share one constant across several sub-fits. A GramStructure for
@@ -112,27 +119,31 @@ def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
         L, jitter = jittered_cholesky(K)
         resid = data.y - c
         alpha, _ = lapack.dpotrs(L, resid, lower=1)
-        terms = _log_ml_grad_terms(structure, kernel, noise_variance, K, L,
-                                   resid, alpha)
+        log_det = 2.0 * float(np.sum(np.log(L.diagonal())))
+        # L becomes L^-1 in place
+        Ky_inv = cholesky_inverse(L)
+        terms = _log_ml_grad_terms(structure, kernel, noise_variance, K,
+                                   Ky_inv, resid, alpha)
     if not np.all(np.isfinite(terms)):
         raise NumericalError("log marginal likelihood gradient is not finite")
     return GPFit(kernel=kernel, mean_constant=c, noise_variance=noise_variance,
-                 jitter=jitter, data=data, chol=L, alpha=alpha, grad_terms=terms)
+                 jitter=jitter, log_det=log_det, data=data, chol_inv=L,
+                 alpha=alpha, grad_terms=terms)
 
 
 def _log_ml_grad_terms(structure: GramStructure, kernel: KernelSpec,
-                       noise: float, Ky: np.ndarray, L: np.ndarray,
+                       noise: float, Ky: np.ndarray, Ky_inv: np.ndarray,
                        resid: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """The terms of d log-ML / d theta = alpha^T dKy alpha / 2 -
     tr(Ky^-1 dKy) / 2 (Rasmussen & Williams 2006, eq. 5.9) as the rows of a
     2 x p array, for theta = kernel parameters, then noise.
 
-    Ky^-1 comes from the factor L through kernels.cholesky_inverse and is
-    the one n x n array added; every trace is a reduction, not a matrix
-    product. Ky is overwritten.
+    Ky_inv is the lower triangle of Ky^-1, as kernels.cholesky_inverse
+    returns it; every trace is a reduction, not a matrix product. Ky is
+    overwritten.
     """
     # Ky^-1 in the upper triangle (zeros below) of a C-ordered view
-    U = cholesky_inverse(L).T
+    U = Ky_inv.T
 
     def traces(M):
         # alpha^T M alpha and tr(Ky^-1 M), over the upper triangle of a
@@ -149,11 +160,11 @@ def _log_ml_grad_terms(structure: GramStructure, kernel: KernelSpec,
 
 
 def log_marginal_likelihood(gpfit: GPFit) -> float:
-    """log N(y - c; 0, K + sigma_n^2 I) via the stored Cholesky factor."""
+    """log N(y - c; 0, K + sigma_n^2 I) from the stored alpha and
+    log-determinant."""
     resid = gpfit.data.y - gpfit.mean_constant
     quad = float(resid @ gpfit.alpha)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(gpfit.chol))))
-    return -0.5 * quad - 0.5 * logdet - 0.5 * gpfit.n * LOG_2PI
+    return -0.5 * quad - 0.5 * gpfit.log_det - 0.5 * gpfit.n * LOG_2PI
 
 
 def predict(gpfit: GPFit, Xs) -> tuple[np.ndarray, np.ndarray]:
@@ -161,11 +172,11 @@ def predict(gpfit: GPFit, Xs) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (mean, variance), each of shape (m,). The mean is Ks^T alpha for
     the n x m cross-covariance Ks. The variance is k(x, x) minus the squared
-    norm of each row of V^T = Ks^T L^-T: L^-1 is formed afresh from a copy of
-    gpfit.chol on every call, and one dtrmm overwrites Ks with V^T. Ks is the
-    one n x m array a call makes; beside it are L^-1 (n x n) and arrays of
-    m values. Variances are clamped to zero when round-off drives them
-    slightly negative.
+    norm of each row of V^T = Ks^T L^-T: one dtrmm by the stored
+    gpfit.chol_inv overwrites Ks with V^T (Rasmussen & Williams 2006,
+    Alg. 2.1), O(n^2 m) with no O(n^3) term. Ks is the one n x m array a call
+    makes, beside arrays of m values; gpfit is left as it is. Variances are
+    clamped to zero when round-off drives them slightly negative.
     """
     Xs = kernels._atleast_2d(Xs)
     if Xs.shape[1] != gpfit.data.p:
@@ -174,7 +185,7 @@ def predict(gpfit: GPFit, Xs) -> tuple[np.ndarray, np.ndarray]:
     Ks = kernels.cross(gpfit.kernel, gpfit.data.X, Xs)       # n x m
     mean = gpfit.mean_constant + Ks.T @ gpfit.alpha
     # Ks is C-ordered, so Ks.T is Fortran-ordered and dtrmm writes into it
-    Vt = blas.dtrmm(1.0, lower_inverse(gpfit.chol), Ks.T, side=1, lower=1,
-                    trans_a=1, overwrite_b=1)                 # m x n
+    Vt = blas.dtrmm(1.0, gpfit.chol_inv, Ks.T, side=1, lower=1, trans_a=1,
+                    overwrite_b=1)                            # m x n
     var = kernels.diag(gpfit.kernel, Xs) - np.einsum("ij,ij->i", Vt, Vt)
     return mean, np.maximum(var, 0.0)

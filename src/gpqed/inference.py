@@ -169,8 +169,7 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
         u = hyperopt.profiled_scale(quad, data.n, unit, powers)
         theta = unit * u ** powers
         # gp.log_marginal_likelihood of the fits scaled to u
-        logdet = sum(2.0 * float(np.sum(np.log(f.chol.diagonal())))
-                     for f in fitted)
+        logdet = sum(f.log_det for f in fitted)
         log_ml = -0.5 * (quad / u + logdet
                          + data.n * (np.log(u) + gp.LOG_2PI))
         prior, prior_grad = hyperopt.log_prior(theta)
@@ -186,12 +185,13 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
     log_ml, u, theta, fitted = opt.outputs
     ev = Evidence(log_ml=float(log_ml), k=len(init), n=data.n)
     k, noise = hyperopt.kernel_and_noise(kernel, theta)
-    # at scale u, alpha is alpha / u, and each hyperparameter's gradient
-    # data term scales by u ** -(power + 1) and its complexity term by
-    # u ** -power
+    # at scale u, L^-1 is L^-1 / sqrt(u), log|Ky| gains n log u, alpha is
+    # alpha / u, and each hyperparameter's gradient data term scales by
+    # u ** -(power + 1) and its complexity term by u ** -power
     term_scale = u ** (powers + np.array([[1.0], [0.0]]))
     return [replace(f, kernel=k, noise_variance=noise, jitter=f.jitter * u,
-                    chol=f.chol * np.sqrt(u), alpha=f.alpha / u,
+                    log_det=f.log_det + f.n * np.log(u),
+                    chol_inv=f.chol_inv / np.sqrt(u), alpha=f.alpha / u,
                     grad_terms=f.grad_terms / term_scale)
             for f in fitted], ev
 

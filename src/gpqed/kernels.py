@@ -26,10 +26,10 @@ FAMILIES = {"linear": "linear", "exponential": "exp", "matern32": "matern32",
 
 SQRT3 = np.sqrt(3.0)
 
-# up to this order L^-1 is one LAPACK dtrtri call; above it the recursion's
-# dtrmm calls run faster than OpenBLAS dtrtri (on a 2-core Xeon with
-# OpenBLAS 0.3.31 on one thread, leaves of 32 and 128 were no faster at any
-# n from 40 to 1000)
+# up to this order _invert_lower, which forms each fit's L^-1 once, is one
+# LAPACK dtrtri call; above it the recursion's dtrmm calls run faster than
+# OpenBLAS dtrtri (on a 2-core Xeon with OpenBLAS 0.3.31 on one thread,
+# leaves of 32 and 128 were no faster at any n from 40 to 1000)
 _TRTRI_LEAF = 64
 
 # the kernel formulas run over slices of at most this many elements, so a
@@ -297,33 +297,21 @@ def jittered_cholesky(K: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def cholesky_inverse(L: np.ndarray) -> np.ndarray:
-    """(L L^T)^-1 from a lower Cholesky factor L, as jittered_cholesky returns.
+    """Overwrite the lower Cholesky factor L, as jittered_cholesky returns
+    it, with L^-1, and return (L L^T)^-1 = L^-T L^-1.
 
-    The result is a Fortran-ordered array whose lower triangle is the inverse
-    and whose upper triangle is exactly zero, as LAPACK dpotri would return.
-    One copy of L is overwritten with L^-1 by lower_inverse, then with
-    L^-T L^-1 by dlauum; every other array is a block of about a quarter of
-    L. Raises NumericalError if L has a zero on its diagonal.
+    L^-1 comes from a recursive blocked inverse in place, so it keeps L's
+    Fortran order and zero upper triangle. One copy of it is then
+    overwritten with L^-T L^-1 by dlauum: a Fortran-ordered array whose
+    lower triangle is the inverse and whose upper triangle is exactly zero,
+    as LAPACK dpotri would return. Every other array is a block of about a
+    quarter of L. Raises NumericalError if L has a zero on its diagonal.
     """
-    inv, info = lapack.dlauum(lower_inverse(L), lower=1, overwrite_c=1)
+    _invert_lower(L)
+    inv, info = lapack.dlauum(np.array(L, order="F"), lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError("covariance matrix inverse failed")
     return inv
-
-
-def lower_inverse(L: np.ndarray) -> np.ndarray:
-    """L^-1 for a lower-triangular L with zeros above its diagonal, as
-    jittered_cholesky returns it.
-
-    The result is a Fortran-ordered copy of L overwritten by a recursive
-    blocked inverse; L itself is left as it is. Both consumers of a Cholesky
-    factor's inverse go through it: cholesky_inverse (K^-1 for the log-ML
-    gradient) and gp.predict (V^T = Ks^T L^-T by one dtrmm). Raises
-    NumericalError if L has a zero on its diagonal.
-    """
-    W = np.array(L, order="F")
-    _invert_lower(W)
-    return W
 
 
 def _invert_lower(W: np.ndarray) -> None:

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from gpqed import gp, kernels
 from gpqed.errors import DataError, InputError, NumericalError
@@ -32,16 +33,30 @@ class TestDataset:
 
 
 class TestFit:
+    @staticmethod
+    def _check_inverse_factor(f, Ky):
+        # chol_inv is L^-1: it whitens Ky, and nothing lies above its
+        # diagonal
+        n = Ky.shape[0]
+        W = f.chol_inv
+        np.testing.assert_allclose(W @ Ky @ W.T, np.eye(n), rtol=1e-8,
+                                   atol=1e-8)
+        assert np.all(W[np.triu_indices(n, 1)] == 0.0)
+
     def test_single_point_cholesky(self):
         se = from_name("se", variance=2.0)
         f = fit(Dataset([0.5], [1.0]), se, noise_variance=0.3)
-        assert f.chol[0, 0] == pytest.approx(np.sqrt(2.0 + 0.3))
+        assert f.chol_inv[0, 0] == 1.0 / np.sqrt(2.3)
+        assert f.log_det == pytest.approx(np.log(2.3))
 
     def test_reconstruction(self, rng):
         data, kern, noise = random_instance(rng, n=5)
         f = fit(data, kern, noise)
         K = kernels.gram(kern, data.X) + noise * np.eye(5)
-        np.testing.assert_allclose(f.chol @ f.chol.T, K, rtol=1e-8)
+        self._check_inverse_factor(f, K)
+        sign, log_det = np.linalg.slogdet(K)
+        assert sign == 1.0
+        assert f.log_det == pytest.approx(log_det, rel=1e-12)
 
     def test_keeps_cholesky_jitter(self):
         # four copies of one point: K is all ones, and noise this small
@@ -50,8 +65,17 @@ class TestFit:
         f = fit(data, from_name("se"), noise_variance=1e-300)
         K = kernels.gram(from_name("se"), data.X)
         assert f.jitter == kernels.jittered_cholesky(K)[1] > 0
-        np.testing.assert_allclose(f.chol @ f.chol.T, K + f.jitter * np.eye(4),
-                                   atol=1e-12)
+        Ky = K + f.jitter * np.eye(4)
+        self._check_inverse_factor(f, Ky)
+        # L, recovered from L^-1 by a triangular solve, reproduces Ky to
+        # the factorization's accuracy
+        L = solve_triangular(f.chol_inv, np.eye(4), lower=True)
+        np.testing.assert_allclose(L @ L.T, Ky, atol=1e-12)
+        # Ky's condition number is about 4e6, so a log-determinant is good
+        # to about 4e6 * 2.2e-16 ~ 1e-9
+        sign, log_det = np.linalg.slogdet(Ky)
+        assert sign == 1.0
+        assert f.log_det == pytest.approx(log_det, rel=0, abs=1e-9)
         assert fit(data, from_name("se"), noise_variance=0.1).jitter == 0.0
 
     def test_constant_y_zero_alpha(self):
@@ -158,10 +182,10 @@ class TestPredict:
 
     @staticmethod
     def _predict_keeps_chol(f, Xs):
-        chol = f.chol.copy()
+        chol_inv = f.chol_inv.copy()
         out = predict(f, Xs)
-        # L^-1 is formed from a copy: the stored factor is left bit-equal
-        np.testing.assert_array_equal(f.chol, chol)
+        # dtrmm only reads L^-1: the stored inverse factor is left bit-equal
+        np.testing.assert_array_equal(f.chol_inv, chol_inv)
         return out
 
     # n = 137 recurses twice past the 64-point dtrtri leaf, with odd halves
@@ -198,9 +222,25 @@ class TestPredict:
                                    rtol=1e-6, atol=1e-7)
 
     @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    def test_one_point_makes_no_n_by_n_array(self, name):
+        # the fit keeps L^-1, so a query at one point costs O(n^2) time and
+        # O(n) memory: its peak stays below a quarter of one n x n array
+        rng = np.random.default_rng(300)
+        data, kern, noise = random_instance(rng, n=300, p=2, kernel_name=name)
+        f = fit(data, kern, noise)
+        Xs = rng.uniform(-3, 3, size=(1, 2))
+        tracemalloc.start()
+        try:
+            predict(f, Xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * 300 * 8 / 4
+
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
     def test_memory_is_one_cross_covariance(self, name):
-        # the n x m cross-covariance becomes V^T in place; L^-1 (n x n) and
-        # the kernel formula's chunk-sized scratch are the rest
+        # the n x m cross-covariance becomes V^T in place; the kernel
+        # formula's chunk-sized scratch is the rest
         rng = np.random.default_rng(300)
         data, kern, noise = random_instance(rng, n=300, p=2, kernel_name=name)
         f = fit(data, kern, noise)

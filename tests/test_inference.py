@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ class TestNoPointFittedTwice:
         for got, want in zip(fits, fresh):
             assert got.kernel == want.kernel
             assert got.noise_variance == want.noise_variance
-            for name in ("chol", "alpha", "grad_terms"):
+            for name in ("chol_inv", "log_det", "alpha", "grad_terms"):
                 # entries that cancel to far below the array's largest carry
                 # that largest entry's rounding, so the tolerance is on it
                 want_array = getattr(want, name)
@@ -198,6 +199,20 @@ class TestEffectSize:
                                       from_name("exp"), FAST)
         mean, var = effect_size(fc, fi, [[0.0]])
         assert mean == pytest.approx(4.0, abs=3 * np.sqrt(var) + 0.5)
+
+    def test_makes_no_n_by_n_array(self):
+        # each side's fit keeps L^-1, so the effect at one point forms no
+        # inverse: the peak stays below a quarter of one n x n array
+        kern = from_name("matern32", lengthscale=0.5)
+        fc, fi = (gp.fit(_step_data(300, seed=seed), kern, 0.3)
+                  for seed in (1, 2))
+        tracemalloc.start()
+        try:
+            effect_size(fc, fi, [[0.0]])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * 300 * 8 / 4
 
 
 class TestCompare:

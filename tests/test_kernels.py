@@ -291,12 +291,18 @@ class TestCholeskyInverse:
     @pytest.mark.parametrize("n", [1, 2, 64, 65, 129, 400])
     def test_matches_dense_inverse(self, n):
         L = self._factor(n)
+        dense = np.tril(np.linalg.inv(L @ L.T))
+        dense_lower = np.linalg.inv(L)
         inv = kernels.cholesky_inverse(L)
         assert inv.shape == (n, n) and inv.flags.f_contiguous
         assert np.all(inv[np.triu_indices(n, 1)] == 0.0)
-        dense = np.tril(np.linalg.inv(L @ L.T))
         np.testing.assert_allclose(inv, dense, rtol=0,
                                    atol=1e-10 * np.abs(dense).max())
+        # L is overwritten with L^-1, in memory apart from the returned K^-1
+        assert L.flags.f_contiguous and not np.shares_memory(L, inv)
+        assert np.all(L[np.triu_indices(n, 1)] == 0.0)
+        np.testing.assert_allclose(L, dense_lower, rtol=0,
+                                   atol=1e-10 * np.abs(dense_lower).max())
 
     # a zero pivot in the first leaf, in a leaf of the lower half, and in a
     # factor too small to recurse
