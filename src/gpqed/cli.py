@@ -269,8 +269,8 @@ def _export_curves(path: str, result: inference.ComparisonResult,
                       for f in (kr.fit_m0, kr.fit_c, kr.fit_i))
         m1 = [np.where(side == 0, c, i) for c, i in zip(mc, mi)]
         for model, (mean, var) in (("continuous", m0), ("discontinuous", m1)):
-            rows += [[kr.kernel.label, model, x, m, np.sqrt(v)]
-                     for x, m, v in zip(grid[:, 0], mean, var)]
+            rows += [[kr.kernel.label, model, x, m, sd] for x, m, sd in zip(
+                grid[:, 0].tolist(), mean.tolist(), np.sqrt(var).tolist())]
     write_csv_atomic(path, ["kernel", "model", "x", "mean", "sd"], rows)
 
 
@@ -334,7 +334,7 @@ def analyze(cfg: dict) -> dict:
                                               curve_grid),
         "density_samples": lambda path: write_csv_atomic(
             path, ["sample"], [[s] for s in inference.bma_effect_samples(
-                result, count=mc_samples, seed=seed)])}
+                result, count=mc_samples, seed=seed).tolist()])}
     written = []
     try:
         for key, write in writers.items():

@@ -119,12 +119,12 @@ def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
         L, jitter = jittered_cholesky(K)
         resid = data.y - c
         alpha, _ = lapack.dpotrs(L, resid, lower=1)
-        log_det = 2.0 * float(np.sum(np.log(L.diagonal())))
+        log_det = 2.0 * float(np.log(L.diagonal()).sum())
         # L becomes L^-1 in place
         Ky_inv = cholesky_inverse(L)
         terms = _log_ml_grad_terms(structure, kernel, noise_variance, K,
                                    Ky_inv, resid, alpha)
-    if not np.all(np.isfinite(terms)):
+    if not np.isfinite(terms).all():
         raise NumericalError("log marginal likelihood gradient is not finite")
     return GPFit(kernel=kernel, mean_constant=c, noise_variance=noise_variance,
                  jitter=jitter, log_det=log_det, data=data, chol_inv=L,
@@ -140,23 +140,28 @@ def _log_ml_grad_terms(structure: GramStructure, kernel: KernelSpec,
 
     Ky_inv is the lower triangle of Ky^-1, as kernels.cholesky_inverse
     returns it; every trace is a reduction, not a matrix product. Ky is
-    overwritten.
+    overwritten by GramStructure.derivative.
     """
     # Ky^-1 in the upper triangle (zeros below) of a C-ordered view
     U = Ky_inv.T
+    data_n, trace_n = float(alpha @ alpha), float(U.trace())  # dKy/dnoise = I
+    d_var, d_p = structure.derivative(kernel, Ky)
+    if d_var is None:
+        # dK/dvariance = K / variance, with K = Ky - noise I,
+        # alpha^T Ky alpha = alpha^T resid and tr(Ky^-1 Ky) = n
+        data_v = (float(alpha @ resid) - noise * data_n) / kernel.variance
+        trace_v = (len(alpha) - noise * trace_n) / kernel.variance
+    else:
+        data_v, trace_v = _traces(U, alpha, d_var)
+    data_p, trace_p = _traces(U, alpha, d_p)
+    return 0.5 * np.array([[data_v, data_p, data_n],
+                           [trace_v, trace_p, trace_n]])
 
-    def traces(M):
-        # alpha^T M alpha and tr(Ky^-1 M), over the upper triangle of a
-        # symmetric M
-        inv_term = 2.0 * np.vdot(U, M) - np.vdot(U.diagonal(), M.diagonal())
-        return np.array([float(alpha @ (M @ alpha)), inv_term])
 
-    noise_traces = np.array([float(alpha @ alpha), float(np.trace(U))])
-    # K = Ky - noise I, alpha^T Ky alpha = alpha^T resid and tr(Ky^-1 Ky) = n
-    k_traces = (np.array([float(alpha @ resid), float(len(alpha))])
-                - noise * noise_traces)
-    param_traces = structure.derivative_traces(kernel, Ky, traces, k_traces)
-    return 0.5 * np.array(param_traces + [noise_traces]).T
+def _traces(U: np.ndarray, alpha: np.ndarray, M: np.ndarray) -> tuple:
+    # alpha^T M alpha and tr(Ky^-1 M) for a symmetric M, U as above
+    return (float(alpha @ (M @ alpha)),
+            2.0 * np.vdot(U, M) - np.vdot(U.diagonal(), M.diagonal()))
 
 
 def log_marginal_likelihood(gpfit: GPFit) -> float:

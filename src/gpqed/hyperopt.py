@@ -21,7 +21,7 @@ it is handed, under the one stopping rule `STOPPING`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -48,8 +48,9 @@ def scale_powers(kernel: KernelSpec) -> np.ndarray:
 
 def kernel_and_noise(kernel: KernelSpec, theta) -> tuple[KernelSpec, float]:
     """Split a hyperparameter array into a kernel spec and a noise variance."""
-    *values, noise = np.asarray(theta, dtype=float).tolist()
-    return replace(kernel, **dict(zip(kernel.param_names(), values))), noise
+    variance, p, noise = np.asarray(theta, dtype=float).tolist()
+    l, offset = (p, None) if kernel.stationary else (None, p)
+    return KernelSpec(kernel.family, variance, l, offset), noise
 
 
 # shape and rate of the Gamma prior on every hyperparameter
@@ -65,7 +66,7 @@ def log_prior(theta) -> tuple[float, np.ndarray]:
         raise NumericalError("a hyperparameter is not positive")
     a, b = GAMMA_SHAPE, GAMMA_RATE
     value = (theta.size * (a * math.log(b) - math.lgamma(a))
-             + a * float(np.sum(np.log(theta))) - b * float(np.sum(theta)))
+             + a * float(np.log(theta).sum()) - b * float(theta.sum()))
     return value, a - b * theta
 
 
@@ -85,7 +86,7 @@ def profiled_scale(quad: float, n: int, unit: np.ndarray,
     kriging (Santner, Williams & Notz 2003) with the prior kept. Raises
     NumericalError unless quad is positive and finite, so that u is.
     """
-    h = 0.5 * n - GAMMA_SHAPE * float(np.sum(powers))
+    h = 0.5 * n - GAMMA_SHAPE * float(powers.sum())
     bc = GAMMA_RATE * float(unit @ powers)
     # the root in the form that does not cancel
     u = (quad / (h + math.sqrt(h * h + 2.0 * bc * quad))
@@ -158,7 +159,7 @@ def optimize(objective, points) -> OptResult:
             value, grad, *outputs = objective(x)
         except NumericalError:
             return 1e30, np.zeros_like(x)
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+        if not (np.isfinite(value) and np.isfinite(grad).all()):
             return 1e30, np.zeros_like(x)
         if value < best[0]:
             best = (value, tuple(outputs), run)

@@ -161,7 +161,7 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
 
     def objective(w):
         # clip keeps exp() strictly positive and finite at extreme steps
-        unit = np.exp(np.clip(np.concatenate(([0.0], w)), -700.0, 700.0))
+        unit = np.exp(np.concatenate(([0.0], w)).clip(-700.0, 700.0))
         k, noise = hyperopt.kernel_and_noise(kernel, unit)
         fitted = [gp.fit(part, k, noise, mean_constant=c, structure=s)
                   for part, s in zip(parts, structures)]

@@ -222,41 +222,35 @@ class GramStructure:
             self._dots = 0.5 * (dots + dots.T)
         return _linear_from_dot(spec, self._dots)
 
-    def derivative_traces(self, spec: KernelSpec, K: np.ndarray, trace_w,
-                          trace_wk) -> list:
-        """trace_w(dK/dp) for each p in spec.param_names().
+    def derivative(self, spec: KernelSpec,
+                   K: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        """(dK/dvariance, dK/dp) for K = gram(spec) and p its second
+        parameter, the lengthscale or the linear offset.
 
-        trace_w(M) returns the traces tr(W M) of a symmetric n x n M against
-        the caller's symmetric W (one or an array of several), and trace_wk
-        is trace_w(K) for the noise-free K = gram(spec). K is the array
-        gram(spec) returned, with anything added to its diagonal; it is
-        overwritten with the one derivative built as a matrix: the
-        lengthscale derivative of a stationary kernel (whose variance
-        derivative is K / variance), or the linear kernel's offset
-        derivative, a matrix of ones (its variance derivative is the dot
-        products).
+        K is the array gram(spec) returned, with anything added to its
+        diagonal; it is overwritten with dK/dp. dK/dvariance is None for a
+        stationary kernel, where it is the noise-free K / variance, and the
+        cached dot products (not to be written) for the linear kernel.
         """
-        if spec.stationary:
-            r, l = self._dist, spec.lengthscale
-            # dK/dl is K times a function of r that is 0 at r = 0, so the
-            # diagonal of K never matters
-            if spec.family == "exponential":     # K r / l^2
+        if not spec.stationary:
+            K.fill(1.0)
+            return self._dots, K
+        r, l = self._dist, spec.lengthscale
+        # dK/dl is K times a function of r that is 0 at r = 0, so the
+        # diagonal of K never matters
+        if spec.family == "matern32":        # K z^2 / ((1 + z) l)
+            z = r * (SQRT3 / l)
+            K *= z
+            K *= z
+            z += 1.0
+            K /= z
+            K /= l
+        else:               # K r / l^2, or K r^2 / l^2 for se
+            K *= r
+            if spec.family == "squared_exponential":
                 K *= r
-                K /= l * l
-            elif spec.family == "matern32":      # K z^2 / ((1 + z) l)
-                z = r * (SQRT3 / l)
-                K *= z
-                K *= z
-                z += 1.0
-                K /= z
-                K /= l
-            else:                                # K r^2 / l^2
-                K *= r
-                K *= r
-                K /= l * l
-            return [trace_wk / spec.variance, trace_w(K)]
-        K.fill(1.0)
-        return [trace_w(self._dots), trace_w(K)]
+            K /= l * l
+        return None, K
 
 
 def jittered_cholesky(K: np.ndarray) -> tuple[np.ndarray, float]:
@@ -270,7 +264,7 @@ def jittered_cholesky(K: np.ndarray) -> tuple[np.ndarray, float]:
     onto K's diagonal in place, and the diagonal is restored before return.
     Raises NumericalError if K is not finite or still fails to factorize.
     """
-    if not np.all(np.isfinite(K)):
+    if not np.isfinite(K).all():
         raise NumericalError("covariance matrix has non-finite entries")
     # K.T is K in Fortran order: dpotrf reads it without a transposing copy
     # and clean=1 zeros the factor's upper triangle

@@ -166,6 +166,20 @@ class TestAnalyze:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 500
 
+    def test_density_samples_read_back_equal(self, tmp_path):
+        # every written sample parses back to the very float drawn
+        out = tmp_path / "samples.csv"
+        cfg = _base_config(tmp_path, mc_samples=500, seed=7,
+                           output={"density_samples": str(out)})
+        cli.analyze(cfg)
+        data = cli.load_csv(cfg["data"], ["x"], "y")
+        result = inference.compare(data, inference.Threshold(0.0),
+                                   [from_name("exp")], OptConfig(restarts=1))
+        want = inference.bma_effect_samples(result, count=500, seed=7)
+        with open(out) as fh:
+            got = [float(row["sample"]) for row in csv.DictReader(fh)]
+        assert got == want.tolist()
+
     def test_effect_point_at_a_1d_threshold(self, tmp_path):
         # the effect is reported where the config asks, not at the threshold
         cfg = _base_config(tmp_path, effect_point=0.5)

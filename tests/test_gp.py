@@ -12,6 +12,7 @@ from gpqed.kernels import from_name
 
 from conftest import (
     ALL_FAMILY_NAMES,
+    oracle_kernel,
     oracle_log_marginal_likelihood,
     oracle_predict,
     random_instance,
@@ -111,6 +112,64 @@ class TestFit:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="gradient"):
                 fit(data, kern, 0.1)
+
+
+def _oracle_derivatives(kern, X) -> list:
+    """dK/dtheta for each of kern.param_names(), one pair of points at a
+    time, from the closed forms of the kernels module docstring's formulas
+    (z = sqrt(3) r / l for matern32)."""
+    v = kern.variance
+    mats = [np.empty((len(X), len(X))) for _ in range(2)]
+    for i, x in enumerate(X):
+        for j, xp in enumerate(X):
+            if kern.family == "linear":
+                pair = (float(x @ xp), 1.0)
+            else:
+                r, l = float(np.linalg.norm(x - xp)), kern.lengthscale
+                if kern.family == "exponential":
+                    e = np.exp(-r / l)
+                    pair = (e, v * e * r / l ** 2)
+                elif kern.family == "matern32":
+                    z = np.sqrt(3.0) * r / l
+                    e = np.exp(-z)
+                    pair = ((1.0 + z) * e, v * z ** 2 * e / l)
+                else:
+                    e = np.exp(-r ** 2 / l)
+                    pair = (e, v * e * r ** 2 / l ** 2)
+            mats[0][i, j], mats[1][i, j] = pair
+    return mats
+
+
+class TestGradTerms:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    def test_both_rows_match_dense_oracle(self, rng, name, p):
+        # row 0 is alpha^T dKy alpha / 2 and row 1 tr(Ky^-1 dKy) / 2 for
+        # each kernel parameter, then the noise (dKy = I); the profiled
+        # objective and the scaling of its returned fits read each row
+        # alone, not only their difference
+        for _ in range(5):
+            data, kern, noise = random_instance(rng, n=12, p=p,
+                                                kernel_name=name)
+            f = fit(data, kern, noise)
+            Ky = np.array([[oracle_kernel(kern, a, b) for b in data.X]
+                           for a in data.X]) + noise * np.eye(data.n)
+            Ky_inv = np.linalg.inv(Ky)
+            alpha = Ky_inv @ (data.y - f.mean_constant)
+            dKs = _oracle_derivatives(kern, data.X) + [np.eye(data.n)]
+            want = 0.5 * np.array([[alpha @ dK @ alpha for dK in dKs],
+                                   [np.trace(Ky_inv @ dK) for dK in dKs]])
+            # relative error 1e-10, taken against the magnitude of each
+            # term's summands: it is the term itself where they share a
+            # sign, and where they cancel (linear's offset data term is
+            # (sum alpha)^2 / 2, near 0 when the mean constant is the mean
+            # of y) rounding is relative to it, not to the sum; measured
+            # at most 9e-14 of it
+            magnitude = 0.5 * np.array(
+                [[abs(alpha) @ abs(dK) @ abs(alpha) for dK in dKs],
+                 [np.sum(abs(Ky_inv * dK)) for dK in dKs]])
+            error = abs(f.grad_terms - want) / magnitude
+            assert error.max() < 1e-10, error
 
 
 class TestLogMarginalLikelihood:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpqed import cli, gp, hyperopt, inference, sim
+from gpqed import cli, gp, hyperopt, inference, kernels, sim
 from gpqed.errors import ConfigError, DataError, NumericalError
 from gpqed.gp import Dataset
 from gpqed.hyperopt import OptConfig
@@ -182,6 +182,60 @@ class TestNoPointFittedTwice:
                     atol=1e-12 * np.max(np.abs(want_array)))
         assert ev.log_ml == pytest.approx(
             sum(gp.log_marginal_likelihood(f) for f in fresh), rel=1e-12)
+
+
+class TestCallPoints:
+    """bench/tracer.py counts calls by wrapping gp.fit, gp.jittered_cholesky,
+    GramStructure.gram, kernels.gram and hyperopt.optimize where their
+    callers look them up; its per-layer counts keep their meaning only while
+    every objective evaluation goes through them once per part."""
+
+    @pytest.mark.parametrize("split", [False, True], ids=["M0", "M1"])
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    def test_one_fit_gram_and_cholesky_per_part(self, monkeypatch, name,
+                                                split):
+        calls = dict.fromkeys(["fit", "gram", "cholesky", "kernels.gram"], 0)
+        per_evaluation = []
+        optimize = hyperopt.optimize
+
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        def spy(objective, points):
+            def counted(w):
+                before = dict(calls)
+                try:
+                    return objective(w)
+                finally:
+                    per_evaluation.append(
+                        {key: calls[key] - before[key] for key in calls})
+            return optimize(counted, points)
+
+        for owner, attr, key in (
+                (gp, "fit", "fit"), (kernels.GramStructure, "gram", "gram"),
+                (gp, "jittered_cholesky", "cholesky"),
+                (kernels, "gram", "kernels.gram")):
+            monkeypatch.setattr(owner, attr, counting(key, getattr(owner, attr)))
+        monkeypatch.setattr(hyperopt, "optimize", spy)
+        data, kernel = _step_data(40), from_name(name)
+        if split:
+            fit_discontinuous(data, Threshold(0.0), kernel, FAST)
+        else:
+            fit_continuous(data, kernel, FAST)
+        monkeypatch.undo()
+
+        parts = 2 if split else 1
+        assert per_evaluation
+        assert all(counts == {"fit": parts, "gram": parts, "cholesky": parts,
+                              "kernels.gram": 0}
+                   for counts in per_evaluation)
+        # nothing is fitted outside an evaluation, so the tracer's
+        # kernels.gram calls (both gram functions) equal its gp.fit calls
+        assert calls["fit"] == parts * len(per_evaluation)
+        assert calls["gram"] + calls["kernels.gram"] == calls["fit"]
 
 
 class TestEffectSize:
