@@ -5,9 +5,13 @@ fixed Lee inputs (n = 100, d = 0.5, noise sd 0.3, four kernels, 2 restarts,
 data and optimizer seeds as ``sim.run_cell`` draws them for repetitions
 0-19 of cell 0 under master seed 0). For each input the JSON holds every
 kernel's M0 and M1 log-ML, log BF, M1 effect mean and variance, the
-kernel-averaged totals and the number of objective evaluations. Floats are
-written by ``repr``, so two outputs are equal as text exactly when every
-number is bit-equal.
+kernel-averaged totals and the number of objective evaluations. On each
+reference input it also holds every kernel's effect posterior away from the
+effect point: ``effect_size`` at 5 points, one call per point, on a 1-D
+input, and a 50-point ``geo.effect_profile`` on the 2-D boundary input.
+Last come the cells of one small ``cli.simulate`` grid, read back from the
+summary file it writes. Every value is a Python float written by ``repr``,
+so two outputs are equal as text exactly when every number is bit-equal.
 
 Run it in two checkouts and compare:
 
@@ -33,7 +37,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
-from gpqed import hyperopt, inference, sim  # noqa: E402
+import numpy as np  # noqa: E402
+
+from gpqed import cli, geo, hyperopt, inference, sim  # noqa: E402
 from gpqed.hyperopt import OptConfig  # noqa: E402
 from gpqed.inference import Threshold  # noqa: E402
 from gpqed.kernels import from_name  # noqa: E402
@@ -41,6 +47,16 @@ from workloads import WORKLOADS  # noqa: E402
 
 LEE_INPUTS = 20
 KERNELS = ("linear", "exp", "matern32", "se")
+EFFECT_POINTS = (-0.5, -0.25, 0.0, 0.25, 0.5)
+PROFILE_POINTS = 50
+SIM_GRID = {"latents": ["Linear", "Lee"], "effects": [0.0, 1.0],
+            "kernels": ["linear", "matern32"], "n": 30, "repetitions": 2,
+            "seed": 0, "optimizer": {"restarts": 2}}
+
+
+def _floats(values) -> list[float]:
+    """A scalar or an array as a flat list of Python floats."""
+    return [float(v) for v in np.ravel(values)]
 
 
 def _lee(rep: int):
@@ -49,9 +65,9 @@ def _lee(rep: int):
     data = sim.generate(config, seed=sim.rep_seed(config.seed, 0, rep))
     opt_seed = int(sim.rep_seed(config.seed, 0, rep, stream=1)
                    .generate_state(1)[0])
-    return inference.compare(data, Threshold(config.threshold),
-                             [from_name(k) for k in KERNELS],
-                             OptConfig(restarts=2, seed=opt_seed))
+    return _numbers(inference.compare(data, Threshold(config.threshold),
+                                      [from_name(k) for k in KERNELS],
+                                      OptConfig(restarts=2, seed=opt_seed)))
 
 
 def _numbers(result: inference.ComparisonResult) -> dict:
@@ -60,11 +76,42 @@ def _numbers(result: inference.ComparisonResult) -> dict:
             "log_ml_m0": kr.evidence_m0.log_ml,
             "log_ml_m1": kr.evidence_m1.log_ml,
             "log_bf10": kr.log_bf10,
-            "effect_mean": kr.effect.m1_mean,
-            "effect_var": kr.effect.m1_var} for kr in result.kernel_results},
+            "effect_mean": float(kr.effect.m1_mean),
+            "effect_var": float(kr.effect.m1_var)}
+            for kr in result.kernel_results},
         "totals": {key: float(getattr(result, key)) for key in (
             "total_log_bf", "total_p_m1", "bma_m1_mean", "bma_m1_var",
             "bma_mean", "bma_var")}}
+
+
+def _posterior(workload, kr, p: int) -> dict:
+    """One kernel's effect posterior along the boundary (p = 2) or at
+    EFFECT_POINTS, one effect_size call per point (p = 1)."""
+    if p == 2:
+        prof = geo.effect_profile(kr.fit_c, kr.fit_i, workload.boundary,
+                                  count=PROFILE_POINTS)
+        return {"means": _floats(prof.means),
+                "variances": _floats(prof.variances)}
+    pairs = [inference.effect_size(kr.fit_c, kr.fit_i, [x])
+             for x in EFFECT_POINTS]
+    return {"means": [v for m, _ in pairs for v in _floats(m)],
+            "variances": [v for _, var in pairs for v in _floats(var)]}
+
+
+def _reference(workload) -> dict:
+    result = workload.reference()
+    p = result.effect_point.shape[1]
+    return {**_numbers(result), "posteriors": {
+        kr.kernel.label: _posterior(workload, kr, p)
+        for kr in result.kernel_results}}
+
+
+def _simulate(workdir: str) -> dict:
+    """The cells of SIM_GRID as `simulate` writes them to its summary."""
+    path = os.path.join(workdir, "grid.json")
+    cli.simulate({**SIM_GRID, "output": {"summary_json": path}})
+    with open(path, encoding="utf-8") as fh:
+        return {"cells": json.load(fh)["cells"]}
 
 
 def _counted(run) -> dict:
@@ -81,7 +128,7 @@ def _counted(run) -> dict:
 
     hyperopt.optimize = counting
     try:
-        out = _numbers(run())
+        out = run()
     finally:
         hyperopt.optimize = optimize
     out["objective_evals"] = evals
@@ -92,10 +139,11 @@ def main() -> int:
     out = {}
     with tempfile.TemporaryDirectory() as workdir:
         for name, cls in WORKLOADS.items():
-            out[f"reference/{name}"] = _counted(
-                cls(seed=0, workdir=workdir).reference)
-    for rep in range(LEE_INPUTS):
-        out[f"lee/{rep}"] = _counted(lambda: _lee(rep))
+            workload = cls(seed=0, workdir=workdir)
+            out[f"reference/{name}"] = _counted(lambda: _reference(workload))
+        for rep in range(LEE_INPUTS):
+            out[f"lee/{rep}"] = _counted(lambda: _lee(rep))
+        out["simulate"] = _counted(lambda: _simulate(workdir))
     out["objective_evals"] = sum(v["objective_evals"] for v in out.values())
     json.dump(out, sys.stdout, indent=1)
     print()

@@ -2,10 +2,10 @@
 machine-readable reports.
 
 Subcommands: `analyze` (threshold or boundary discontinuity analysis of a CSV
-file), `simulate` (synthetic recovery grids), `version`. Configuration lives
-in a JSON file; the most common keys can be overridden by flags of the same
-name. Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numerical
-error.
+file), `simulate` (synthetic recovery grids), `version`. Configuration lives in
+a JSON file; common keys can be overridden by flags of the same name. Exit
+codes: 0 ok, 2 configuration error (an unreadable config file or an unwritable
+output too), 3 data error (an unreadable data file too), 4 numerical error.
 """
 
 from __future__ import annotations
@@ -40,9 +40,14 @@ def get_version() -> str:
 
 def load_csv(path: str, predictors: list[str], response: str) -> Dataset:
     """Strictly parse the named columns as decimal numbers, order preserved."""
-    if not os.path.exists(path):
-        raise DataError(f"data file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # a byte that is not UTF-8 reads as U+FFFD, an error only where parsed
+    try:
+        fh = open(path, "r", encoding="utf-8", errors="replace", newline="")
+    except FileNotFoundError:
+        raise DataError(f"data file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"data file {path}: {exc.strerror}") from None
+    with fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file (no header row)")
@@ -204,9 +209,9 @@ def _list_of(convert):
 
 
 def _opt_config(cfg: dict) -> OptConfig:
-    """The "optimizer" section; its seed defaults to the top-level one."""
-    opt = _section(cfg, "optimizer", {"restarts": _count, "seed": _int})
-    return OptConfig(**{**_given(cfg, {"seed": _int}), **opt})
+    """The "optimizer" section's restarts, seeded by the top-level seed."""
+    return OptConfig(**_given(cfg, {"seed": _int}),
+                     **_section(cfg, "optimizer", {"restarts": _count}))
 
 
 def _kernel_list(cfg: dict) -> list[kernels.KernelSpec]:
@@ -220,8 +225,37 @@ def _kernel_list(cfg: dict) -> list[kernels.KernelSpec]:
     return specs
 
 
+def _output_path(value) -> str:
+    """A JSON string naming a file, not a directory, in an existing one."""
+    path = _json(str)(value)
+    if os.path.isdir(path):
+        raise ValueError(f"{path} is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValueError(f"the directory of {path} does not exist")
+    return path
+
+
 def _outputs(cfg: dict, *names: str) -> dict:
-    return _section(cfg, "output", dict.fromkeys(names, _json(str)))
+    return _section(cfg, "output", dict.fromkeys(names, _output_path))
+
+
+def _write_outputs(outputs: dict, writers: dict) -> None:
+    """writers[key](path) for each output the config names, in writers'
+    order; on any failure the files already written are removed, and an
+    OSError becomes a ConfigError naming the key."""
+    written = []
+    try:
+        for key, write in writers.items():
+            if outputs.get(key):
+                write(outputs[key])
+                written.append(outputs[key])
+    except BaseException as exc:
+        for path in filter(os.path.exists, written):
+            os.unlink(path)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"config key {key!r}: cannot write "
+                              f"{outputs[key]}: {exc.strerror}") from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -328,24 +362,13 @@ def analyze(cfg: dict) -> dict:
         report["effect_profiles"] = profiles
     report["wall_time_seconds"] = time.perf_counter() - started
 
-    writers = {
+    _write_outputs(outputs, {
         "report": lambda path: write_json_atomic(path, report),
         "curves": lambda path: _export_curves(path, result, data, label,
                                               curve_grid),
         "density_samples": lambda path: write_csv_atomic(
             path, ["sample"], [[s] for s in inference.bma_effect_samples(
-                result, count=mc_samples, seed=seed).tolist()])}
-    written = []
-    try:
-        for key, write in writers.items():
-            if outputs.get(key):
-                write(outputs[key])
-                written.append(outputs[key])
-    except BaseException:
-        for p in written:
-            if os.path.exists(p):
-                os.unlink(p)
-        raise
+                result, count=mc_samples, seed=seed).tolist()])})
     return report
 
 
@@ -377,12 +400,11 @@ def simulate(cfg: dict) -> dict:
            "cells": [dataclasses.asdict(cell) for cell in summary.cells],
            "kernel_labels": list(summary.kernel_labels)}
 
-    if outputs.get("summary_json"):
-        write_json_atomic(outputs["summary_json"], out)
-    if outputs.get("summary_csv"):
-        write_csv_atomic(outputs["summary_csv"],
-                         ["latent", "effect", "kernel", "metric", "mean", "se"],
-                         rows)
+    _write_outputs(outputs, {
+        "summary_json": lambda path: write_json_atomic(path, out),
+        "summary_csv": lambda path: write_csv_atomic(
+            path, ["latent", "effect", "kernel", "metric", "mean", "se"],
+            rows)})
     return out
 
 
@@ -392,12 +414,14 @@ def simulate(cfg: dict) -> dict:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror}") from None
+    with fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gp, inference
+from . import inference
 from .errors import DataError, InputError
 from .gp import GPFit
 
@@ -141,16 +141,13 @@ class EffectProfile:
 
 def effect_profile(fit_c: GPFit, fit_i: GPFit, boundary: BoundaryPolyline,
                    count: int = 50) -> EffectProfile:
-    """Pointwise effect posterior d(s) = f_I(s) - f_C(s) along the boundary."""
-    if fit_c.data.p != 2 or fit_i.data.p != 2:
-        raise InputError("effect profiles require 2-D fits")
+    """`inference.effect_size` at `count` points spaced by arc length."""
     pts = boundary_points(boundary, count)
-    mc, vc = gp.predict(fit_c, pts)
-    mi, vi = gp.predict(fit_i, pts)
+    means, variances = inference.effect_size(fit_c, fit_i, pts)
     arcs = np.concatenate(
         [[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
     return EffectProfile(arc_lengths=arcs, points=pts,
-                         means=mi - mc, variances=vi + vc)
+                         means=means, variances=variances)
 
 
 def load_boundary(path) -> BoundaryPolyline:

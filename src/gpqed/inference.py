@@ -228,20 +228,18 @@ def fit_discontinuous(data: Dataset, label: LabelFunction, kernel: KernelSpec,
     return fit_c, fit_i, ev
 
 
-def effect_size(fit_c: GPFit, fit_i: GPFit, x0) -> tuple[float, float]:
-    """Gaussian effect posterior at x0: difference of the two sub-models.
-
-    Returns (mean, variance); the variance adds the two latent predictive
-    variances (the sub-models are independent by construction).
-    """
+def effect_size(fit_c: GPFit, fit_i: GPFit, X) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian effect posteriors at the rows of X (a flat sequence is one
+    point in R^p): the two sub-models' difference, as (means, variances) with
+    one entry per point; the sub-models are independent, so the two latent
+    predictive variances add."""
     if fit_c.kernel.family != fit_i.kernel.family:
         raise InputError("sub-fits must share the kernel family")
-    x0 = np.asarray(x0, dtype=float)
-    # a 1-D array is one point in R^p, not p one-dimensional points
-    x0 = x0.reshape(1, -1) if x0.ndim <= 1 else kernels._atleast_2d(x0)
-    mc, vc = gp.predict(fit_c, x0)
-    mi, vi = gp.predict(fit_i, x0)
-    return float(mi[0] - mc[0]), float(vi[0] + vc[0])
+    X = np.asarray(X, dtype=float)
+    X = X.reshape(1, -1) if X.ndim <= 1 else X
+    mc, vc = gp.predict(fit_c, X)
+    mi, vi = gp.predict(fit_i, X)
+    return mi - mc, vi + vc
 
 
 def kernel_labels(kernel_list: list[KernelSpec]) -> list[str]:
@@ -286,8 +284,8 @@ def compare(data: Dataset, label: LabelFunction,
         fitc, fiti, ev1 = fit_discontinuous(data, label, kern, cfg)
         log_bf10 = ev1.log_evidence - ev0.log_evidence
         p1 = float(expit(log_bf10))  # p(M1|D) when p(M0) = p(M1)
-        mean, var = effect_size(fitc, fiti, effect_point)
-        effect = EffectPosterior(m1_mean=mean, m1_var=var,
+        (mean,), (var,) = effect_size(fitc, fiti, effect_point)
+        effect = EffectPosterior(m1_mean=float(mean), m1_var=float(var),
                                  spike_weight=1.0 - p1, gaussian_weight=p1)
         results.append(KernelResult(
             kernel=kern, fit_m0=fit0, fit_c=fitc, fit_i=fiti,

@@ -266,6 +266,18 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", str(cfg)]) == 2
         assert "threshold" in capsys.readouterr().err
 
+    def test_failed_later_output_leaves_no_file(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("disk went away")
+        monkeypatch.setattr(cli, "write_csv_atomic", fail)
+        cfg = {"latents": ["Linear"], "effects": [1.0], "kernels": ["exp"],
+               "n": 20, "repetitions": 1, "optimizer": {"restarts": 1},
+               "output": {"summary_json": str(tmp_path / "grid.json"),
+                          "summary_csv": str(tmp_path / "grid.csv")}}
+        with pytest.raises(RuntimeError, match="disk went away"):
+            cli.simulate(cfg)
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_latent_lists_valid_names(self):
         cfg = {"latents": ["Cosine"], "effects": [1.0], "kernels": ["exp"],
                "n": 30, "repetitions": 1}
@@ -411,7 +423,6 @@ class TestMain:
         (command, section, key, value)
         for command, section, key, values in [
             ("analyze", None, "seed", _NOT_INTEGERS),
-            ("analyze", "optimizer", "seed", _NOT_INTEGERS),
             ("analyze", "optimizer", "restarts", [*_NOT_INTEGERS, 0]),
             ("analyze", None, "mc_samples", _NOT_INTEGERS),
             ("analyze", None, "curve_grid", _NOT_INTEGERS),
@@ -484,6 +495,9 @@ class TestMain:
         ("analyze", "optimizer", "tolernce"),
         ("analyze", "optimizer", "tolerance"),
         ("analyze", "optimizer", "max_iterations"),
+        # the top-level seed seeds the optimizer; there is no second one
+        ("analyze", "optimizer", "seed"),
+        ("simulate", "optimizer", "seed"),
         ("analyze", "output", "summary_json"),
         ("simulate", "output", "report"),
     ])
@@ -519,6 +533,84 @@ class TestMain:
         assert cli.main(["analyze", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(
             "configuration error: config key 'curves'")
+
+    @pytest.mark.parametrize("command, key", [
+        ("analyze", "report"), ("analyze", "curves"),
+        ("analyze", "density_samples"), ("simulate", "summary_json"),
+        ("simulate", "summary_csv")])
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unwritable_output_fails_before_the_data_are_read(
+            self, tmp_path, capsys, monkeypatch, command, key, where):
+        def run(*args, **kwargs):
+            raise AssertionError("the analysis ran before the config was read")
+        monkeypatch.setattr(cli.inference, "compare", run)
+        monkeypatch.setattr(cli.sim, "run_grid", run)
+        target = {"missing-directory": tmp_path / "no-such-dir" / "out",
+                  "a-directory": tmp_path}[where]
+        # a data file that does not exist would be a data error (exit 3)
+        cfg = _base_config(tmp_path, data=str(tmp_path / "no-such.csv"),
+                           output={key: str(target)})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config key {key!r}")
+
+    @pytest.mark.parametrize("command, first, failing, writer", [
+        ("analyze", "report", "density_samples", "write_csv_atomic"),
+        ("simulate", "summary_json", "summary_csv", "write_csv_atomic")])
+    def test_failed_write_is_a_config_error_and_leaves_no_file(
+            self, tmp_path, capsys, monkeypatch, command, first, failing,
+            writer):
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+        monkeypatch.setattr(cli, writer, refuse)
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = _base_config(tmp_path, latents=["Linear"], effects=[1.0], n=20,
+                           repetitions=1, output={
+                               first: str(out / "first"),
+                               failing: str(out / "failing")})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config key {failing!r}")
+        assert "Permission denied" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_data_file_is_a_data_error(self, tmp_path, capsys,
+                                                  monkeypatch, kind):
+        def compare(*args, **kwargs):
+            raise AssertionError("compare ran without data")
+        monkeypatch.setattr(cli.inference, "compare", compare)
+        data = tmp_path / "data"
+        if kind == "directory":
+            data.mkdir()
+        else:
+            data.write_bytes(b"x,y\n0.5,\xff1.0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_base_config(tmp_path, data=str(data))))
+        assert cli.main(["analyze", "--config", str(cfg)]) == 3
+        assert str(data) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_file_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch, command, kind):
+        def run(*args, **kwargs):
+            raise AssertionError("the analysis ran without a config")
+        monkeypatch.setattr(cli.inference, "compare", run)
+        monkeypatch.setattr(cli.sim, "run_grid", run)
+        cfg = tmp_path / "cfg.json"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b'{"seed": "\xff"}')
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(cfg) in err
 
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_two_kernels_with_one_label_are_a_config_error(

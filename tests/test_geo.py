@@ -231,6 +231,14 @@ class TestEffectProfile:
             assert m == pytest.approx(em, abs=1e-12)
             assert v == pytest.approx(ev, abs=1e-12)
 
+    def test_fits_of_two_families_are_an_input_error(self, rng):
+        fit_c, _ = self._fits(rng, same=True)
+        X = rng.uniform(-3, 3, size=(15, 2))
+        fit_i = gp.fit(Dataset(X, np.sin(X[:, 0])), from_name("linear"), 0.05,
+                       mean_constant=fit_c.mean_constant)
+        with pytest.raises(InputError, match="kernel family"):
+            effect_profile(fit_c, fit_i, _horizontal())
+
     def test_requires_2d_fits(self, rng):
         kern = from_name("se")
         f = gp.fit(Dataset(np.linspace(0, 1, 5), np.zeros(5)), kern, 0.1)

@@ -251,8 +251,24 @@ class TestEffectSize:
         data = _step_data(200, d=4.0, seed=6, noise=0.5)
         fc, fi, _ = fit_discontinuous(data, Threshold(0.0),
                                       from_name("exp"), FAST)
-        mean, var = effect_size(fc, fi, [[0.0]])
+        (mean,), (var,) = effect_size(fc, fi, [[0.0]])
         assert mean == pytest.approx(4.0, abs=3 * np.sqrt(var) + 0.5)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_each_point_matches_a_one_point_call(self, p):
+        rng = np.random.default_rng(p)
+        kern = from_name("matern32", lengthscale=0.7)
+        fc, fi = (gp.fit(Dataset(rng.uniform(-1, 1, (40, p)),
+                                 rng.standard_normal(40) + shift), kern, 0.2)
+                  for shift in (0.0, 1.0))
+        X = rng.uniform(-1, 1, (3, p))
+        means, variances = effect_size(fc, fi, X)
+        assert means.shape == variances.shape == (3,)
+        # BLAS sums a batch of query points in another order than a single
+        # one, so the two agree to round-off, not bit for bit
+        single = np.array([effect_size(fc, fi, x) for x in X])
+        np.testing.assert_allclose(means, single[:, 0, 0], rtol=1e-12)
+        np.testing.assert_allclose(variances, single[:, 1, 0], rtol=1e-12)
 
     def test_makes_no_n_by_n_array(self):
         # each side's fit keeps L^-1, so the effect at one point forms no
