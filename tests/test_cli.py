@@ -423,6 +423,8 @@ class TestMain:
         (command, section, key, value)
         for command, section, key, values in [
             ("analyze", None, "seed", _NOT_INTEGERS),
+            # an unknown key now, so no value passes; a non-integer still fails
+            ("analyze", "optimizer", "seed", _NOT_INTEGERS),
             ("analyze", "optimizer", "restarts", [*_NOT_INTEGERS, 0]),
             ("analyze", None, "mc_samples", _NOT_INTEGERS),
             ("analyze", None, "curve_grid", _NOT_INTEGERS),
