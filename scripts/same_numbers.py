@@ -1,7 +1,9 @@
 """Write every number a comparison reports on fixed inputs, for an `==` check.
 
-The inputs are the three benchmark workloads' ``reference()`` inputs and 20
-fixed Lee inputs (n = 100, d = 0.5, noise sd 0.3, four kernels, 2 restarts,
+The inputs are the three benchmark workloads' ``reference()`` inputs, the
+first pool input of ``threshold_large`` (n = 400) and of ``boundary_2d``
+(n = 300) at seed 0, each spanning several kernel chunks, and 20 fixed Lee
+inputs (n = 100, d = 0.5, noise sd 0.3, four kernels, 2 restarts,
 data and optimizer seeds as ``sim.run_cell`` draws them for repetitions
 0-19 of cell 0 under master seed 0). For each input the JSON holds every
 kernel's M0 and M1 log-ML, log BF, M1 effect mean and variance, the
@@ -43,7 +45,7 @@ from gpqed import cli, geo, hyperopt, inference, sim  # noqa: E402
 from gpqed.hyperopt import OptConfig  # noqa: E402
 from gpqed.inference import Threshold  # noqa: E402
 from gpqed.kernels import from_name  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, Boundary2D, ThresholdLarge, _step_data  # noqa: E402
 
 LEE_INPUTS = 20
 KERNELS = ("linear", "exp", "matern32", "se")
@@ -106,6 +108,27 @@ def _reference(workload) -> dict:
         for kr in result.kernel_results}}
 
 
+# the first pool input of a workload at seed 0
+FIRST = np.random.SeedSequence([0, 0])
+
+
+def _threshold_large(workload: ThresholdLarge) -> dict:
+    """An n = 400 input, five kernel chunks, fitted as an analysis at seed 0
+    fits it."""
+    return _numbers(inference.compare(
+        _step_data(400, FIRST), Threshold(0.0), workload.kernels,
+        OptConfig(restarts=1, seed=0)))
+
+
+def _boundary_2d(workload: Boundary2D) -> dict:
+    """An n = 300 input in 2-D, three kernel chunks, fitted as the workload
+    fits the comparison its queries read."""
+    return _numbers(inference.compare(
+        workload._data(300, FIRST), workload.label, workload.kernels,
+        OptConfig(restarts=workload.restarts, seed=0),
+        effect_point=geo.boundary_points(workload.boundary, 3)[1]))
+
+
 def _simulate(workdir: str) -> dict:
     """The cells of SIM_GRID as `simulate` writes them to its summary."""
     path = os.path.join(workdir, "grid.json")
@@ -135,12 +158,18 @@ def _counted(run) -> dict:
     return out
 
 
+LARGE = {"threshold_large": _threshold_large, "boundary_2d": _boundary_2d}
+
+
 def main() -> int:
     out = {}
     with tempfile.TemporaryDirectory() as workdir:
         for name, cls in WORKLOADS.items():
             workload = cls(seed=0, workdir=workdir)
             out[f"reference/{name}"] = _counted(lambda: _reference(workload))
+            if name in LARGE:
+                out[f"large/{name}"] = _counted(
+                    lambda: LARGE[name](workload))
         for rep in range(LEE_INPUTS):
             out[f"lee/{rep}"] = _counted(lambda: _lee(rep))
         out["simulate"] = _counted(lambda: _simulate(workdir))

@@ -122,8 +122,9 @@ def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
         log_det = 2.0 * float(np.log(L.diagonal()).sum())
         # L becomes L^-1 in place
         Ky_inv = cholesky_inverse(L)
-        terms = _log_ml_grad_terms(structure, kernel, noise_variance, K,
-                                   Ky_inv, resid, alpha)
+        # Ky was factorized with noise + jitter on its diagonal
+        terms = _log_ml_grad_terms(structure, kernel, noise_variance + jitter,
+                                   K, Ky_inv, resid, alpha)
     if not np.isfinite(terms).all():
         raise NumericalError("log marginal likelihood gradient is not finite")
     return GPFit(kernel=kernel, mean_constant=c, noise_variance=noise_variance,

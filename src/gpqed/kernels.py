@@ -32,10 +32,12 @@ SQRT3 = np.sqrt(3.0)
 # leaves of 32 and 128 were no faster at any n from 40 to 1000)
 _TRTRI_LEAF = 64
 
-# the kernel formulas run over slices of at most this many elements, so a
-# slice and its temporaries stay in cache (one matern32 cross at n = 300,
-# m = 2,500 on a 2-core Xeon: 4.4-5.3 ms at 2^15 and 2^16, 6.2-8.5 ms at
-# 2^11 and 6.7-7.8 ms at 2^20, against 8.5-9.4 ms over the whole array)
+# the kernel formulas and the lengthscale derivative run over slices of at
+# most this many elements, so a slice and its temporaries stay in cache and
+# no temporary is n x n (on a 2-core Xeon, one matern32 cross at n = 300,
+# m = 2,500: 4.4-5.3 ms at 2^15 and 2^16, 6.2-8.5 ms at 2^11 and 6.7-7.8
+# ms at 2^20, against 8.5-9.4 ms over the whole array; the matern32
+# derivative in an n = 400 fit: 0.71 ms, against 1.17-1.23 ms over it)
 _CHUNK = 2 ** 15
 
 
@@ -116,6 +118,11 @@ def _chunks(src: np.ndarray, out: np.ndarray) -> list:
             for i in range(0, src.size, _CHUNK)]
 
 
+def _scratch(src: np.ndarray) -> np.ndarray:
+    """Scratch for any slice of _chunks(src, out), as s[:len(slice)]."""
+    return np.empty(src.shape if src.size <= _CHUNK else _CHUNK)
+
+
 def _stationary_from_r(spec: KernelSpec, r: np.ndarray,
                        out: np.ndarray | None = None) -> np.ndarray:
     """The module docstring's formulas at the distances r, written into out
@@ -126,10 +133,7 @@ def _stationary_from_r(spec: KernelSpec, r: np.ndarray,
     """
     family, v, l = spec.family, spec.variance, spec.lengthscale
     out = np.empty(r.shape) if out is None else out
-    # scratch for exp(-z), shaped like a chunk: e[:len(ks)] is all of it
-    # when r is one chunk, and a chunk's length of it otherwise
-    e = (np.empty(r.shape if r.size <= _CHUNK else _CHUNK)
-         if family == "matern32" else None)
+    e = _scratch(r) if family == "matern32" else None    # for exp(-z)
     for rs, ks in _chunks(r, out):
         if family == "matern32":
             np.multiply(SQRT3, rs, out=ks)          # z
@@ -231,6 +235,8 @@ class GramStructure:
         diagonal; it is overwritten with dK/dp. dK/dvariance is None for a
         stationary kernel, where it is the noise-free K / variance, and the
         cached dot products (not to be written) for the linear kernel.
+        The lengthscale derivative runs chunk by chunk, as the kernel
+        formulas do, so no temporary is n x n.
         """
         if not spec.stationary:
             K.fill(1.0)
@@ -239,17 +245,20 @@ class GramStructure:
         # dK/dl is K times a function of r that is 0 at r = 0, so the
         # diagonal of K never matters
         if spec.family == "matern32":        # K z^2 / ((1 + z) l)
-            z = r * (SQRT3 / l)
-            K *= z
-            K *= z
-            z += 1.0
-            K /= z
-            K /= l
+            s = _scratch(r)
+            for rs, ks in _chunks(r, K):
+                z = np.multiply(rs, SQRT3 / l, out=s[:len(ks)])
+                ks *= z
+                ks *= z
+                z += 1.0
+                ks /= z
+                ks /= l
         else:               # K r / l^2, or K r^2 / l^2 for se
-            K *= r
-            if spec.family == "squared_exponential":
-                K *= r
-            K /= l * l
+            for rs, ks in _chunks(r, K):
+                ks *= rs
+                if spec.family == "squared_exponential":
+                    ks *= rs
+                ks /= l * l
         return None, K
 
 

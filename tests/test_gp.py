@@ -78,6 +78,23 @@ class TestFit:
         assert sign == 1.0
         assert f.log_det == pytest.approx(log_det, rel=0, abs=1e-9)
         assert fit(data, from_name("se"), noise_variance=0.1).jitter == 0.0
+        # the variance column is alpha^T K alpha / 2 and tr(Ky^-1 K) / 2
+        # (dK/dvariance = K at variance 1) with Ky the matrix factorized,
+        # so K is Ky less noise + jitter, not less the noise alone
+        Ky_inv = np.linalg.inv(Ky)
+        resid = data.y - f.mean_constant
+        alpha = Ky_inv @ resid
+        want = 0.5 * np.array([alpha @ K @ alpha, np.trace(Ky_inv @ K)])
+        # the fit's data term is (alpha^T resid - (noise + jitter)
+        # alpha^T alpha) / 2: two summands of about 2.5e6 that cancel to
+        # about 0, so, as in TestGradTerms, its error is taken relative to
+        # the summands; Ky's condition number of about 4e6 makes that error
+        # about 4e6 * 2.2e-16 ~ 1e-9
+        magnitude = 0.5 * np.array(
+            [abs(alpha) @ abs(resid) + f.jitter * (alpha @ alpha),
+             np.sum(abs(Ky_inv * K))])
+        error = abs(f.grad_terms[:, 0] - want) / magnitude
+        assert error.max() < 1e-8, error
 
     def test_constant_y_zero_alpha(self):
         d = Dataset(np.linspace(0, 1, 6), np.full(6, 3.5))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,51 @@ class TestCrossInChunks:
         # 40,000 entries: more than one chunk
         first = structure.gram(spec).copy()
         np.testing.assert_array_equal(structure.gram(spec), first)
+
+
+def _plain_derivative(spec, r, K):
+    """dK/dl over the whole array, in the order of operations
+    GramStructure.derivative applies chunk by chunk."""
+    l = spec.lengthscale
+    if spec.family == "matern32":
+        z = r * (SQRT3 / l)
+        return K * z * z / (z + 1.0) / l
+    if spec.family == "exponential":
+        return K * r / (l * l)
+    return K * r * r / (l * l)
+
+
+class TestDerivativeInChunks:
+    """The lengthscale derivative runs in place over chunks of K; every
+    value is bit-equal to the whole-array expression."""
+
+    @pytest.mark.parametrize("n", [100, 181, 182, 400],
+                             ids=["below", "one_chunk", "one_over", "several"])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("name", ["exp", "matern32", "se"])
+    def test_bit_equal_to_whole_array_expression(self, rng, name, p, n):
+        spec = random_kernel(rng, name)
+        structure = GramStructure(rng.uniform(-3, 3, size=(n, p)))
+        K = structure.gram(spec)
+        dist = structure._dist.copy()
+        want = _plain_derivative(spec, dist, K)
+        d_var, d_l = structure.derivative(spec, K)
+        assert d_var is None and d_l is K
+        np.testing.assert_array_equal(d_l, want)
+        np.testing.assert_array_equal(structure._dist, dist)
+
+    def test_makes_no_n_by_n_array(self, rng):
+        # one chunk of scratch for z, against an n x n z at n = 400
+        spec = random_kernel(rng, "matern32")
+        structure = GramStructure(rng.uniform(-3, 3, size=(400, 1)))
+        K = structure.gram(spec)
+        tracemalloc.start()
+        try:
+            structure.derivative(spec, K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 400 * 8 / 4
 
 
 class TestNumHyperparameters:
