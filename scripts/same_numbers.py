@@ -10,7 +10,10 @@ kernel's M0 and M1 log-ML, log BF, M1 effect mean and variance, the
 kernel-averaged totals and the number of objective evaluations. On each
 reference input it also holds every kernel's effect posterior away from the
 effect point: ``effect_size`` at 5 points, one call per point, on a 1-D
-input, and a 50-point ``geo.effect_profile`` on the 2-D boundary input.
+input, and a 50-point ``geo.effect_profile`` on the 2-D boundary input. On
+each 1-D reference input it also holds every fit's (M0, M1's two sides)
+posterior mean and variance on the 200-point grid of the workloads' 1-D
+query batches.
 Last come the cells of one small ``cli.simulate`` grid, read back from the
 summary file it writes. Every value is a Python float written by ``repr``,
 so two outputs are equal as text exactly when every number is bit-equal.
@@ -41,15 +44,17 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import numpy as np  # noqa: E402
 
-from gpqed import cli, geo, hyperopt, inference, sim  # noqa: E402
+from gpqed import cli, geo, gp, hyperopt, inference, sim  # noqa: E402
 from gpqed.hyperopt import OptConfig  # noqa: E402
 from gpqed.inference import Threshold  # noqa: E402
 from gpqed.kernels import from_name  # noqa: E402
-from workloads import WORKLOADS, Boundary2D, ThresholdLarge, _step_data  # noqa: E402
+from workloads import (CURVE_POINTS, WORKLOADS, Boundary2D,  # noqa: E402
+                       ThresholdLarge, _step_data)
 
 LEE_INPUTS = 20
 KERNELS = ("linear", "exp", "matern32", "se")
 EFFECT_POINTS = (-0.5, -0.25, 0.0, 0.25, 0.5)
+QUERY_GRID = np.linspace(-1.0, 1.0, CURVE_POINTS).reshape(-1, 1)
 PROFILE_POINTS = 50
 SIM_GRID = {"latents": ["Linear", "Lee"], "effects": [0.0, 1.0],
             "kernels": ["linear", "matern32"], "n": 30, "repetitions": 2,
@@ -87,8 +92,9 @@ def _numbers(result: inference.ComparisonResult) -> dict:
 
 
 def _posterior(workload, kr, p: int) -> dict:
-    """One kernel's effect posterior along the boundary (p = 2) or at
-    EFFECT_POINTS, one effect_size call per point (p = 1)."""
+    """One kernel's effect posterior along the boundary (p = 2), or at
+    EFFECT_POINTS, one effect_size call per point, with every fit's
+    posterior on the 1-D query grid (p = 1)."""
     if p == 2:
         prof = geo.effect_profile(kr.fit_c, kr.fit_i, workload.boundary,
                                   count=PROFILE_POINTS)
@@ -96,8 +102,13 @@ def _posterior(workload, kr, p: int) -> dict:
                 "variances": _floats(prof.variances)}
     pairs = [inference.effect_size(kr.fit_c, kr.fit_i, [x])
              for x in EFFECT_POINTS]
+    curves = {}
+    for name in ("fit_m0", "fit_c", "fit_i"):
+        mean, var = gp.predict(getattr(kr, name), QUERY_GRID)
+        curves[name] = {"means": _floats(mean), "variances": _floats(var)}
     return {"means": [v for m, _ in pairs for v in _floats(m)],
-            "variances": [v for _, var in pairs for v in _floats(var)]}
+            "variances": [v for _, var in pairs for v in _floats(var)],
+            "curves": curves}
 
 
 def _reference(workload) -> dict:

@@ -54,8 +54,16 @@ def load_csv(path: str, predictors: list[str], response: str) -> Dataset:
         for col in [*predictors, response]:
             if col not in reader.fieldnames:
                 raise DataError(f"{path}: missing column {col!r}")
+            if reader.fieldnames.count(col) > 1:
+                raise DataError(f"{path}: column {col!r} is named more than "
+                                "once in the header")
         X_rows, y_rows = [], []
         for rownum, row in enumerate(reader, start=2):
+            # DictReader keys the cells past the header's last column by None
+            if None in row:
+                raise DataError(f"{path}: row {rownum}: more values than "
+                                f"the header's {len(reader.fieldnames)} "
+                                "columns")
             def cell(col):
                 raw = row.get(col)
                 if raw is None:
@@ -100,12 +108,17 @@ def _json_dump(obj, fh) -> None:
 
 
 def _write_atomic(path: str, write, newline=None) -> None:
-    """Call write(fh) on a temporary file next to path, then move it there."""
+    """Call write(fh) on a temporary file next to path, then move it there,
+    with the mode open(path, "w") would give it."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as fh:
             write(fh)
+        # mkstemp makes the file 0600; the umask can only be read by setting it
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -8,6 +8,14 @@ a lengthscale ``l`` and evaluate on the Euclidean distance r = ||x - x'||:
     exponential:  sigma_v^2 * exp(-r / l)
     matern32:     sigma_v^2 * (1 + sqrt(3) r / l) * exp(-sqrt(3) r / l)
     se:           sigma_v^2 * exp(-r^2 / l)
+
+One producer, _pairwise, makes the distances and dot products for cross and
+GramStructure. With two or more predictors they come from scipy's cdist and
+X @ Xs.T. With one predictor they are |d| for d = x - x', and x * x', made
+by broadcasting, which is cheaper and bit-equal: in binary64 cdist's
+sqrt(fl(d^2)) is |d| unless d^2 under- or overflows (|d| < 1.5e-154 or
+> 1.34e154, where cdist loses the distance and |d| keeps it), and a matrix
+product with inner dimension 1 is one multiplication per entry.
 """
 
 from __future__ import annotations
@@ -166,22 +174,35 @@ def _linear_from_dot(spec: KernelSpec, dots: np.ndarray,
     return out
 
 
+def _pairwise(stationary: bool, X: np.ndarray, Xs: np.ndarray) -> np.ndarray:
+    """The n x m distances (stationary) or dot products between rows of the
+    2-D X and Xs, as the one n x m array made: by broadcasting (abs in
+    place) with one column, with the bits of cdist and X @ Xs.T (module
+    docstring), and by those with more."""
+    if X.shape[1] == 1:
+        if stationary:
+            r = np.subtract(X, Xs.T)
+            return np.abs(r, out=r)
+        return np.multiply(X, Xs.T)
+    return cdist(X, Xs) if stationary else X @ Xs.T
+
+
 def cross(spec: KernelSpec, X, Xs) -> np.ndarray:
     """The n x m matrix of covariances between rows of X and rows of Xs.
 
     It is the one n x m array made: the kernel formula overwrites the
-    distances (or dot products) it is evaluated at.
+    distances (or dot products) from _pairwise, which broadcasts at p = 1
+    and calls cdist (or X @ Xs.T) otherwise, with the same bits either way.
     """
     X = _atleast_2d(X)
     Xs = _atleast_2d(Xs)
     if X.shape[1] != Xs.shape[1]:
         raise InputError(
             f"dimension mismatch: {X.shape[1]} vs {Xs.shape[1]}")
+    pairs = _pairwise(spec.stationary, X, Xs)
     if spec.stationary:
-        r = cdist(X, Xs)
-        return _stationary_from_r(spec, r, out=r)
-    dots = X @ Xs.T
-    return _linear_from_dot(spec, dots, out=dots)
+        return _stationary_from_r(spec, pairs, out=pairs)
+    return _linear_from_dot(spec, pairs, out=pairs)
 
 
 def diag(spec: KernelSpec, X) -> np.ndarray:
@@ -207,7 +228,9 @@ class GramStructure:
 
     Re-evaluating a Gram matrix for new hyperparameters then costs only the
     elementwise kernel formula, which matters inside hyperparameter
-    optimization loops.
+    optimization loops. The distances and dot products come from _pairwise,
+    as cross's do (broadcast at p = 1, bit-equal to cdist and X @ X.T), made
+    exactly symmetric.
     """
 
     def __init__(self, X):
@@ -218,11 +241,11 @@ class GramStructure:
     def gram(self, spec: KernelSpec) -> np.ndarray:
         if spec.stationary:
             if self._dist is None:
-                d = cdist(self.X, self.X)
+                d = _pairwise(True, self.X, self.X)
                 self._dist = 0.5 * (d + d.T)
             return _stationary_from_r(spec, self._dist)
         if self._dots is None:
-            dots = self.X @ self.X.T
+            dots = _pairwise(False, self.X, self.X)
             self._dots = 0.5 * (dots + dots.T)
         return _linear_from_dot(spec, self._dots)
 

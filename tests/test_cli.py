@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -83,6 +85,20 @@ class TestLoadCsv:
         p = tmp_path / "d.csv"
         p.write_text("x,y\n")
         with pytest.raises(DataError, match="no data rows"):
+            cli.load_csv(str(p), ["x"], "y")
+
+    def test_repeated_column_rejected(self, tmp_path):
+        # csv.DictReader would read x from the last of the two columns
+        p = tmp_path / "d.csv"
+        p.write_text("x,y,x\n1.0,2.0,3.0\n")
+        with pytest.raises(DataError, match="column 'x' is named more than once"):
+            cli.load_csv(str(p), ["x"], "y")
+
+    def test_extra_cells_rejected(self, tmp_path):
+        # an unquoted decimal comma: csv.DictReader would read x = 3, y = 14
+        p = tmp_path / "d.csv"
+        p.write_text("x,y\n0.5,1.0\n3,14,1.0\n")
+        with pytest.raises(DataError, match="row 3: more values"):
             cli.load_csv(str(p), ["x"], "y")
 
     def test_two_predictors(self, tmp_path):
@@ -645,6 +661,19 @@ class TestAtomicWrites:
         cli.write_json_atomic(str(p), {"a": 1})
         assert json.loads(p.read_text()) == {"a": 1}
         assert list(tmp_path.iterdir()) == [p]  # no stray temp files
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                             ids=["022", "027"])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        # as open(path, "w") would make them, not mkstemp's 0600
+        paths = [tmp_path / "o.json", tmp_path / "o.csv"]
+        old = os.umask(umask)
+        try:
+            cli.write_json_atomic(str(paths[0]), {"a": 1})
+            cli.write_csv_atomic(str(paths[1]), ["a"], [[1]])
+        finally:
+            os.umask(old)
+        assert [stat.S_IMODE(p.stat().st_mode) for p in paths] == [mode] * 2
 
     def test_failure_leaves_no_temp(self, tmp_path):
         p = tmp_path / "o.json"

@@ -238,6 +238,34 @@ class TestCallPoints:
         assert calls["gram"] + calls["kernels.gram"] == calls["fit"]
 
 
+class TestDistanceCallPoints:
+    """kernels._pairwise makes one predictor's distances by broadcasting
+    and keeps scipy's cdist for two or more, choosing by the shape of the
+    points alone; a comparison and its predictions follow that choice."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_cdist_only_with_two_predictors(self, monkeypatch, p):
+        calls = 0
+        cdist = kernels.cdist
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return cdist(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "cdist", counted)
+        rng = np.random.default_rng(p)
+        X = rng.uniform(-1, 1, size=(40, p))
+        y = X[:, 0] + (X[:, 0] >= 0) + 0.3 * rng.standard_normal(40)
+        result = compare(Dataset(X, y), Threshold(0.0),
+                         [from_name(k) for k in ALL_FAMILY_NAMES], FAST,
+                         effect_point=np.zeros(p))
+        for kr in result.kernel_results:
+            gp.predict(kr.fit_m0, X[:5])
+        # at p = 2 each stationary fit and prediction calls it
+        assert calls == 0 if p == 1 else calls > 0
+
+
 class TestEffectSize:
     def test_identical_fits_symmetric(self):
         data = _step_data(30, d=0.0)

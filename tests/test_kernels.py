@@ -198,6 +198,67 @@ class TestDerivativeInChunks:
         assert peak < 400 * 400 * 8 / 4
 
 
+def _one_predictor_points(rng, n, m, scale, ties):
+    """n and m points on one axis at the given scale. With ties, both sets
+    take values from one coarse grid, so values repeat within and across
+    them; Xs also repeats the first rows of X."""
+    if ties:
+        grid = scale * np.linspace(-1.0, 1.0, 9)
+        X, Xs = rng.choice(grid, size=(n, 1)), rng.choice(grid, size=(m, 1))
+    else:
+        X = rng.uniform(-scale, scale, size=(n, 1))
+        Xs = rng.uniform(-scale, scale, size=(m, 1))
+    Xs[:min(n, m) // 2] = X[:min(n, m) // 2]
+    return X, Xs
+
+
+class TestOnePredictor:
+    """At p = 1 the distances and dot products are |x - x'| and x * x' by
+    broadcasting, bit-equal to cdist and X @ Xs.T, through cross and
+    GramStructure.gram alike."""
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["spread", "ties"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 7), (33, 5), (100, 200),
+                                      (400, 200)])
+    def test_bit_equal_to_cdist_and_matmul(self, rng, n, m, scale, ties):
+        X, Xs = _one_predictor_points(rng, n, m, scale, ties)
+        for name in ALL_FAMILY_NAMES:
+            spec = random_kernel(rng, name)
+            if spec.stationary:
+                pairs, dense = cdist(X, Xs), cdist(X, X)
+                want = kernels._stationary_from_r(spec, pairs)
+            else:
+                pairs, dense = X @ Xs.T, X @ X.T
+                want = kernels._linear_from_dot(spec, pairs)
+            np.testing.assert_array_equal(
+                kernels._pairwise(spec.stationary, X, Xs), pairs)
+            np.testing.assert_array_equal(kernels.cross(spec, X, Xs), want)
+            structure = GramStructure(X)
+            K = structure.gram(spec)
+            cached = structure._dist if spec.stationary else structure._dots
+            np.testing.assert_array_equal(cached, 0.5 * (dense + dense.T))
+            np.testing.assert_array_equal(
+                K, kernels._stationary_from_r(spec, cached)
+                if spec.stationary else kernels._linear_from_dot(spec, cached))
+
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    def test_cross_makes_one_n_by_m_array(self, rng, name):
+        # n x m distances with abs in place, against a second array from an
+        # abs that allocates; matern32 adds one chunk of scratch
+        spec = random_kernel(rng, name)
+        n, m = 400, 200
+        X, Xs = rng.uniform(-3, 3, size=(n, 1)), rng.uniform(-3, 3, size=(m, 1))
+        scratch = kernels._CHUNK * 8 if name == "matern32" else 0
+        tracemalloc.start()
+        try:
+            kernels.cross(spec, X, Xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * m * 8 + scratch
+
+
 class TestNumHyperparameters:
     """Every family has two free kernel hyperparameters; BIC's k adds the
     noise variance."""
