@@ -40,9 +40,10 @@ def get_version() -> str:
 
 def load_csv(path: str, predictors: list[str], response: str) -> Dataset:
     """Strictly parse the named columns as decimal numbers, order preserved."""
-    # a byte that is not UTF-8 reads as U+FFFD, an error only where parsed
+    # a byte-order mark is skipped, and a byte that is not UTF-8 reads as
+    # U+FFFD, an error only where parsed
     try:
-        fh = open(path, "r", encoding="utf-8", errors="replace", newline="")
+        fh = open(path, encoding="utf-8-sig", errors="replace", newline="")
     except FileNotFoundError:
         raise DataError(f"data file not found: {path}") from None
     except OSError as exc:
@@ -428,7 +429,7 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8-sig")    # BOM or none
     except OSError as exc:
         raise ConfigError(f"config file {path}: {exc.strerror}") from None
     with fh:

@@ -65,7 +65,7 @@ class BoundaryPolyline:
 
     @property
     def length(self) -> float:
-        return float(self.segment_lengths.sum())
+        return float(np.cumsum(self.segment_lengths)[-1])
 
 
 def _nearest_segment_side(boundary: BoundaryPolyline, X: np.ndarray
@@ -116,8 +116,9 @@ class BoundaryLabel(inference.LabelFunction):
         return _labels(self.boundary, X)
 
 
-def boundary_points(boundary: BoundaryPolyline, count: int) -> np.ndarray:
-    """`count` points equally spaced by arc length, endpoints included."""
+def _points_by_arc_length(boundary: BoundaryPolyline, count: int) -> tuple:
+    """(arc lengths, points): `count` arc lengths equally spaced from 0 to
+    boundary.length, and the points on the path at them."""
     if count < 2:
         raise InputError("count must be >= 2")
     v = boundary.vertices
@@ -126,7 +127,12 @@ def boundary_points(boundary: BoundaryPolyline, count: int) -> np.ndarray:
     targets = np.linspace(0.0, cum[-1], count)
     j = np.searchsorted(cum[1:-1], targets, side="right")  # segment per target
     frac = (targets - cum[j]) / seg_len[j]
-    return v[j] + frac[:, None] * (v[j + 1] - v[j])
+    return targets, v[j] + frac[:, None] * (v[j + 1] - v[j])
+
+
+def boundary_points(boundary: BoundaryPolyline, count: int) -> np.ndarray:
+    """`count` points equally spaced by arc length, endpoints included."""
+    return _points_by_arc_length(boundary, count)[1]
 
 
 @dataclass(frozen=True)
@@ -141,19 +147,19 @@ class EffectProfile:
 
 def effect_profile(fit_c: GPFit, fit_i: GPFit, boundary: BoundaryPolyline,
                    count: int = 50) -> EffectProfile:
-    """`inference.effect_size` at `count` points spaced by arc length."""
-    pts = boundary_points(boundary, count)
+    """`inference.effect_size` at `count` points spaced by arc length, with
+    the arc length along the path at each."""
+    arcs, pts = _points_by_arc_length(boundary, count)
     means, variances = inference.effect_size(fit_c, fit_i, pts)
-    arcs = np.concatenate(
-        [[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
     return EffectProfile(arc_lengths=arcs, points=pts,
                          means=means, variances=variances)
 
 
 def load_boundary(path) -> BoundaryPolyline:
-    """Read a polyline from text: one "x y" vertex per line, '#' comments."""
+    """Read a polyline from text: one "x y" vertex per line, '#' comments,
+    UTF-8 with or without a byte-order mark."""
     vertices = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

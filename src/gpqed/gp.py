@@ -165,12 +165,18 @@ def _traces(U: np.ndarray, alpha: np.ndarray, M: np.ndarray) -> tuple:
             2.0 * np.vdot(U, M) - np.vdot(U.diagonal(), M.diagonal()))
 
 
+def scaled_log_ml(quad: float, log_det: float, n: int,
+                  scale: float = 1.0) -> float:
+    """log N(r; 0, scale * Ky) for n residuals r, from quad = r^T Ky^-1 r and
+    log_det = log |Ky|: the one log marginal likelihood formula."""
+    return -0.5 * (quad / scale + log_det + n * (np.log(scale) + LOG_2PI))
+
+
 def log_marginal_likelihood(gpfit: GPFit) -> float:
-    """log N(y - c; 0, K + sigma_n^2 I) from the stored alpha and
-    log-determinant."""
-    resid = gpfit.data.y - gpfit.mean_constant
-    quad = float(resid @ gpfit.alpha)
-    return -0.5 * quad - 0.5 * gpfit.log_det - 0.5 * gpfit.n * LOG_2PI
+    """log N(y - c; 0, Ky) for the Ky = K + (sigma_n^2 + jitter) I that fit
+    factorized, by scaled_log_ml from the stored alpha and log-determinant."""
+    quad = float((gpfit.data.y - gpfit.mean_constant) @ gpfit.alpha)
+    return scaled_log_ml(quad, gpfit.log_det, gpfit.n)
 
 
 def predict(gpfit: GPFit, Xs) -> tuple[np.ndarray, np.ndarray]:
@@ -184,10 +190,6 @@ def predict(gpfit: GPFit, Xs) -> tuple[np.ndarray, np.ndarray]:
     makes, beside arrays of m values; gpfit is left as it is. Variances are
     clamped to zero when round-off drives them slightly negative.
     """
-    Xs = kernels._atleast_2d(Xs)
-    if Xs.shape[1] != gpfit.data.p:
-        raise InputError(
-            f"query dimension {Xs.shape[1]} != training dimension {gpfit.data.p}")
     Ks = kernels.cross(gpfit.kernel, gpfit.data.X, Xs)       # n x m
     mean = gpfit.mean_constant + Ks.T @ gpfit.alpha
     # Ks is C-ordered, so Ks.T is Fortran-ordered and dtrmm writes into it

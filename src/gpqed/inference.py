@@ -119,15 +119,6 @@ class ComparisonResult:
     bma_var: float
     effect_point: np.ndarray
 
-    def mixture_components(self) -> tuple[float, list[tuple[float, float, float]]]:
-        """Full BMA mixture: (spike weight, [(weight, mean, var) per kernel])."""
-        spike = 1.0 - self.total_p_m1
-        comps = [
-            (self.total_p_m1 * w, kr.effect.m1_mean, kr.effect.m1_var)
-            for w, kr in zip(self.kernel_weights_m1, self.kernel_results)
-        ]
-        return spike, comps
-
 
 # ---------------------------------------------------------------------------
 # fitting
@@ -168,10 +159,9 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
         quad = sum(float((f.data.y - c) @ f.alpha) for f in fitted)
         u = hyperopt.profiled_scale(quad, data.n, unit, powers)
         theta = unit * u ** powers
-        # gp.log_marginal_likelihood of the fits scaled to u
-        logdet = sum(f.log_det for f in fitted)
-        log_ml = -0.5 * (quad / u + logdet
-                         + data.n * (np.log(u) + gp.LOG_2PI))
+        # the summed log-ML of the fits scaled to u
+        log_ml = gp.scaled_log_ml(quad, sum(f.log_det for f in fitted),
+                                  data.n, u)
         prior, prior_grad = hyperopt.log_prior(theta)
         # the log posterior's gradient in log theta (theta / u ** powers
         # cancels the terms' scaling to unit); along w it is the profiled
@@ -354,9 +344,12 @@ def _mixture_samples(spike: float, comps: list[tuple[float, float, float]],
 
 def bma_effect_samples(result: ComparisonResult, count: int,
                        seed: int = 0) -> np.ndarray:
-    """Monte Carlo draws from the full spike-plus-Gaussians BMA mixture."""
-    spike, comps = result.mixture_components()
-    return _mixture_samples(spike, comps, count, seed)
+    """Monte Carlo draws from the full BMA mixture: a spike at zero weighted
+    1 - p(M1|D), and each kernel's M1 Gaussian weighted p(M1|D) w_M1."""
+    p1 = result.total_p_m1
+    comps = [(p1 * w, kr.effect.m1_mean, kr.effect.m1_var)
+             for w, kr in zip(result.kernel_weights_m1, result.kernel_results)]
+    return _mixture_samples(1.0 - p1, comps, count, seed)
 
 
 def effect_samples(effect: EffectPosterior, count: int, seed: int = 0) -> np.ndarray:

@@ -16,6 +16,12 @@ by broadcasting, which is cheaper and bit-equal: in binary64 cdist's
 sqrt(fl(d^2)) is |d| unless d^2 under- or overflows (|d| < 1.5e-154 or
 > 1.34e154, where cdist loses the distance and |d| keeps it), and a matrix
 product with inner dimension 1 is one multiplication per entry.
+
+The pairs of a point set with itself are exactly symmetric as made, so gram
+and GramStructure use them as they are: |x - x'| and x * x' are symmetric,
+cdist sums the same squares in the same order for (i, j) and (j, i), and
+numpy forms X @ X.T by BLAS syrk from the one C-ordered array _atleast_2d
+makes (two copies, or a strided X, would go through dgemm, which is not).
 """
 
 from __future__ import annotations
@@ -106,10 +112,8 @@ def from_name(name: str, **overrides) -> KernelSpec:
 
 
 def _atleast_2d(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 0:
-        X = X.reshape(1, 1)
-    elif X.ndim == 1:
+    X = np.ascontiguousarray(X, dtype=float)    # C order; 1-D for a scalar
+    if X.ndim == 1:
         X = X.reshape(-1, 1)
     elif X.ndim != 2:
         raise InputError("points must be at most 2-dimensional arrays")
@@ -188,12 +192,9 @@ def _pairwise(stationary: bool, X: np.ndarray, Xs: np.ndarray) -> np.ndarray:
 
 
 def cross(spec: KernelSpec, X, Xs) -> np.ndarray:
-    """The n x m matrix of covariances between rows of X and rows of Xs.
-
-    It is the one n x m array made: the kernel formula overwrites the
-    distances (or dot products) from _pairwise, which broadcasts at p = 1
-    and calls cdist (or X @ Xs.T) otherwise, with the same bits either way.
-    """
+    """The n x m matrix of covariances between rows of X and rows of Xs,
+    the one n x m array made: the kernel formula overwrites the distances
+    (or dot products) from _pairwise."""
     X = _atleast_2d(X)
     Xs = _atleast_2d(Xs)
     if X.shape[1] != Xs.shape[1]:
@@ -216,11 +217,10 @@ def diag(spec: KernelSpec, X) -> np.ndarray:
 
 
 def gram(spec: KernelSpec, X) -> np.ndarray:
-    """The symmetric n x n covariance matrix of the rows of X."""
+    """The n x n covariance matrix of the rows of X: cross of X, converted
+    once, with itself, exactly symmetric as made (module docstring)."""
     X = _atleast_2d(X)
-    K = cross(spec, X, X)
-    # enforce exact symmetry against floating-point asymmetry in cdist
-    return 0.5 * (K + K.T)
+    return cross(spec, X, X)
 
 
 class GramStructure:
@@ -228,9 +228,8 @@ class GramStructure:
 
     Re-evaluating a Gram matrix for new hyperparameters then costs only the
     elementwise kernel formula, which matters inside hyperparameter
-    optimization loops. The distances and dot products come from _pairwise,
-    as cross's do (broadcast at p = 1, bit-equal to cdist and X @ X.T), made
-    exactly symmetric.
+    optimization loops. It caches the pairs from _pairwise, as cross uses
+    them, as made: they are exactly symmetric (module docstring).
     """
 
     def __init__(self, X):
@@ -241,12 +240,10 @@ class GramStructure:
     def gram(self, spec: KernelSpec) -> np.ndarray:
         if spec.stationary:
             if self._dist is None:
-                d = _pairwise(True, self.X, self.X)
-                self._dist = 0.5 * (d + d.T)
+                self._dist = _pairwise(True, self.X, self.X)
             return _stationary_from_r(spec, self._dist)
         if self._dots is None:
-            dots = _pairwise(False, self.X, self.X)
-            self._dots = 0.5 * (dots + dots.T)
+            self._dots = _pairwise(False, self.X, self.X)
         return _linear_from_dot(spec, self._dots)
 
     def derivative(self, spec: KernelSpec,

@@ -101,6 +101,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3: more values"):
             cli.load_csv(str(p), ["x"], "y")
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # spreadsheet tools often start a CSV file with a UTF-8 BOM
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbfx,y\n0.5,1.0\n-0.25,2.5\n")
+        d = cli.load_csv(str(p), ["x"], "y")
+        np.testing.assert_array_equal(d.X[:, 0], [0.5, -0.25])
+        np.testing.assert_array_equal(d.y, [1.0, 2.5])
+
     def test_two_predictors(self, tmp_path):
         p = tmp_path / "d.csv"
         _write_csv(p, [(1, 2, 3), (4, 5, 6)], header=("a", "b", "y"))
@@ -629,6 +637,20 @@ class TestMain:
         assert cli.main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and str(cfg) in err
+
+    def test_config_with_byte_order_mark(self, tmp_path, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def compare(data, label, kernel_list, cfg, effect_point=None):
+            raise Reached(data.n, label.value, cfg.restarts)
+        monkeypatch.setattr(cli.inference, "compare", compare)
+        cfg = tmp_path / "cfg.json"
+        text = json.dumps(_base_config(tmp_path, threshold=0.25))
+        cfg.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        with pytest.raises(Reached) as reached:
+            cli.main(["analyze", "--config", str(cfg)])
+        assert reached.value.args == (60, 0.25, 1)
 
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_two_kernels_with_one_label_are_a_config_error(

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,10 @@ from gpqed.geo import (
 )
 from gpqed.gp import Dataset
 from gpqed.kernels import from_name
+
+
+EXAMPLE_BOUNDARY = (Path(__file__).parent.parent / "data"
+                    / "example_boundary.txt")
 
 
 def _horizontal():
@@ -231,6 +237,30 @@ class TestEffectProfile:
             assert m == pytest.approx(em, abs=1e-12)
             assert v == pytest.approx(ev, abs=1e-12)
 
+    @pytest.mark.parametrize("count", [3, 50])
+    def test_arc_lengths_are_the_sample_targets(self, rng, count):
+        # the points sit at equal steps of arc length along the path; the
+        # chords between them cut its corners, so their sums fall short
+        b = load_boundary(EXAMPLE_BOUNDARY)
+        fit_c, fit_i = self._fits(rng)
+        prof = effect_profile(fit_c, fit_i, b, count=count)
+        total = np.cumsum(b.segment_lengths)[-1]
+        assert total == pytest.approx(7.1942, abs=1e-4)
+        np.testing.assert_array_equal(prof.arc_lengths,
+                                      np.linspace(0.0, total, count))
+        assert prof.arc_lengths[-1] == total == b.length
+        np.testing.assert_array_equal(prof.points, boundary_points(b, count))
+
+    def test_last_arc_length_is_the_length(self, rng):
+        # one cumulated sum gives both; a plain sum of the segment lengths
+        # rounds differently on about a quarter of these paths
+        fit_c, fit_i = self._fits(rng)
+        for _ in range(20):
+            b = BoundaryPolyline(np.cumsum(rng.uniform(0.1, 1.0, (12, 2)),
+                                           axis=0))
+            prof = effect_profile(fit_c, fit_i, b, count=4)
+            assert prof.arc_lengths[-1] == b.length
+
     def test_fits_of_two_families_are_an_input_error(self, rng):
         fit_c, _ = self._fits(rng, same=True)
         X = rng.uniform(-3, 3, size=(15, 2))
@@ -280,6 +310,12 @@ class TestLoadBoundary:
         p.write_text("# comment\n0 0\n1.5 2.0\n\n3 1\n")
         b = load_boundary(p)
         np.testing.assert_allclose(b.vertices, [[0, 0], [1.5, 2], [3, 1]])
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        p = tmp_path / "border.txt"
+        p.write_bytes(b"\xef\xbb\xbf0 0\n1.5 2.0\n")
+        np.testing.assert_array_equal(load_boundary(p).vertices,
+                                      [[0, 0], [1.5, 2]])
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "border.txt"

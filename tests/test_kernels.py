@@ -237,7 +237,7 @@ class TestOnePredictor:
             structure = GramStructure(X)
             K = structure.gram(spec)
             cached = structure._dist if spec.stationary else structure._dots
-            np.testing.assert_array_equal(cached, 0.5 * (dense + dense.T))
+            np.testing.assert_array_equal(cached, dense)
             np.testing.assert_array_equal(
                 K, kernels._stationary_from_r(spec, cached)
                 if spec.stationary else kernels._linear_from_dot(spec, cached))
@@ -332,15 +332,83 @@ class TestProperties:
 
 class TestGramStructure:
     def test_matches_direct_gram(self, rng):
-        for name in ALL_FAMILY_NAMES:
-            k = random_kernel(rng, name)
-            X = rng.uniform(-2, 2, size=(6, 1))
-            s = kernels.GramStructure(X)
-            np.testing.assert_allclose(s.gram(k), kernels.gram(k, X),
-                                       atol=1e-14)
-            # second call reuses the cache
-            np.testing.assert_allclose(s.gram(k), kernels.gram(k, X),
-                                       atol=1e-14)
+        # 200 points span two chunks of the kernel formula
+        for n in (6, 200):
+            for name in ALL_FAMILY_NAMES:
+                k = random_kernel(rng, name)
+                X = rng.uniform(-2, 2, size=(n, 1))
+                s = kernels.GramStructure(X)
+                np.testing.assert_array_equal(s.gram(k), kernels.gram(k, X))
+                # second call reuses the cache
+                np.testing.assert_array_equal(s.gram(k), kernels.gram(k, X))
+
+
+class TestExactlySymmetric:
+    """The pairs of a point set with itself, and so every Gram matrix, are
+    exactly symmetric as made (kernels module docstring)."""
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["spread", "ties"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_pairwise(self, rng, p, scale, ties):
+        # 300 points span several chunks of the kernel formula
+        for n in (7, 100, 300):
+            if ties:
+                X = rng.choice(scale * np.linspace(-1.0, 1.0, 9), size=(n, p))
+            else:
+                X = rng.uniform(-scale, scale, size=(n, p))
+            for stationary in (True, False):
+                d = kernels._pairwise(stationary, X, X)
+                np.testing.assert_array_equal(d, d.T)
+
+    @pytest.mark.parametrize("layout", ["fortran", "column-slice", "strided",
+                                        "integer"])
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    def test_gram_for_any_layout(self, rng, name, layout):
+        # numpy multiplies two copies of X, or a strided X it copies for
+        # BLAS, by dgemm, which is not symmetric; integers up to 1e9 have
+        # products that round
+        base = rng.uniform(-1.0, 1.0, size=(300, 6))
+        X = {"fortran": np.asfortranarray(base[:, :3]),
+             "column-slice": base[:, 1:4],
+             "strided": base[:, ::2],
+             "integer": rng.integers(-10**9, 10**9, size=(300, 3))}[layout]
+        spec = random_kernel(rng, name)
+        K = kernels.gram(spec, X)
+        np.testing.assert_array_equal(K, K.T)
+        np.testing.assert_array_equal(GramStructure(X).gram(spec), K)
+
+
+class TestGramMemory:
+    """At n = 400 the first GramStructure.gram call makes the pairs it
+    caches and the Gram matrix, and kernels.gram only the Gram matrix; each
+    n x n array is n^2 8 bytes, and matern32 adds one chunk of scratch
+    (0.2 of that here)."""
+
+    N = 400
+
+    def _peak(self, build) -> float:
+        tracemalloc.start()
+        try:
+            build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (self.N * self.N * 8)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    def test_structure_makes_two_n_by_n_arrays(self, rng, name, p):
+        spec = random_kernel(rng, name)
+        structure = GramStructure(rng.uniform(-3, 3, size=(self.N, p)))
+        assert self._peak(lambda: structure.gram(spec)) < 2.25
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    def test_gram_makes_one_n_by_n_array(self, rng, name, p):
+        spec = random_kernel(rng, name)
+        X = rng.uniform(-3, 3, size=(self.N, p))
+        assert self._peak(lambda: kernels.gram(spec, X)) < 1.25
 
 
 class TestJitteredCholesky:
