@@ -23,6 +23,13 @@ Run it in two checkouts and compare:
     python scripts/same_numbers.py > before.json   # in one checkout
     python scripts/same_numbers.py > after.json    # in the other
     cmp before.json after.json
+    python scripts/same_numbers.py --diff before.json after.json
+
+``--diff A B`` reads two such files and prints how many floats differ, the
+largest absolute difference per quantity (the keys on a number's path below
+its input, without list positions or kernel labels), and which inputs are
+identical. It exits 0 when every number is equal, 1 when one differs, and 2
+when the two files do not hold the same keys and list lengths.
 
 The package and the workloads come from the checkout the script is in;
 nothing under ``bench/`` is changed.
@@ -30,7 +37,9 @@ nothing under ``bench/`` is changed.
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -172,7 +181,69 @@ def _counted(run) -> dict:
 LARGE = {"threshold_large": _threshold_large, "boundary_2d": _boundary_2d}
 
 
+def _leaves(tree, path=()):
+    """(path, value) for every number or string in a parsed JSON tree; a
+    list position is the int on the path."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, tree
+
+
+def _quantity(path) -> str:
+    """A leaf's quantity name: its keys below the input, without list
+    positions or kernel labels."""
+    return ".".join(key for key in path[1:]
+                    if isinstance(key, str) and key not in KERNELS) or path[0]
+
+
+def diff(before: dict, after: dict) -> int:
+    """Print how two outputs of this script differ; the exit status."""
+    a, b = dict(_leaves(before)), dict(_leaves(after))
+    if a.keys() != b.keys():
+        path = min(a.keys() ^ b.keys(), key=str)
+        print(f"the files differ in structure at {path}")
+        return 2
+    floats = differ = 0
+    largest = {}
+    changed = set()
+    for path, x in a.items():
+        y = b[path]
+        if x != y and not (x != x and y != y):   # NaN equals NaN here
+            changed.add(path[0])
+            name = _quantity(path)
+            gap = math.inf if str in (type(x), type(y)) else abs(y - x)
+            largest[name] = max(largest.get(name, 0.0), gap)
+            differ += isinstance(x, float)
+        floats += isinstance(x, float)
+    print(f"{differ} of {floats} floats differ")
+    if largest:
+        print("largest absolute difference per quantity:")
+        width = max(map(len, largest))
+        for name in sorted(largest):
+            print(f"  {name:<{width}}  {largest[name]:.3g}")
+    inputs = [name for name in before if isinstance(before[name], dict)]
+    same = [name for name in inputs if name not in changed]
+    print(f"identical inputs ({len(same)} of {len(inputs)}): "
+          + (", ".join(same) or "none"))
+    return 1 if changed else 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                        help="compare two outputs of this script")
+    args = parser.parse_args()
+    if args.diff:
+        trees = []
+        for name in args.diff:
+            with open(name, encoding="utf-8") as fh:
+                trees.append(json.load(fh))
+        return diff(*trees)
     out = {}
     with tempfile.TemporaryDirectory() as workdir:
         for name, cls in WORKLOADS.items():

@@ -157,7 +157,8 @@ def effect_profile(fit_c: GPFit, fit_i: GPFit, boundary: BoundaryPolyline,
 
 def load_boundary(path) -> BoundaryPolyline:
     """Read a polyline from text: one "x y" vertex per line, '#' comments,
-    UTF-8 with or without a byte-order mark."""
+    UTF-8 with or without a byte-order mark. A file that does not hold a
+    valid `BoundaryPolyline` is a DataError naming the path."""
     vertices = []
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -174,4 +175,7 @@ def load_boundary(path) -> BoundaryPolyline:
                 raise DataError(f"{path}:{lineno}: non-numeric vertex") from exc
     if len(vertices) < 2:
         raise DataError(f"{path}: a boundary needs at least 2 vertices")
-    return BoundaryPolyline(np.array(vertices))
+    try:
+        return BoundaryPolyline(np.array(vertices))
+    except InputError as exc:
+        raise DataError(f"{path}: {exc}") from exc

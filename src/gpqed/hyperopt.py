@@ -15,7 +15,11 @@ Its optimum given the others has a closed form (`profiled_scale`), so the
 search runs over the log unit-scale coordinates alone, from the points
 `starts` gives, one per `OptConfig` restart and seeded by its seed.
 `optimize` is a plain multi-start L-BFGS-B minimizer of whatever objective
-it is handed, under the one stopping rule `STOPPING`.
+it is handed, under the one stopping rule `STOPPING`. A later run also ends
+once it rejoins the best point of an earlier converged run, within `REJOIN`
+in every coordinate of the search (in log coordinates, 3% in every
+hyperparameter) without improving on it: the region-of-attraction rule of
+clustering multistart (Rinnooy Kan & Timmer 1987), over a fixed start set.
 """
 
 from __future__ import annotations
@@ -106,6 +110,10 @@ class OptConfig:
 # L-BFGS-B's stopping rule for every run of every search
 STOPPING = {"maxiter": 500, "gtol": 1e-5, "ftol": 1e-12}
 
+# how near, in every coordinate, a later run must come back to the best
+# point of an earlier converged run for `optimize` to end it
+REJOIN = 0.03
+
 
 def starts(init, powers, cfg: OptConfig) -> np.ndarray:
     """The restarts' start points in the unit-scale log coordinates
@@ -135,6 +143,11 @@ class OptResult:
     converged: bool   # whether that evaluation's run converged
 
 
+class _Rejoined(Exception):
+    """A later run has come back to the best point of an earlier converged
+    run; raised through L-BFGS-B to end that run."""
+
+
 def optimize(objective, points) -> OptResult:
     """Minimize objective by L-BFGS-B from each row of points; return the
     best evaluation.
@@ -143,15 +156,21 @@ def optimize(objective, points) -> OptResult:
     an evaluation that raises NumericalError, or whose value or gradient is
     not finite, counts as failed (value 1e30, zero gradient). Each run stops
     by `STOPPING` and counts as converged when L-BFGS-B reports success or
-    its final gradient is below STOPPING["gtol"].
+    its final gradient is below STOPPING["gtol"]. A run also ends at an
+    evaluation that succeeds without improving on the best so far, when
+    that best comes from an earlier converged run and max |x - x_best| <
+    `REJOIN`: the run has come back to that optimum, and going on would
+    change the result by about the stopping tolerance. With one point the
+    rule never applies.
 
     The result holds the outputs of the evaluation with the lowest value
     over all runs, the first of equals winning, and its run's `converged`;
-    no point is evaluated again. Raises OptimizationError when no evaluation
-    succeeds.
+    a run ended by `REJOIN` never holds it, and no point is evaluated
+    again. Raises OptimizationError when no evaluation succeeds.
     """
-    # (value, outputs, run); a failed evaluation's 1e30 never beats it
-    best = (1e30, None, None)
+    # (value, outputs, run, x); a failed evaluation's 1e30 never beats it
+    best = (1e30, None, None, None)
+    converged = []
 
     def tracked(x, run):
         nonlocal best
@@ -161,18 +180,27 @@ def optimize(objective, points) -> OptResult:
             return 1e30, np.zeros_like(x)
         if not (np.isfinite(value) and np.isfinite(grad).all()):
             return 1e30, np.zeros_like(x)
+        _, _, best_run, best_x = best
         if value < best[0]:
-            best = (value, tuple(outputs), run)
+            best = (value, tuple(outputs), run, x.copy())
+        elif (best_run is not None and best_run < run
+              and converged[best_run]
+              and np.max(np.abs(x - best_x)) < REJOIN):
+            raise _Rejoined
         return value, grad
 
-    converged = []
     for run, x0 in enumerate(points):
-        res = minimize(tracked, x0, args=(run,), jac=True, method="L-BFGS-B",
-                       options=STOPPING)
+        try:
+            res = minimize(tracked, x0, args=(run,), jac=True,
+                           method="L-BFGS-B", options=STOPPING)
+        except _Rejoined:
+            # this run holds no best evaluation, so its entry is never read
+            converged.append(False)
+            continue
         # res.jac is the gradient L-BFGS-B already holds at res.x
         converged.append(bool(np.max(np.abs(res.jac)) < STOPPING["gtol"])
                          or res.success)
-    _, outputs, run = best
+    _, outputs, run, _ = best
     if outputs is None:
         raise OptimizationError("all optimizer restarts diverged")
     return OptResult(outputs=outputs, converged=converged[run])

@@ -249,9 +249,10 @@ def compare(data: Dataset, label: LabelFunction,
             effect_point=None) -> ComparisonResult:
     """Run the full comparison for every kernel and aggregate across kernels.
 
-    effect_point is where the effect-size posterior is evaluated; it defaults
-    to the threshold location for 1-D Threshold labels and must be supplied
-    for other label functions.
+    effect_point is where the effect-size posterior is evaluated: one
+    finite point (ConfigError otherwise). It defaults to the threshold
+    location for 1-D Threshold labels and must be supplied for other label
+    functions.
     """
     kernel_labels(kernel_list)
     if effect_point is None:
@@ -267,6 +268,8 @@ def compare(data: Dataset, label: LabelFunction,
     if effect_point.shape != (1, data.p):
         raise ConfigError(
             f"effect_point must be a single {data.p}-dimensional point")
+    if not np.isfinite(effect_point).all():
+        raise ConfigError("effect_point must be finite")
 
     results = []
     for kern in kernel_list:

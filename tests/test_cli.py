@@ -418,6 +418,19 @@ class TestMain:
         assert cli.main(["analyze", "--config", str(path)]) == 2
         assert "config key 'boundary'" in capsys.readouterr().err
 
+    def test_invalid_boundary_is_a_data_error(self, tmp_path, capsys):
+        # a file that reads but crosses itself: exit 3, naming the file
+        bfile = tmp_path / "border.txt"
+        bfile.write_text("0 0\n2 2\n2 0\n0 2\n")
+        cfg = _base_config(tmp_path, boundary=str(bfile))
+        del cfg["threshold"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["analyze", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(bfile) in err
+        assert "self-intersecting" in err
+
     def test_bad_value_fails_before_the_analysis(self, tmp_path, capsys,
                                                  monkeypatch):
         def compare(*args, **kwargs):

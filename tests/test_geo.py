@@ -304,6 +304,15 @@ class TestBoundaryLabel:
         assert np.all(batch[on_path] == 1)
 
 
+# boundary files that parse but hold no valid polyline, and the message
+BAD_POLYLINES = {
+    "not_finite": ("0 0\nnan 2\n", "finite"),
+    "repeated_vertex": ("0 0\n1 1\n1 1\n2 0\n", "distinct"),
+    "folds_back": ("0 0\n2 0\n1 0\n", "folds back"),
+    "self_intersecting": ("0 0\n2 2\n2 0\n0 2\n", "self-intersecting"),
+}
+
+
 class TestLoadBoundary:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "border.txt"
@@ -334,3 +343,13 @@ class TestLoadBoundary:
         p.write_text("0 0\n")
         with pytest.raises(DataError):
             load_boundary(p)
+
+    @pytest.mark.parametrize("text, problem", BAD_POLYLINES.values(),
+                             ids=list(BAD_POLYLINES))
+    def test_invalid_polyline_is_a_data_error(self, tmp_path, text, problem):
+        # BoundaryPolyline's InputError, reworded with the file's name
+        p = tmp_path / "border.txt"
+        p.write_text(text)
+        with pytest.raises(DataError, match=problem) as info:
+            load_boundary(p)
+        assert str(info.value).startswith(f"{p}: ")

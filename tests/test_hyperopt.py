@@ -104,6 +104,31 @@ def _quadratic(target, sign=1.0):
     return objective
 
 
+def _recorded(objective):
+    """objective, and a list to which it appends each point it evaluates."""
+    seen = []
+
+    def recorded(x):
+        seen.append(x.copy())
+        return objective(x)
+    return recorded, seen
+
+
+def _plain_points(objective, x0):
+    """The points one plain L-BFGS-B run from x0 evaluates, under STOPPING."""
+    recorded, seen = _recorded(objective)
+    minimize(lambda x: recorded(x)[:2], x0, jac=True, method="L-BFGS-B",
+             options=hyperopt.STOPPING)
+    return seen
+
+
+def _double_well(x):
+    """(x^2 - 1)^2 + 0.3 x: a local minimum near 0.96, the global one near
+    -1.04; x's bytes as the output."""
+    value = float((x[0] ** 2 - 1.0) ** 2 + 0.3 * x[0])
+    return value, np.array([4.0 * x[0] * (x[0] ** 2 - 1.0) + 0.3]), x.tobytes()
+
+
 class TestOptimize:
     def test_quadratic_maximum(self):
         res = optimize(_quadratic(2.0), np.array([[0.5]]))
@@ -112,17 +137,95 @@ class TestOptimize:
         assert res.converged
 
     def test_one_stopping_rule(self, monkeypatch):
-        # every run stops by the module's rule; nothing sets another
+        # every run stops by the module's rule, and REJOIN is the only rule
+        # that cuts one short: no callback or other option is passed
         seen = []
         minimize = hyperopt.minimize
 
         def spy(*args, **kwargs):
-            seen.append(kwargs["options"])
+            seen.append((kwargs["options"],
+                         sorted(set(kwargs) - {"args", "options"})))
             return minimize(*args, **kwargs)
 
         monkeypatch.setattr(hyperopt, "minimize", spy)
         optimize(_quadratic(2.0), np.array([[0.5], [1.0]]))
-        assert seen == [{"maxiter": 500, "gtol": 1e-5, "ftol": 1e-12}] * 2
+        assert seen == [({"maxiter": 500, "gtol": 1e-5, "ftol": 1e-12},
+                         ["jac", "method"])] * 2
+        assert hyperopt.REJOIN == 0.03
+
+    def test_rejoining_run_ends_early(self):
+        # run 1 starts within REJOIN of run 0's optimum and does not
+        # improve on it, so it ends at its first evaluation
+        target = np.array([2.0, -1.0])
+        obj, seen = _recorded(_quadratic(target))
+        points = np.array([[0.5, 0.5], target + [0.02, -0.01]])
+        res = optimize(obj, points)
+        alone = optimize(_quadratic(target), points[:1])
+        run_0 = len(_plain_points(_quadratic(target), points[0]))
+        assert len(seen) == run_0 + 1
+        assert len(_plain_points(_quadratic(target), points[1])) > 1
+        assert res == alone
+
+    def test_better_distant_optimum_is_not_cut(self):
+        # run 0 converges to the local minimum; run 1 finds the global one
+        # far from it and runs as plain L-BFGS-B would
+        obj, seen = _recorded(_double_well)
+        points = np.array([[1.5], [-1.5]])
+        res = optimize(obj, points)
+        plain = [_plain_points(_double_well, x0) for x0 in points]
+        assert [x.tobytes() for x in seen] == [
+            x.tobytes() for run in plain for x in run]
+        x, = np.frombuffer(res.outputs[0])
+        assert x == pytest.approx(-1.04, abs=0.01)
+        assert res == optimize(_double_well, points[1:])
+
+    def test_entering_the_box_while_improving_keeps_running(self):
+        # run 0 converges at once at (2.04, 0), where the gradient is below
+        # gtol; run 1 comes within REJOIN of it at a lower value, so it
+        # holds the best point itself and is never cut
+        def shallow(x):
+            value = float(1e-4 * (x[0] - 2.0) ** 2 + x[1] ** 2)
+            return (value, np.array([2e-4 * (x[0] - 2.0), 2.0 * x[1]]),
+                    x.tobytes())
+
+        obj, seen = _recorded(shallow)
+        points = np.array([[2.04, 0.0], [2.02, 0.1]])
+        res = optimize(obj, points)
+        assert res.converged
+        run_1 = _plain_points(shallow, points[1])
+        assert [x.tobytes() for x in seen[1:]] == [x.tobytes() for x in run_1]
+        first = shallow(points[0])[0]
+        assert any(np.max(np.abs(x - points[0])) < hyperopt.REJOIN
+                   and shallow(x)[0] < first for x in run_1)
+        assert shallow(np.frombuffer(res.outputs[0]))[0] < first
+
+    def test_unconverged_incumbent_never_cuts(self):
+        # a failed line search leaves run 0 unconverged at its start; run 1
+        # starts within REJOIN of that point, worse, and is not cut
+        quadratic = _quadratic(2.0, sign=-1.0)
+        obj, seen = _recorded(quadratic)
+        points = np.array([[1.0], [0.99]])
+        res = optimize(obj, points)
+        plain = [_plain_points(quadratic, x0) for x0 in points]
+        assert [x.tobytes() for x in seen] == [
+            x.tobytes() for run in plain for x in run]
+        assert quadratic(points[1])[0] > quadratic(points[0])[0]
+        assert np.frombuffer(res.outputs[0]).tolist() == [1.0]
+        assert not res.converged
+
+    def test_one_start_is_plain_lbfgsb(self):
+        def rosenbrock(x):
+            a, b = x
+            value = float((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2)
+            grad = np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a),
+                             200.0 * (b - a * a)])
+            return value, grad, x.tobytes()
+
+        obj, seen = _recorded(rosenbrock)
+        x0 = np.array([-1.2, 1.0])
+        optimize(obj, x0[None, :])
+        assert [x.tobytes() for x in seen] == [
+            x.tobytes() for x in _plain_points(rosenbrock, x0)]
 
     def test_deterministic_across_runs(self):
         points = np.array([[1.0, 0.3], [0.2, -1.0], [3.0, 2.0]])

@@ -400,6 +400,17 @@ class TestCompare:
             compare(data, PointRule(lambda x: x[0] >= 0),
                     [from_name("se")], FAST)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_effect_point_must_be_finite(self, value, monkeypatch):
+        # before, NaN gave a NaN effect and bma_mean, and inf an effect of
+        # 0 with the prior variance, with no error; no kernel is fitted
+        def fit(*args):
+            raise AssertionError("a model was fitted")
+        monkeypatch.setattr(inference, "fit_continuous", fit)
+        with pytest.raises(ConfigError, match="finite"):
+            compare(_step_data(20), Threshold(0.0), [from_name("se")], FAST,
+                    effect_point=[value])
+
 
 def _lee(rep):
     """A Lee input (n = 100, d = 0.5, noise sd 0.3) and an optimizer

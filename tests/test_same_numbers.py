@@ -1,6 +1,7 @@
 """The bit-equality tool runs: ``scripts/same_numbers.py`` exits 0 and its
 JSON holds every input it documents, so an API change that breaks the tool
-fails here rather than in the next comparison of two checkouts."""
+fails here rather than in the next comparison of two checkouts; and its
+``--diff`` mode reports what differs between two of its outputs."""
 
 import json
 import math
@@ -8,20 +9,31 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "same_numbers.py"
 INPUTS = {"reference/sim_grid", "reference/threshold_large",
           "reference/boundary_2d", "large/threshold_large",
           "large/boundary_2d", *(f"lee/{rep}" for rep in range(20)),
           "simulate"}
 
 
-def test_same_numbers_runs():
-    root = Path(__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable,
-                           str(root / "scripts" / "same_numbers.py")],
-                          cwd=root, capture_output=True, text=True,
+def _run(*args):
+    return subprocess.run([sys.executable, str(SCRIPT), *map(str, args)],
+                          cwd=ROOT, capture_output=True, text=True,
                           timeout=600)
+
+
+@pytest.fixture(scope="module")
+def output():
+    done = _run()
     assert done.returncode == 0, done.stderr[-2000:]
-    out = json.loads(done.stdout)
+    return done.stdout
+
+
+def test_same_numbers_runs(output):
+    out = json.loads(output)
     assert set(out) == INPUTS | {"objective_evals"}
     assert all(out[name]["objective_evals"] > 0 for name in INPUTS)
     assert out["objective_evals"] == sum(out[name]["objective_evals"]
@@ -33,3 +45,56 @@ def test_same_numbers_runs():
                 assert len(curve["means"]) == len(curve["variances"]) == 200
                 assert all(map(math.isfinite,
                                curve["means"] + curve["variances"]))
+
+
+def _floats(tree):
+    if isinstance(tree, dict):
+        return sum(map(_floats, tree.values()))
+    if isinstance(tree, list):
+        return sum(map(_floats, tree))
+    return isinstance(tree, float)
+
+
+def test_diff_against_itself(output, tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text(output)
+    done = _run("--diff", path, path)
+    assert done.returncode == 0, done.stderr[-2000:]
+    out = json.loads(output)
+    inputs = [name for name in out if name in INPUTS]
+    assert done.stdout.splitlines() == [
+        f"0 of {_floats(out)} floats differ",
+        f"identical inputs ({len(INPUTS)} of {len(INPUTS)}): "
+        + ", ".join(inputs)]
+
+
+def test_diff_against_a_perturbed_copy(output, tmp_path):
+    out = json.loads(output)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(output)
+    out["lee/3"]["kernels"]["se"]["log_ml_m1"] += 0.25
+    out["lee/7"]["kernels"]["exp"]["log_ml_m1"] -= 0.5
+    out["simulate"]["cells"][1]["mean_log_bf"]["linear"] += 1e-9
+    out["lee/7"]["objective_evals"] += 3
+    b.write_text(json.dumps(out))
+    done = _run("--diff", a, b)
+    assert done.returncode == 1, done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    assert lines[0] == f"3 of {_floats(out)} floats differ"
+    table = dict(line.split() for line in lines[2:-1])
+    assert table == {"kernels.log_ml_m1": "0.5", "cells.mean_log_bf": "1e-09",
+                     "objective_evals": "3"}
+    same = sorted(INPUTS - {"lee/3", "lee/7", "simulate"})
+    assert sorted(lines[-1].split(": ")[1].split(", ")) == same
+    assert lines[-1].startswith(f"identical inputs ({len(same)} of ")
+
+
+def test_diff_of_another_structure(output, tmp_path):
+    out = json.loads(output)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(output)
+    del out["lee/3"]
+    b.write_text(json.dumps(out))
+    done = _run("--diff", a, b)
+    assert done.returncode == 2
+    assert "structure" in done.stdout
