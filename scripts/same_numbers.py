@@ -28,8 +28,12 @@ Run it in two checkouts and compare:
 ``--diff A B`` reads two such files and prints how many floats differ, the
 largest absolute difference per quantity (the keys on a number's path below
 its input, without list positions or kernel labels), and which inputs are
-identical. It exits 0 when every number is equal, 1 when one differs, and 2
-when the two files do not hold the same keys and list lengths.
+identical. Last it lists each M0 or M1 log-ML (``log_ml_m0``,
+``log_ml_m1``) that rose, and each that fell, by more than ``MODE_CHANGE``
+nats, with its input and kernel: a change that large is a fit that reached
+another mode, not the stopping tolerance. It exits 0 when every number is
+equal, 1 when one differs, and 2 when the two files do not hold the same
+keys and list lengths.
 
 The package and the workloads come from the checkout the script is in;
 nothing under ``bench/`` is changed.
@@ -65,6 +69,8 @@ KERNELS = ("linear", "exp", "matern32", "se")
 EFFECT_POINTS = (-0.5, -0.25, 0.0, 0.25, 0.5)
 QUERY_GRID = np.linspace(-1.0, 1.0, CURVE_POINTS).reshape(-1, 1)
 PROFILE_POINTS = 50
+# a log-ML change, in nats, above which --diff lists the fit
+MODE_CHANGE = 1e-3
 SIM_GRID = {"latents": ["Linear", "Lee"], "effects": [0.0, 1.0],
             "kernels": ["linear", "matern32"], "n": 30, "repetitions": 2,
             "seed": 0, "optimizer": {"restarts": 2}}
@@ -211,6 +217,7 @@ def diff(before: dict, after: dict) -> int:
     floats = differ = 0
     largest = {}
     changed = set()
+    moved = {"rose": [], "fell": []}
     for path, x in a.items():
         y = b[path]
         if x != y and not (x != x and y != y):   # NaN equals NaN here
@@ -219,6 +226,9 @@ def diff(before: dict, after: dict) -> int:
             gap = math.inf if str in (type(x), type(y)) else abs(y - x)
             largest[name] = max(largest.get(name, 0.0), gap)
             differ += isinstance(x, float)
+            if path[-1] in ("log_ml_m0", "log_ml_m1") and gap > MODE_CHANGE:
+                moved["rose" if y > x else "fell"].append(
+                    f"  {path[0]} {path[-2]} {path[-1]} {y - x:+.3g}")
         floats += isinstance(x, float)
     print(f"{differ} of {floats} floats differ")
     if largest:
@@ -230,6 +240,9 @@ def diff(before: dict, after: dict) -> int:
     same = [name for name in inputs if name not in changed]
     print(f"identical inputs ({len(same)} of {len(inputs)}): "
           + (", ".join(same) or "none"))
+    for way, lines in moved.items():
+        print(f"log-MLs that {way} by more than {MODE_CHANGE:g} nats: "
+              f"{len(lines)}", *lines, sep="\n")
     return 1 if changed else 0
 
 

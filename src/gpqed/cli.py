@@ -39,7 +39,9 @@ def get_version() -> str:
 # data loading
 
 def load_csv(path: str, predictors: list[str], response: str) -> Dataset:
-    """Strictly parse the named columns as decimal numbers, order preserved."""
+    """Strictly parse the named columns as finite decimal numbers, order
+    preserved: float() also reads "1_000", "inf" and "nan", which are
+    DataErrors here, as is any other non-numeric cell."""
     # a byte-order mark is skipped, and a byte that is not UTF-8 reads as
     # U+FFFD, an error only where parsed
     try:
@@ -71,11 +73,14 @@ def load_csv(path: str, predictors: list[str], response: str) -> Dataset:
                     raise DataError(f"{path}: row {rownum}: missing value "
                                     f"in column {col!r}")
                 try:
-                    return float(raw)
+                    value = float(raw)
                 except ValueError:
+                    value = np.nan
+                if "_" in raw or not np.isfinite(value):
                     raise DataError(
                         f"{path}: row {rownum}, column {col!r}: "
-                        f"non-numeric value {raw!r}") from None
+                        f"not a finite decimal number: {raw!r}")
+                return value
             X_rows.append([cell(c) for c in predictors])
             y_rows.append(cell(response))
     if not y_rows:

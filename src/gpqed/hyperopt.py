@@ -13,7 +13,9 @@ The first hyperparameter, the kernel variance v, is a scale: the covariance
 at theta is v times the covariance at theta / v ** `scale_powers`.
 Its optimum given the others has a closed form (`profiled_scale`), so the
 search runs over the log unit-scale coordinates alone, from the points
-`starts` gives, one per `OptConfig` restart and seeded by its seed.
+`starts` gives, one per `OptConfig` restart and seeded by its seed. Restart
+0 starts at `default_init`, which splits var(y) into a signal variance and
+a noise variance estimated from the differences of nearest neighbours in X.
 `optimize` is a plain multi-start L-BFGS-B minimizer of whatever objective
 it is handed, under the one stopping rule `STOPPING`. A later run also ends
 once it rejoins the best point of an earlier converged run, within `REJOIN`
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial import cKDTree
 
 from .errors import InputError, NumericalError, OptimizationError
 from .gp import Dataset
@@ -209,16 +212,28 @@ def optimize(objective, points) -> OptResult:
 def default_init(kernel: KernelSpec, data: Dataset) -> np.ndarray:
     """Data-driven starting values, ordered by `hyper_names(kernel)`.
 
-    variance <- var(y) (floored at 1e-6), lengthscale <- mean per-dimension
-    half-range of X, noise_variance <- 0.1 * var(y), offset <- 1.
+    noise_variance <- s2, the nearest-neighbour estimate of the noise
+    variance, 0.5 * mean_i (y_i - y_nn(i)) ** 2, where nn(i) is the nearest
+    other row of X in Euclidean distance (Rice 1984 in 1-D; Devroye, Gyorfi,
+    Lugosi & Walk 2018 for any p), bounded to [1e-3, 0.9] * var(y);
+    variance <- var(y) - s2, so that var(y) splits into signal and noise.
+    Both are fractions of var(y) taken before var(y) is floored at 1e-6, so
+    the start of the search in w does not move with the units of y.
+    lengthscale <- mean per-dimension half-range of X, offset <- 1.
     """
     var_y = float(np.var(data.y))
-    if var_y < 1e-6:
-        var_y = 1e-6
+    # with duplicate rows a row's own index may come second, or not at all
+    _, nearest = cKDTree(data.X).query(data.X, k=2)
+    own = nearest[:, 0] == np.arange(data.n)
+    other = np.where(own, nearest[:, 1], nearest[:, 0])
+    noise = 0.5 * float(np.mean((data.y - data.y[other]) ** 2))
+    # a constant y has no noise to estimate: the lower bound
+    frac = min(max(noise / var_y, 1e-3), 0.9) if var_y > 0 else 1e-3
+    var_y = max(var_y, 1e-6)
     ranges = data.X.max(axis=0) - data.X.min(axis=0)
     half_range = float(np.mean(ranges)) / 2.0
     if half_range <= 0:
         half_range = 1.0
-    start = {"variance": var_y, "lengthscale": half_range, "offset": 1.0,
-             "noise_variance": 0.1 * var_y}
+    start = {"variance": (1.0 - frac) * var_y, "lengthscale": half_range,
+             "offset": 1.0, "noise_variance": frac * var_y}
     return np.array([start[name] for name in hyper_names(kernel)])

@@ -75,6 +75,16 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3.*'y'"):
             cli.load_csv(str(p), ["x"], "y")
 
+    @pytest.mark.parametrize("raw", ["1_000", "inf", "-Infinity", "nan"])
+    def test_not_a_finite_decimal_located(self, tmp_path, raw):
+        # float() reads each of these; before, the digit separator loaded as
+        # 1000 and the others failed later, naming no row or column
+        p = tmp_path / "d.csv"
+        p.write_text(f"x,y\n1.0,2.0\n{raw},1.5\n")
+        with pytest.raises(DataError, match="row 3, column 'x': not a finite "
+                           f"decimal number: '{raw}'"):
+            cli.load_csv(str(p), ["x"], "y")
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")

@@ -539,21 +539,79 @@ class TestProfiledOptimum:
         assert -res.fun - at_hat <= 1e-6
 
 
+def _init(x, y, name="se"):
+    """default_init as a dict keyed by hyperparameter name."""
+    kernel = from_name(name)
+    return dict(zip(hyper_names(kernel), default_init(kernel, Dataset(x, y))))
+
+
 class TestDefaultInit:
+    """The noise starts at the nearest-neighbour estimate
+    0.5 * mean (y_i - y_nn(i)) ** 2, bounded to [1e-3, 0.9] var(y), and the
+    variance at var(y) minus that."""
+
     def test_stated_rule(self):
-        x = np.linspace(0.0, 10.0, 50)
-        y = np.concatenate([np.full(25, -2.0), np.full(25, 2.0)])  # var 4
-        theta = dict(zip(hyper_names(from_name("se")),
-                         default_init(from_name("se"), Dataset(x, y))))
-        assert theta["variance"] == pytest.approx(4.0)
-        assert theta["lengthscale"] == pytest.approx(5.0)
-        assert theta["noise_variance"] == pytest.approx(0.4)
+        # nearest other x: 3 -> 1, 0 -> 1, 7 -> 3, 1 -> 0, with no ties;
+        # squared differences 0, 1, 4, 1, so the noise is 0.5 * 6 / 4
+        x = np.array([3.0, 0.0, 7.0, 1.0])
+        y = np.array([1.0, 0.0, 3.0, 1.0])     # var 1.1875
+        theta = _init(x, y)
+        assert theta["noise_variance"] == pytest.approx(0.75, rel=1e-12)
+        assert theta["variance"] == pytest.approx(0.4375, rel=1e-12)
+        assert theta["lengthscale"] == pytest.approx(3.5)
+
+    def test_duplicate_rows(self):
+        # each duplicate's neighbour is its twin, never the row itself
+        # (which would give a zero difference); the noise is 0.5 * 4 / 6
+        x = np.array([0.0, 0.0, 4.0, 4.0, 9.0, 10.0])
+        y = np.array([1.0, 2.0, 5.0, 5.0, 8.0, 9.0])
+        assert _init(x, y)["noise_variance"] == pytest.approx(1.0 / 3.0)
+
+    def test_two_predictors(self):
+        # Euclidean neighbours: (0, 0) -> (1.5, 1.5) at 2.12, though
+        # (2.5, 0) is nearer in the L1 norm; (1.5, 1.5) <-> (2.5, 0) and
+        # (6, 1) -> (2.5, 0). Squared differences 1, 4, 4, 1; var(y) 2.5
+        X = np.array([[0.0, 0.0], [1.5, 1.5], [2.5, 0.0], [6.0, 1.0]])
+        y = np.array([0.0, 1.0, 3.0, 4.0])
+        theta = _init(X, y)
+        assert theta["noise_variance"] == pytest.approx(1.25)
+        assert theta["variance"] == pytest.approx(1.25)
+        assert theta["lengthscale"] == pytest.approx((6.0 + 1.5) / 4.0)
+
+    @pytest.mark.parametrize("y, frac", [
+        (np.linspace(0.0, 1.0, 101), 1e-3),              # noise-free
+        ((-1.0) ** np.arange(101), 0.9)],                # alternating
+        ids=["lower", "upper"])
+    def test_bounds(self, y, frac):
+        theta = _init(np.linspace(0.0, 1.0, 101), y)
+        assert theta["noise_variance"] == pytest.approx(frac * np.var(y))
+        assert theta["variance"] == pytest.approx((1.0 - frac) * np.var(y))
 
     def test_constant_y_floor(self):
-        d = Dataset(np.linspace(0, 1, 12), np.full(12, 7.0))
-        theta = default_init(from_name("se"), d)
-        assert theta[hyper_names(from_name("se")).index("variance")] == \
-            pytest.approx(1e-6)
+        # a constant y has no noise to estimate: the lower bound of a
+        # variance floored at 1e-6
+        theta = _init(np.linspace(0, 1, 12), np.full(12, 7.0))
+        assert theta["noise_variance"] == pytest.approx(1e-9)
+        assert theta["variance"] == pytest.approx(1e-6 - 1e-9)
+
+    @pytest.mark.parametrize("name", ["linear", "se"])
+    def test_units_of_y_do_not_move_the_start(self, name):
+        # var(y) * 1e-8 is below the 1e-6 floor; the search's noise
+        # coordinate log(noise / variance) does not move with it
+        rng = np.random.default_rng(2)
+        x = rng.uniform(-1.0, 1.0, 50)
+        y = np.sin(3.0 * x) + 0.3 * rng.normal(size=50)
+        ratio = [theta["noise_variance"] / theta["variance"]
+                 for theta in (_init(x, y, name), _init(x, 1e-4 * y, name))]
+        assert ratio[1] == pytest.approx(ratio[0], rel=1e-12)
+
+    def test_estimates_the_noise(self):
+        # the estimate's relative sd at this n is about 10% (0.995 +- 0.097
+        # times 0.09 over seeds 0-299), so one seed checks its scale only
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1.0, 1.0, 400)
+        y = np.sin(3.0 * x) + rng.normal(0.0, 0.3, 400)
+        assert _init(x, y)["noise_variance"] == pytest.approx(0.09, rel=0.1)
 
     def test_polynomial_offset(self):
         d = Dataset(np.linspace(0, 1, 12), np.linspace(0, 1, 12))

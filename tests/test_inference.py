@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -369,14 +370,26 @@ class TestCompare:
         assert "every part's response is constant" in capsys.readouterr().err
 
     def test_underflowed_step_is_a_failed_evaluation(self, monkeypatch):
-        # an interrupted time series (t = 1..59, threshold 37) on which a
-        # trial step of the linear M1 search underflows the offset to 0;
-        # the prior there is a NumericalError, which the optimizer counts
-        # as a failed evaluation, and no warning leaks
+        # an interrupted time series (t = 1..59, threshold 37) and its
+        # linear M1 objective, captured as `_fit_parts` hands it to the
+        # optimizer, at a fixed step where offset / v = e^-700 and
+        # noise / v = e^60: v-hat is about 1e-24, so the offset underflows
+        # to 0. The prior there is a NumericalError, which the optimizer
+        # counts as a failed evaluation, and no warning leaks
         t = np.arange(1.0, 60.0)
         rng = np.random.default_rng(11)
         y = (200.0 + 0.5 * t + 8.0 * np.sin(2.0 * np.pi * t / 12.0)
              - 30.0 * (t >= 37.0) + rng.normal(0.0, 10.0, t.size))
+        optimize, seen = hyperopt.optimize, []
+
+        def spy(objective, points):
+            seen.append((objective, points))
+            return optimize(objective, points)
+        monkeypatch.setattr(hyperopt, "optimize", spy)
+        fit_discontinuous(Dataset(t, y), Threshold(37.0), from_name("linear"),
+                          OptConfig(restarts=1))
+        monkeypatch.undo()
+        (objective, points), = seen
         log_prior, failed = hyperopt.log_prior, []
 
         def counted(theta):
@@ -386,9 +399,15 @@ class TestCompare:
                 failed.append(theta)
                 raise
         monkeypatch.setattr(hyperopt, "log_prior", counted)
-        result = compare(Dataset(t, y), Threshold(37.0), [from_name("linear")],
-                         OptConfig(restarts=5, seed=0))
-        assert failed and np.isfinite(result.total_log_bf)
+        step = np.array([-700.0, 60.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="not positive"):
+                objective(step)
+            result = optimize(objective, np.vstack([step, points]))
+        # restart 0 ends at its one failed evaluation, whose gradient is 0
+        assert len(failed) >= 2 and failed[0][1] == failed[1][1] == 0.0
+        assert np.isfinite(result.outputs[0])
 
     def test_requires_kernel(self):
         with pytest.raises(ConfigError):

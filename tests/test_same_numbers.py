@@ -65,7 +65,9 @@ def test_diff_against_itself(output, tmp_path):
     assert done.stdout.splitlines() == [
         f"0 of {_floats(out)} floats differ",
         f"identical inputs ({len(INPUTS)} of {len(INPUTS)}): "
-        + ", ".join(inputs)]
+        + ", ".join(inputs),
+        "log-MLs that rose by more than 0.001 nats: 0",
+        "log-MLs that fell by more than 0.001 nats: 0"]
 
 
 def test_diff_against_a_perturbed_copy(output, tmp_path):
@@ -74,19 +76,25 @@ def test_diff_against_a_perturbed_copy(output, tmp_path):
     a.write_text(output)
     out["lee/3"]["kernels"]["se"]["log_ml_m1"] += 0.25
     out["lee/7"]["kernels"]["exp"]["log_ml_m1"] -= 0.5
+    # a rise within the stopping tolerance is not a change of mode
+    out["lee/3"]["kernels"]["linear"]["log_ml_m0"] += 5e-4
     out["simulate"]["cells"][1]["mean_log_bf"]["linear"] += 1e-9
     out["lee/7"]["objective_evals"] += 3
     b.write_text(json.dumps(out))
     done = _run("--diff", a, b)
     assert done.returncode == 1, done.stderr[-2000:]
     lines = done.stdout.splitlines()
-    assert lines[0] == f"3 of {_floats(out)} floats differ"
-    table = dict(line.split() for line in lines[2:-1])
-    assert table == {"kernels.log_ml_m1": "0.5", "cells.mean_log_bf": "1e-09",
-                     "objective_evals": "3"}
+    assert lines[0] == f"4 of {_floats(out)} floats differ"
+    table = dict(line.split() for line in lines[2:-5])
+    assert table == {"kernels.log_ml_m0": "0.0005", "kernels.log_ml_m1": "0.5",
+                     "cells.mean_log_bf": "1e-09", "objective_evals": "3"}
     same = sorted(INPUTS - {"lee/3", "lee/7", "simulate"})
-    assert sorted(lines[-1].split(": ")[1].split(", ")) == same
-    assert lines[-1].startswith(f"identical inputs ({len(same)} of ")
+    assert sorted(lines[-5].split(": ")[1].split(", ")) == same
+    assert lines[-5].startswith(f"identical inputs ({len(same)} of ")
+    assert lines[-4:] == ["log-MLs that rose by more than 0.001 nats: 1",
+                          "  lee/3 se log_ml_m1 +0.25",
+                          "log-MLs that fell by more than 0.001 nats: 1",
+                          "  lee/7 exp log_ml_m1 -0.5"]
 
 
 def test_diff_of_another_structure(output, tmp_path):
