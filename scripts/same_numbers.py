@@ -15,8 +15,11 @@ each 1-D reference input it also holds every fit's (M0, M1's two sides)
 posterior mean and variance on the 200-point grid of the workloads' 1-D
 query batches.
 Last come the cells of one small ``cli.simulate`` grid, read back from the
-summary file it writes. Every value is a Python float written by ``repr``,
-so two outputs are equal as text exactly when every number is bit-equal.
+summary file it writes, and the M0 and M1 log-ML of every kernel in each
+of the grid's repetitions (``fits``, in the order the grid fits them: entry
+i is repetition i % repetitions of cell i // repetitions). Every value is a
+Python float written by ``repr``, so two outputs are equal as text exactly
+when every number is bit-equal.
 
 Run it in two checkouts and compare:
 
@@ -30,10 +33,10 @@ largest absolute difference per quantity (the keys on a number's path below
 its input, without list positions or kernel labels), and which inputs are
 identical. Last it lists each M0 or M1 log-ML (``log_ml_m0``,
 ``log_ml_m1``) that rose, and each that fell, by more than ``MODE_CHANGE``
-nats, with its input and kernel: a change that large is a fit that reached
-another mode, not the stopping tolerance. It exits 0 when every number is
-equal, 1 when one differs, and 2 when the two files do not hold the same
-keys and list lengths.
+nats, with its input (and its place in ``fits``) and kernel: a change that
+large is a fit that reached another mode, not the stopping tolerance. It
+exits 0 when every number is equal, 1 when one differs, and 2 when the two
+files do not hold the same keys and list lengths.
 
 The package and the workloads come from the checkout the script is in;
 nothing under ``bench/`` is changed.
@@ -156,11 +159,26 @@ def _boundary_2d(workload: Boundary2D) -> dict:
 
 
 def _simulate(workdir: str) -> dict:
-    """The cells of SIM_GRID as `simulate` writes them to its summary."""
+    """The cells of SIM_GRID as `simulate` writes them to its summary, and
+    each comparison's log-MLs per kernel, recorded as `compare` returns."""
     path = os.path.join(workdir, "grid.json")
-    cli.simulate({**SIM_GRID, "output": {"summary_json": path}})
+    fits = []
+    compare = inference.compare
+
+    def recording(*args, **kwargs):
+        result = compare(*args, **kwargs)
+        fits.append({kr.kernel.label: {"log_ml_m0": kr.evidence_m0.log_ml,
+                                       "log_ml_m1": kr.evidence_m1.log_ml}
+                     for kr in result.kernel_results})
+        return result
+
+    inference.compare = recording
+    try:
+        cli.simulate({**SIM_GRID, "output": {"summary_json": path}})
+    finally:
+        inference.compare = compare
     with open(path, encoding="utf-8") as fh:
-        return {"cells": json.load(fh)["cells"]}
+        return {"cells": json.load(fh)["cells"], "fits": fits}
 
 
 def _counted(run) -> dict:
@@ -227,8 +245,11 @@ def diff(before: dict, after: dict) -> int:
             largest[name] = max(largest.get(name, 0.0), gap)
             differ += isinstance(x, float)
             if path[-1] in ("log_ml_m0", "log_ml_m1") and gap > MODE_CHANGE:
+                # the input, and a simulate fit's place in its list
+                where = "/".join(str(key) for key in path[:-2]
+                                 if key != "kernels")
                 moved["rose" if y > x else "fell"].append(
-                    f"  {path[0]} {path[-2]} {path[-1]} {y - x:+.3g}")
+                    f"  {where} {path[-2]} {path[-1]} {y - x:+.3g}")
         floats += isinstance(x, float)
     print(f"{differ} of {floats} floats differ")
     if largest:

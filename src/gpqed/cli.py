@@ -23,7 +23,8 @@ from importlib.metadata import PackageNotFoundError, version as pkg_version
 import numpy as np
 
 from . import geo, gp, inference, kernels, sim
-from .errors import ConfigError, DataError, GpqedError, NumericalError
+from .errors import (ConfigError, DataError, GpqedError, InputError,
+                     NumericalError)
 from .gp import Dataset
 from .hyperopt import OptConfig
 
@@ -234,12 +235,13 @@ def _opt_config(cfg: dict) -> OptConfig:
 
 
 def _kernel_list(cfg: dict) -> list[kernels.KernelSpec]:
-    """The "kernels" list; results are keyed by label, so labels are unique."""
-    specs = [kernels.from_name(n)
-             for n in _read(cfg, "kernels", _list_of(_json(str)))]
+    """The "kernels" list of known names; results are keyed by label, so
+    labels are unique."""
+    names = _read(cfg, "kernels", _list_of(_json(str)))
     try:
+        specs = [kernels.from_name(n) for n in names]
         inference.kernel_labels(specs)
-    except ConfigError as exc:
+    except (InputError, ConfigError) as exc:
         raise ConfigError(f"config key 'kernels': {exc}") from None
     return specs
 
@@ -337,6 +339,13 @@ def analyze(cfg: dict) -> dict:
             "config must specify exactly one of 'threshold' or 'boundary'")
     path = _read(cfg, "data", _json(str))
     response = _read(cfg, "response", _json(str))
+    # load_csv would read a repeated column, or the response, as one more
+    # copy of a variable
+    columns = [*predictors, response]
+    for col in predictors:
+        if columns.count(col) > 1:
+            raise ConfigError(f"config key 'predictors': column {col!r} is "
+                              "listed twice or is also the response")
     kernel_list = _kernel_list(cfg)
     seed = _read(cfg, "seed", _int, 0)
     opt = _opt_config(cfg)

@@ -67,12 +67,14 @@ class GPFit:
     (plus jitter), Fortran-ordered with an exactly zero upper triangle;
     log_det is log |Ky| = 2 sum(log diag L), taken from L before it was
     inverted. grad_terms holds the two terms of the log marginal
-    likelihood's gradient with respect to the hyperparameters in the order
-    kernel.param_names(), then the noise variance: row 0 is the data term
-    alpha^T dKy alpha / 2, row 1 the complexity term tr(Ky^-1 dKy) / 2; the
-    gradient is their difference. jitter is what jittered_cholesky added to
-    the diagonal of K + sigma_n^2 I before it was factorized (0.0 when none
-    was needed).
+    likelihood's gradient with respect to the kernel's second parameter
+    (the lengthscale, or the linear offset), then the noise variance, as a
+    2 x 2 array: row 0 is the data term alpha^T dKy alpha / 2, row 1 the
+    complexity term tr(Ky^-1 dKy) / 2; the gradient is their difference.
+    The kernel variance has no column: the search profiles it out in
+    closed form (hyperopt.profiled_scale). jitter is what jittered_cholesky
+    added to the diagonal of K + sigma_n^2 I before it was factorized (0.0
+    when none was needed).
     """
 
     kernel: KernelSpec
@@ -95,7 +97,7 @@ def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
         structure: GramStructure | None = None) -> GPFit:
     """Factorize K + sigma_n^2 I as L L^T and precompute alpha, the
     log-determinant, L^-1 and the two terms of the log marginal likelihood's
-    gradient.
+    gradient in the kernel's second parameter and the noise (GPFit).
 
     mean_constant defaults to the empirical mean of data.y; pass an explicit
     value to share one constant across several sub-fits. A GramStructure for
@@ -117,14 +119,11 @@ def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
         # in place: no identity matrix and no second n x n copy
         K.flat[::data.n + 1] += noise_variance
         L, jitter = jittered_cholesky(K)
-        resid = data.y - c
-        alpha, _ = lapack.dpotrs(L, resid, lower=1)
+        alpha, _ = lapack.dpotrs(L, data.y - c, lower=1)
         log_det = 2.0 * float(np.log(L.diagonal()).sum())
         # L becomes L^-1 in place
         Ky_inv = cholesky_inverse(L)
-        # Ky was factorized with noise + jitter on its diagonal
-        terms = _log_ml_grad_terms(structure, kernel, noise_variance + jitter,
-                                   K, Ky_inv, resid, alpha)
+        terms = _log_ml_grad_terms(structure, kernel, K, Ky_inv, alpha)
     if not np.isfinite(terms).all():
         raise NumericalError("log marginal likelihood gradient is not finite")
     return GPFit(kernel=kernel, mean_constant=c, noise_variance=noise_variance,
@@ -133,11 +132,11 @@ def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
 
 
 def _log_ml_grad_terms(structure: GramStructure, kernel: KernelSpec,
-                       noise: float, Ky: np.ndarray, Ky_inv: np.ndarray,
-                       resid: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+                       Ky: np.ndarray, Ky_inv: np.ndarray,
+                       alpha: np.ndarray) -> np.ndarray:
     """The terms of d log-ML / d theta = alpha^T dKy alpha / 2 -
     tr(Ky^-1 dKy) / 2 (Rasmussen & Williams 2006, eq. 5.9) as the rows of a
-    2 x p array, for theta = kernel parameters, then noise.
+    2 x 2 array, for theta = the kernel's second parameter, then noise.
 
     Ky_inv is the lower triangle of Ky^-1, as kernels.cholesky_inverse
     returns it; every trace is a reduction, not a matrix product. Ky is
@@ -146,23 +145,11 @@ def _log_ml_grad_terms(structure: GramStructure, kernel: KernelSpec,
     # Ky^-1 in the upper triangle (zeros below) of a C-ordered view
     U = Ky_inv.T
     data_n, trace_n = float(alpha @ alpha), float(U.trace())  # dKy/dnoise = I
-    d_var, d_p = structure.derivative(kernel, Ky)
-    if d_var is None:
-        # dK/dvariance = K / variance, with K = Ky - noise I,
-        # alpha^T Ky alpha = alpha^T resid and tr(Ky^-1 Ky) = n
-        data_v = (float(alpha @ resid) - noise * data_n) / kernel.variance
-        trace_v = (len(alpha) - noise * trace_n) / kernel.variance
-    else:
-        data_v, trace_v = _traces(U, alpha, d_var)
-    data_p, trace_p = _traces(U, alpha, d_p)
-    return 0.5 * np.array([[data_v, data_p, data_n],
-                           [trace_v, trace_p, trace_n]])
-
-
-def _traces(U: np.ndarray, alpha: np.ndarray, M: np.ndarray) -> tuple:
-    # alpha^T M alpha and tr(Ky^-1 M) for a symmetric M, U as above
-    return (float(alpha @ (M @ alpha)),
-            2.0 * np.vdot(U, M) - np.vdot(U.diagonal(), M.diagonal()))
+    d_p = structure.derivative(kernel, Ky)
+    data_p = float(alpha @ (d_p @ alpha))
+    # tr(Ky^-1 d_p) for the symmetric d_p, from U's upper triangle
+    trace_p = 2.0 * np.vdot(U, d_p) - np.vdot(U.diagonal(), d_p.diagonal())
+    return 0.5 * np.array([[data_p, data_n], [trace_p, trace_n]])
 
 
 def scaled_log_ml(quad: float, log_det: float, n: int,

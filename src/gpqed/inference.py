@@ -136,8 +136,10 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
     one place the log posterior is built, fits each part once at
     unit = exp([0, w]), takes v-hat from `hyperopt.profiled_scale` and
     returns minus the log posterior at theta = unit * v-hat ** powers, its
-    gradient in w, and the log-ML, v-hat, theta and unit fits. The fits
-    returned are the best evaluation's, scaled to v-hat, not fitted again.
+    gradient in w from the fits' `grad_terms` (which have no column for v)
+    and the prior's gradient in log theta[1:], and the log-ML, v-hat, theta
+    and unit fits. The fits returned are the best evaluation's, scaled to
+    v-hat, not fitted again.
 
     Raises DataError when every part's response is constant: the log
     posterior then grows without bound as v and the noise go to 0.
@@ -163,12 +165,12 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
         log_ml = gp.scaled_log_ml(quad, sum(f.log_det for f in fitted),
                                   data.n, u)
         prior, prior_grad = hyperopt.log_prior(theta)
-        # the log posterior's gradient in log theta (theta / u ** powers
+        # the log posterior's gradient in log theta[1:] (theta / u ** powers
         # cancels the terms' scaling to unit); along w it is the profiled
         # one, as the log posterior is flat along v at v-hat
         terms = sum(f.grad_terms for f in fitted)
-        grad = (terms[0] / u - terms[1]) * unit + prior_grad
-        return -(log_ml + prior), -grad[1:], log_ml, u, theta, fitted
+        grad = (terms[0] / u - terms[1]) * unit[1:] + prior_grad[1:]
+        return -(log_ml + prior), -grad, log_ml, u, theta, fitted
 
     # looked up at each call, so that a wrapper on the module sees it
     opt = hyperopt.optimize(objective, hyperopt.starts(init, powers, cfg))
@@ -176,9 +178,9 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
     ev = Evidence(log_ml=float(log_ml), k=len(init), n=data.n)
     k, noise = hyperopt.kernel_and_noise(kernel, theta)
     # at scale u, L^-1 is L^-1 / sqrt(u), log|Ky| gains n log u, alpha is
-    # alpha / u, and each hyperparameter's gradient data term scales by
+    # alpha / u, and each gradient column's data term scales by
     # u ** -(power + 1) and its complexity term by u ** -power
-    term_scale = u ** (powers + np.array([[1.0], [0.0]]))
+    term_scale = u ** (powers[1:] + np.array([[1.0], [0.0]]))
     return [replace(f, kernel=k, noise_variance=noise, jitter=f.jitter * u,
                     log_det=f.log_det + f.n * np.log(u),
                     chol_inv=f.chol_inv / np.sqrt(u), alpha=f.alpha / u,

@@ -246,21 +246,18 @@ class GramStructure:
             self._dots = _pairwise(False, self.X, self.X)
         return _linear_from_dot(spec, self._dots)
 
-    def derivative(self, spec: KernelSpec,
-                   K: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-        """(dK/dvariance, dK/dp) for K = gram(spec) and p its second
-        parameter, the lengthscale or the linear offset.
+    def derivative(self, spec: KernelSpec, K: np.ndarray) -> np.ndarray:
+        """dK/dp for K = gram(spec) and p its second parameter, the
+        lengthscale or the linear offset, written over K and returned.
 
         K is the array gram(spec) returned, with anything added to its
-        diagonal; it is overwritten with dK/dp. dK/dvariance is None for a
-        stationary kernel, where it is the noise-free K / variance, and the
-        cached dot products (not to be written) for the linear kernel.
-        The lengthscale derivative runs chunk by chunk, as the kernel
-        formulas do, so no temporary is n x n.
+        diagonal. The linear kernel's dK/doffset is a matrix of ones. The
+        lengthscale derivative runs chunk by chunk, as the kernel formulas
+        do, so no temporary is n x n.
         """
         if not spec.stationary:
             K.fill(1.0)
-            return self._dots, K
+            return K
         r, l = self._dist, spec.lengthscale
         # dK/dl is K times a function of r that is 0 at r = 0, so the
         # diagonal of K never matters
@@ -279,7 +276,7 @@ class GramStructure:
                 if spec.family == "squared_exponential":
                     ks *= rs
                 ks /= l * l
-        return None, K
+        return K
 
 
 def jittered_cholesky(K: np.ndarray) -> tuple[np.ndarray, float]:

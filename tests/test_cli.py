@@ -404,6 +404,8 @@ class TestMain:
         ("analyze", {"output": {"report": 5}}, [], "report"),
         ("simulate", {"effects": ["a"]}, [], "effects"),
         ("simulate", {"kernels": []}, [], "kernels"),
+        ("analyze", {"kernels": ["foo"]}, [], "kernels"),
+        ("simulate", {}, ["--kernels", "foo"], "kernels"),
     ])
     def test_bad_config_value_is_a_config_error(self, tmp_path, capsys,
                                                  command, bad, flags, key):
@@ -539,6 +541,28 @@ class TestMain:
         assert cli.main(["analyze", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: config key 'effect_point'")
+
+    @pytest.mark.parametrize("predictors, response, effect_point", [
+        (["x", "x"], "y", [0.0, 0.0]),
+        (["x", "y"], "y", [0.0, 0.0]),
+        (["y"], "y", None),
+    ], ids=["repeated", "response-among-two", "response-alone"])
+    def test_predictor_columns_are_distinct(
+            self, tmp_path, capsys, monkeypatch, predictors, response,
+            effect_point):
+        def compare(*args, **kwargs):
+            raise AssertionError("compare ran before the config was read")
+        monkeypatch.setattr(cli.inference, "compare", compare)
+        # a data file that does not exist would be a data error (exit 3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_base_config(
+            tmp_path, data=str(tmp_path / "no-such.csv"),
+            predictors=predictors, response=response,
+            effect_point=effect_point)))
+        assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: config key 'predictors'")
+        assert repr(predictors[-1]) in err
 
     @pytest.mark.parametrize("command, section, key", [
         ("analyze", "optimizer", "tolernce"),

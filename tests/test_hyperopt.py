@@ -377,17 +377,57 @@ def _parts(data, split, cutoff=0.0):
 
 
 def _log_ml(parts, kernel, theta, c):
-    """The summed log-ML of the parts at theta and its gradient, from
-    gp.fit at theta itself."""
+    """The summed log-ML of the parts at theta and its gradient in
+    theta[1:] (the kernel's second parameter, then the noise), from gp.fit
+    at theta itself."""
     k, noise = kernel_and_noise(kernel, theta)
     fits = [gp.fit(part, k, noise, mean_constant=c) for part in parts]
     return (sum(gp.log_marginal_likelihood(f) for f in fits),
             sum(f.grad_terms[0] - f.grad_terms[1] for f in fits))
 
 
+def _dense_log_ml(parts, kernel, theta, c):
+    """The summed log-ML of the parts at theta and its gradient in all of
+    theta, by Rasmussen & Williams (2006) eq. 5.9 with a dense inverse and
+    dense dK/dtheta from the kernels module docstring's formulas, apart from
+    gp.fit."""
+    v, p, noise = theta
+    value, grad = 0.0, np.zeros(3)
+    for part in parts:
+        X, n = part.X, part.n
+        if kernel.stationary:
+            r = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=-1)
+            if kernel.family == "exponential":
+                unit = np.exp(-r / p)
+                dK_dp = v * unit * r / p ** 2
+            elif kernel.family == "matern32":
+                z = np.sqrt(3.0) * r / p
+                unit = (1.0 + z) * np.exp(-z)
+                dK_dp = v * z ** 2 * np.exp(-z) / p
+            else:
+                unit = np.exp(-r ** 2 / p)
+                dK_dp = v * unit * r ** 2 / p ** 2
+            K = v * unit
+        else:
+            unit = X @ X.T
+            K, dK_dp = v * unit + p, np.ones((n, n))
+        Ky = K + noise * np.eye(n)
+        Ky_inv = np.linalg.inv(Ky)
+        resid = part.y - c
+        alpha = Ky_inv @ resid
+        sign, log_det = np.linalg.slogdet(Ky)
+        assert sign == 1.0
+        value -= 0.5 * (resid @ alpha + log_det + n * np.log(2.0 * np.pi))
+        # dK/dv is the covariance at unit variance
+        grad += [0.5 * (alpha @ dK @ alpha - np.trace(Ky_inv @ dK))
+                 for dK in (unit, dK_dp, np.eye(n))]
+    return value, grad
+
+
 class TestAnalyticGradient:
-    """gp.fit's log-ML gradient, summed over the parts of the one-part (M0)
-    and the two-part (M1) model, and the gradient of the profiled log
+    """gp.fit's log-ML gradient in the kernel's second parameter and the
+    noise, summed over the parts of the one-part (M0) and the two-part (M1)
+    model, and the gradient of the profiled log
     posterior that `_fit_parts` searches, against central differences, for
     every kernel family."""
 
@@ -434,7 +474,9 @@ class TestAnalyticGradient:
             value, grad = _log_ml(parts, kernel, theta, c)
             np.testing.assert_allclose(
                 grad, _central_difference(
-                    lambda t: _log_ml(parts, kernel, t, c)[0], theta),
+                    lambda t: _log_ml(parts, kernel,
+                                      np.concatenate((theta[:1], t)), c)[0],
+                    theta[1:]),
                 rtol=1e-5)
             # the objective at the unit coordinates of theta evaluates
             # theta with its scale moved to v-hat: its log-ML is gp.fit's
@@ -451,7 +493,7 @@ class TestAnalyticGradient:
             assert got_value == pytest.approx(-(want_value + prior),
                                               rel=1e-10)
             np.testing.assert_allclose(
-                got_grad, -(want_grad * at + prior_grad)[1:], rtol=1e-8)
+                got_grad, -(want_grad * at[1:] + prior_grad[1:]), rtol=1e-8)
             np.testing.assert_allclose(
                 got_grad,
                 _central_difference(lambda v: objective(v)[0], w),
@@ -498,7 +540,9 @@ class TestProfiledOptimum:
     """The optimum of the profiled search is the optimum of the full log
     posterior over all three log-hyperparameters: a 3-D L-BFGS-B started
     there gains nothing, and the derivative in log v with the ratios
-    theta / v ** powers held (the direction profiling removes) is zero."""
+    theta / v ** powers held (the direction profiling removes) is zero. The
+    full log posterior's gradient comes from `_dense_log_ml`, not gp.fit,
+    whose fits hold no column for v."""
 
     INPUTS = {
         "lee13": _lee_repetition_13,
@@ -510,7 +554,7 @@ class TestProfiledOptimum:
     @staticmethod
     def _log_posterior(parts, kernel, c, z):
         theta = np.exp(z)
-        value, grad = _log_ml(parts, kernel, theta, c)
+        value, grad = _dense_log_ml(parts, kernel, theta, c)
         prior, prior_grad = hyperopt.log_prior(theta)
         return value + prior, grad * theta + prior_grad
 

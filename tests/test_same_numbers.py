@@ -45,6 +45,15 @@ def test_same_numbers_runs(output):
                 assert len(curve["means"]) == len(curve["variances"]) == 200
                 assert all(map(math.isfinite,
                                curve["means"] + curve["variances"]))
+    # one entry per repetition of every simulate cell, each kernel's two
+    # log-MLs in it
+    fits = out["simulate"]["fits"]
+    assert len(fits) == len(out["simulate"]["cells"]) * 2
+    for fit in fits:
+        assert sorted(fit) == ["linear", "matern32"]
+        for pair in fit.values():
+            assert sorted(pair) == ["log_ml_m0", "log_ml_m1"]
+            assert all(map(math.isfinite, pair.values()))
 
 
 def _floats(tree):
@@ -79,20 +88,24 @@ def test_diff_against_a_perturbed_copy(output, tmp_path):
     # a rise within the stopping tolerance is not a change of mode
     out["lee/3"]["kernels"]["linear"]["log_ml_m0"] += 5e-4
     out["simulate"]["cells"][1]["mean_log_bf"]["linear"] += 1e-9
+    # a simulate fit that reached another mode is named by its place
+    out["simulate"]["fits"][5]["matern32"]["log_ml_m0"] += 2.0
     out["lee/7"]["objective_evals"] += 3
     b.write_text(json.dumps(out))
     done = _run("--diff", a, b)
     assert done.returncode == 1, done.stderr[-2000:]
     lines = done.stdout.splitlines()
-    assert lines[0] == f"4 of {_floats(out)} floats differ"
-    table = dict(line.split() for line in lines[2:-5])
+    assert lines[0] == f"5 of {_floats(out)} floats differ"
+    table = dict(line.split() for line in lines[2:-6])
     assert table == {"kernels.log_ml_m0": "0.0005", "kernels.log_ml_m1": "0.5",
-                     "cells.mean_log_bf": "1e-09", "objective_evals": "3"}
+                     "cells.mean_log_bf": "1e-09", "fits.log_ml_m0": "2",
+                     "objective_evals": "3"}
     same = sorted(INPUTS - {"lee/3", "lee/7", "simulate"})
-    assert sorted(lines[-5].split(": ")[1].split(", ")) == same
-    assert lines[-5].startswith(f"identical inputs ({len(same)} of ")
-    assert lines[-4:] == ["log-MLs that rose by more than 0.001 nats: 1",
+    assert sorted(lines[-6].split(": ")[1].split(", ")) == same
+    assert lines[-6].startswith(f"identical inputs ({len(same)} of ")
+    assert lines[-5:] == ["log-MLs that rose by more than 0.001 nats: 2",
                           "  lee/3 se log_ml_m1 +0.25",
+                          "  simulate/fits/5 matern32 log_ml_m0 +2",
                           "log-MLs that fell by more than 0.001 nats: 1",
                           "  lee/7 exp log_ml_m1 -0.5"]
 
