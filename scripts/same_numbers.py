@@ -87,12 +87,9 @@ def _floats(values) -> list[float]:
 def _lee(rep: int):
     """Repetition rep of a Lee cell, with the optimizer seed run_cell uses."""
     config = sim.SimConfig(latent="Lee", n=100, effect=0.5, noise_sd=0.3)
-    data = sim.generate(config, seed=sim.rep_seed(config.seed, 0, rep))
-    opt_seed = int(sim.rep_seed(config.seed, 0, rep, stream=1)
-                   .generate_state(1)[0])
+    data, opt = sim.repetition(config, 0, rep, OptConfig(restarts=2))
     return _numbers(inference.compare(data, Threshold(config.threshold),
-                                      [from_name(k) for k in KERNELS],
-                                      OptConfig(restarts=2, seed=opt_seed)))
+                                      [from_name(k) for k in KERNELS], opt))
 
 
 def _numbers(result: inference.ComparisonResult) -> dict:

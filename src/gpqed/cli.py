@@ -228,10 +228,9 @@ def _list_of(convert):
     return read
 
 
-def _opt_config(cfg: dict) -> OptConfig:
-    """The "optimizer" section's restarts, seeded by the top-level seed."""
-    return OptConfig(**_given(cfg, {"seed": _int}),
-                     **_section(cfg, "optimizer", {"restarts": _count}))
+def _restarts(cfg: dict) -> dict:
+    """The "optimizer" section, whose one key is restarts."""
+    return _section(cfg, "optimizer", {"restarts": _count})
 
 
 def _kernel_list(cfg: dict) -> list[kernels.KernelSpec]:
@@ -348,7 +347,7 @@ def analyze(cfg: dict) -> dict:
                               "listed twice or is also the response")
     kernel_list = _kernel_list(cfg)
     seed = _read(cfg, "seed", _int, 0)
-    opt = _opt_config(cfg)
+    opt = OptConfig(seed=seed, **_restarts(cfg))
     boundary = _read(cfg, "boundary", geo.load_boundary, None)
     label = (geo.BoundaryLabel(boundary) if boundary is not None
              else inference.Threshold(_read(cfg, "threshold", _float)))
@@ -412,21 +411,23 @@ def simulate(cfg: dict) -> dict:
     template = sim.SimConfig(latent=latents[0], **_given(
         cfg, {"n": _count, "noise_sd": _float, "threshold": _float,
               "seed": _int, "repetitions": _count}))
-    opt = _opt_config(cfg)
+    # run_cell seeds each repetition's optimizer from the template's seed
+    opt = OptConfig(**_restarts(cfg))
     outputs = _outputs(cfg, "summary_json", "summary_csv")
-    summary = sim.run_grid(latents, effects, template, kernel_list, opt=opt)
+    cells = sim.run_grid(latents, effects, template, kernel_list, opt=opt)
+    labels = [k.label for k in kernel_list]
 
     rows = []
-    for cell in summary.cells:
+    for cell in cells:
         for m in sim.METRICS:
             means, ses = getattr(cell, f"mean_{m}"), getattr(cell, f"se_{m}")
             rows += [[cell.latent, cell.effect, lab, m, means[lab], ses[lab]]
-                     for lab in summary.kernel_labels]
+                     for lab in labels]
         rows.append([cell.latent, cell.effect, "all", "total_log_bf",
                      cell.mean_total_log_bf, cell.se_total_log_bf])
     out = {"version": get_version(), "config": cfg,
-           "cells": [dataclasses.asdict(cell) for cell in summary.cells],
-           "kernel_labels": list(summary.kernel_labels)}
+           "cells": [dataclasses.asdict(cell) for cell in cells],
+           "kernel_labels": labels}
 
     _write_outputs(outputs, {
         "summary_json": lambda path: write_json_atomic(path, out),

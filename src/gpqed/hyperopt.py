@@ -39,8 +39,11 @@ from .kernels import KernelSpec
 
 
 def hyper_names(kernel: KernelSpec) -> list[str]:
-    """Order of a model's hyperparameter array: kernel parameters, then noise."""
-    return kernel.param_names() + ["noise_variance"]
+    """Order of a model's hyperparameter array: the kernel variance, the
+    lengthscale of a stationary kernel or the linear kernel's offset, then
+    the noise variance."""
+    return ["variance", "lengthscale" if kernel.stationary else "offset",
+            "noise_variance"]
 
 
 def scale_powers(kernel: KernelSpec) -> np.ndarray:
@@ -49,8 +52,7 @@ def scale_powers(kernel: KernelSpec) -> np.ndarray:
     covariance at theta / v ** powers, whose variance is 1. The lengthscale
     does not scale (0); the variance, the linear offset and the noise do (1).
     """
-    return np.array([0.0 if name == "lengthscale" else 1.0
-                     for name in hyper_names(kernel)])
+    return np.array([1.0, 0.0 if kernel.stationary else 1.0, 1.0])
 
 
 def kernel_and_noise(kernel: KernelSpec, theta) -> tuple[KernelSpec, float]:
@@ -234,6 +236,6 @@ def default_init(kernel: KernelSpec, data: Dataset) -> np.ndarray:
     half_range = float(np.mean(ranges)) / 2.0
     if half_range <= 0:
         half_range = 1.0
-    start = {"variance": (1.0 - frac) * var_y, "lengthscale": half_range,
-             "offset": 1.0, "noise_variance": frac * var_y}
-    return np.array([start[name] for name in hyper_names(kernel)])
+    return np.array([(1.0 - frac) * var_y,
+                     half_range if kernel.stationary else 1.0,
+                     frac * var_y])

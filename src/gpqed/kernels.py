@@ -69,7 +69,14 @@ class KernelSpec:
             raise InputError(f"unknown kernel family {self.family!r}")
         if not self.variance > 0:
             raise InputError("kernel variance must be positive")
-        if self.family == "linear":
+        if self.stationary:
+            if self.lengthscale is None:
+                object.__setattr__(self, "lengthscale", 1.0)
+            if not self.lengthscale > 0:
+                raise InputError("lengthscale must be positive")
+            if self.offset is not None:
+                raise InputError("offset only applies to the linear kernel")
+        else:
             if self.lengthscale is not None:
                 raise InputError("linear kernel has no lengthscale")
             if self.offset is None:
@@ -77,13 +84,6 @@ class KernelSpec:
             if not self.offset >= 0:
                 # the kernel is not positive semi-definite for offset < 0
                 raise InputError("linear offset must be >= 0")
-        else:
-            if self.lengthscale is None:
-                object.__setattr__(self, "lengthscale", 1.0)
-            if not self.lengthscale > 0:
-                raise InputError("lengthscale must be positive")
-            if self.offset is not None:
-                raise InputError("offset only applies to the linear kernel")
 
     @property
     def stationary(self) -> bool:
@@ -92,12 +92,6 @@ class KernelSpec:
     @property
     def label(self) -> str:
         return FAMILIES[self.family]
-
-    def param_names(self) -> list[str]:
-        """Names of the free (optimizable) kernel hyperparameters."""
-        if self.family == "linear":
-            return ["variance", "offset"]
-        return ["variance", "lengthscale"]
 
 
 def from_name(name: str, **overrides) -> KernelSpec:

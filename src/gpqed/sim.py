@@ -153,12 +153,6 @@ class CellSummary:
     se_rmse_bma: dict[str, float]
 
 
-@dataclass(frozen=True)
-class SimSummary:
-    cells: tuple[CellSummary, ...]
-    kernel_labels: tuple[str, ...]
-
-
 def _mean_se(values: list[float]) -> tuple[float, float]:
     """Mean and standard error; NaN for both when there are no values."""
     if not values:
@@ -176,22 +170,31 @@ def rep_seed(master_seed: int, cell_index: int, repetition: int,
     return np.random.SeedSequence([master_seed, cell_index, repetition, stream])
 
 
+def repetition(config: SimConfig, cell_index: int, rep: int,
+               opt: OptConfig = OptConfig()) -> tuple[Dataset, OptConfig]:
+    """Repetition rep of grid cell cell_index: its data, drawn from
+    rep_seed(config.seed, cell_index, rep), and opt with the optimizer seed
+    drawn from stream 1 of that sequence."""
+    data = generate(config, seed=rep_seed(config.seed, cell_index, rep))
+    seed = rep_seed(config.seed, cell_index, rep, stream=1).generate_state(1)
+    return data, replace(opt, seed=int(seed[0]))
+
+
 def run_cell(config: SimConfig, kernel_list: list[KernelSpec],
              cell_index: int = 0,
              opt: OptConfig = OptConfig()) -> CellSummary:
-    """Run `repetitions` independent analyses for one grid cell and aggregate."""
+    """Run `repetitions` independent analyses for one grid cell, each on the
+    data and optimizer seed `repetition` draws (opt gives the restarts), and
+    aggregate."""
     label = Threshold(value=config.threshold)
     labels = inference.kernel_labels(kernel_list)
     values = {(m, lab): [] for m in METRICS for lab in labels}
     totals = []
     failures = 0
     for rep in range(config.repetitions):
-        data = generate(config, seed=rep_seed(config.seed, cell_index, rep))
-        opt_seed = int(rep_seed(config.seed, cell_index, rep, stream=1)
-                       .generate_state(1)[0])
+        data, rep_opt = repetition(config, cell_index, rep, opt)
         try:
-            result = inference.compare(data, label, kernel_list,
-                                       replace(opt, seed=opt_seed))
+            result = inference.compare(data, label, kernel_list, rep_opt)
         except GpqedError:
             failures += 1
             continue
@@ -216,14 +219,13 @@ def run_cell(config: SimConfig, kernel_list: list[KernelSpec],
 
 def run_grid(latents: list[str], effects: list[float], template: SimConfig,
              kernel_list: list[KernelSpec],
-             opt: OptConfig = OptConfig()) -> SimSummary:
-    """Sweep (latent, d) cells; per-cell failures are recorded, never fatal.
-    Every cell's config is checked before the first cell runs."""
+             opt: OptConfig = OptConfig()) -> tuple[CellSummary, ...]:
+    """Sweep (latent, d) cells, in the order of their product; per-cell
+    failures are recorded, never fatal. Every cell's config is checked
+    before the first cell runs."""
     if not latents or not effects:
         raise ConfigError("latent and effect grids must be non-empty")
     configs = [replace(template, latent=latent, effect=d)
                for latent, d in itertools.product(latents, effects)]
-    cells = [run_cell(config, kernel_list, cell_index=i, opt=opt)
-             for i, config in enumerate(configs)]
-    return SimSummary(cells=tuple(cells),
-                      kernel_labels=tuple(k.label for k in kernel_list))
+    return tuple(run_cell(config, kernel_list, cell_index=i, opt=opt)
+                 for i, config in enumerate(configs))

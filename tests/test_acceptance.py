@@ -6,7 +6,6 @@ depends on an external dataset (data/sicily.csv, see scripts/fetch_sicily.py)
 and is skipped when the file is absent.
 """
 
-import dataclasses
 import json
 import os
 import time
@@ -104,11 +103,11 @@ class TestCriterion4DetectionTrend:
         started = time.perf_counter()
         cfg = sim.SimConfig(latent="Linear", n=100, noise_sd=1.0, seed=0,
                             repetitions=100)
-        summary = sim.run_grid(["Linear"], [0.25, 1.0, 4.0], cfg,
-                               [from_name("exp")], opt=FAST)
+        cells = sim.run_grid(["Linear"], [0.25, 1.0, 4.0], cfg,
+                             [from_name("exp")], opt=FAST)
         elapsed = time.perf_counter() - started
-        means = [c.mean_log_bf["exp"] for c in summary.cells]
-        ses = [c.se_log_bf["exp"] for c in summary.cells]
+        means = [c.mean_log_bf["exp"] for c in cells]
+        ses = [c.se_log_bf["exp"] for c in cells]
         monotone = all(
             means[i + 1] >= means[i] - np.hypot(ses[i], ses[i + 1])
             for i in range(2))
@@ -124,14 +123,14 @@ class TestCriterion5BmaShrinkage:
         kernel_list = [from_name(n) for n in ALL_FAMILY_NAMES]
         cfg = sim.SimConfig(latent="Linear", n=100, noise_sd=1.0, seed=0,
                             repetitions=100)
-        summary = sim.run_grid(["Linear"], [0.25, 4.0], cfg, kernel_list,
-                               opt=FAST)
-        weak, strong = summary.cells
+        weak, strong = sim.run_grid(["Linear"], [0.25, 4.0], cfg,
+                                    kernel_list, opt=FAST)
+        labels = [k.label for k in kernel_list]
         improved = sum(weak.mean_rmse_bma[lab] < weak.mean_rmse_m1[lab]
-                       for lab in summary.kernel_labels)
+                       for lab in labels)
         rel = max(abs(strong.mean_rmse_bma[lab] - strong.mean_rmse_m1[lab])
                   / strong.mean_rmse_m1[lab]
-                  for lab in summary.kernel_labels)
+                  for lab in labels)
         _check(5, improved >= 3 and rel <= 0.05,
                f"{improved}/4 kernels improved at d=0.25, "
                f"max relative gap {rel:.3f} at d=4")
@@ -159,11 +158,8 @@ class TestCriterion6DerivativeSensitivity:
         log_bf = {c: [] for c in (0.0,) + placebos}
         started = time.perf_counter()
         for rep in range(cfg.repetitions):
-            # the data and optimizer seeds of sim.run_cell's cell 0
-            data = sim.generate(cfg, seed=sim.rep_seed(cfg.seed, 0, rep))
-            opt_seed = sim.rep_seed(cfg.seed, 0, rep, stream=1)
-            opt = dataclasses.replace(
-                FAST, seed=int(opt_seed.generate_state(1)[0]))
+            # the data and optimizer seed of sim.run_cell's cell 0
+            data, opt = sim.repetition(cfg, 0, rep, FAST)
             kr = compare(data, Threshold(0.0), [kern], opt).kernel_results[0]
             log_bf[0.0].append(kr.log_bf10)
             for c in placebos:

@@ -36,13 +36,16 @@ class TestHyperVector:
     def test_roundtrip_with_kernel(self):
         k = from_name("se", variance=2.0, lengthscale=0.7)
         assert hyper_names(k) == ["variance", "lengthscale", "noise_variance"]
-        theta = np.array([getattr(k, name) for name in k.param_names()] + [0.3])
+        theta = np.array([getattr(k, name) for name in hyper_names(k)[:-1]]
+                         + [0.3])
         k2, noise = kernel_and_noise(from_name("se"), theta)
         assert k2 == k and noise == 0.3
 
     def test_length_is_model_k(self):
         k = from_name("linear")
-        assert len(hyper_names(k)) == len(k.param_names()) + 1
+        data = Dataset(np.arange(6.0), np.array([0.0, 1.0, 0.0, 2.0, 1.0, 3.0]))
+        _, ev = inference.fit_continuous(data, k, OptConfig(restarts=1))
+        assert len(hyper_names(k)) == ev.k == 3
 
     def test_scale_powers(self):
         assert hyperopt.scale_powers(from_name("se")).tolist() == [1, 0, 1]
@@ -530,10 +533,7 @@ def _lee_repetition_13():
     optimizer config."""
     cfg = sim.SimConfig(latent="Lee", n=200, effect=0.0, noise_sd=0.1,
                         seed=0, repetitions=100)
-    data = sim.generate(cfg, seed=sim.rep_seed(cfg.seed, 0, 13))
-    opt_seed = sim.rep_seed(cfg.seed, 0, 13, stream=1)
-    return data, OptConfig(restarts=2,
-                           seed=int(opt_seed.generate_state(1)[0]))
+    return sim.repetition(cfg, 0, 13, OptConfig(restarts=2))
 
 
 class TestProfiledOptimum:
@@ -569,7 +569,7 @@ class TestProfiledOptimum:
         else:
             fit, _ = inference.fit_continuous(data, kernel, cfg)
         theta_hat = np.array([getattr(fit.kernel, p)
-                              for p in fit.kernel.param_names()]
+                              for p in hyper_names(kernel)[:-1]]
                              + [fit.noise_variance])
         parts = _parts(data, split)
         c = float(np.mean(data.y))

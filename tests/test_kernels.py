@@ -8,6 +8,7 @@ from scipy.spatial.distance import cdist
 
 from gpqed import kernels
 from gpqed.errors import InputError
+from gpqed.hyperopt import hyper_names
 from gpqed.kernels import FAMILIES, SQRT3, GramStructure, KernelSpec, from_name
 
 from conftest import ALL_FAMILY_NAMES, oracle_kernel, random_kernel
@@ -264,7 +265,8 @@ class TestNumHyperparameters:
 
     @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
     def test_counts(self, name):
-        assert len(from_name(name).param_names()) == 2
+        names = hyper_names(from_name(name))
+        assert len(names) == 3 and names[-1] == "noise_variance"
 
 
 class TestSpecValidation:

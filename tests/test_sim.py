@@ -125,10 +125,10 @@ class TestRunGrid:
     def test_single_cell_single_rep(self):
         cfg = SimConfig(latent="Linear", n=40, effect=4.0, seed=3,
                         repetitions=1)
-        summary = sim.run_grid(["Linear"], [4.0], cfg, [from_name("exp")],
-                               opt=OptConfig(restarts=1, seed=0))
-        assert len(summary.cells) == 1
-        cell = summary.cells[0]
+        cells = sim.run_grid(["Linear"], [4.0], cfg, [from_name("exp")],
+                             opt=OptConfig(restarts=1, seed=0))
+        assert len(cells) == 1
+        cell = cells[0]
         assert cell.failures == 0
         assert cell.mean_log_bf["exp"] == cell.mean_total_log_bf
         assert cell.se_log_bf["exp"] == 0.0
@@ -140,7 +140,7 @@ class TestRunGrid:
                          opt=OptConfig(restarts=1, seed=0))
         b = sim.run_grid(["Linear"], [1.0], cfg, [from_name("exp")],
                          opt=OptConfig(restarts=1, seed=0))
-        assert a.cells[0].mean_log_bf == b.cells[0].mean_log_bf
+        assert a[0].mean_log_bf == b[0].mean_log_bf
 
     def test_only_typed_failures_are_counted(self, monkeypatch):
         cfg = SimConfig(latent="Linear", n=40, repetitions=2)
