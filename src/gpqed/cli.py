@@ -40,9 +40,9 @@ def get_version() -> str:
 # data loading
 
 def load_csv(path: str, predictors: list[str], response: str) -> Dataset:
-    """Strictly parse the named columns as finite decimal numbers, order
-    preserved: float() also reads "1_000", "inf" and "nan", which are
-    DataErrors here, as is any other non-numeric cell."""
+    """Strictly parse the named columns as finite decimal numbers
+    (`gp.finite_decimal`), order preserved; any other cell is a DataError
+    naming its row and column."""
     # a byte-order mark is skipped, and a byte that is not UTF-8 reads as
     # U+FFFD, an error only where parsed
     try:
@@ -74,14 +74,10 @@ def load_csv(path: str, predictors: list[str], response: str) -> Dataset:
                     raise DataError(f"{path}: row {rownum}: missing value "
                                     f"in column {col!r}")
                 try:
-                    value = float(raw)
-                except ValueError:
-                    value = np.nan
-                if "_" in raw or not np.isfinite(value):
-                    raise DataError(
-                        f"{path}: row {rownum}, column {col!r}: "
-                        f"not a finite decimal number: {raw!r}")
-                return value
+                    return gp.finite_decimal(raw)
+                except ValueError as exc:
+                    raise DataError(f"{path}: row {rownum}, column {col!r}: "
+                                    f"{exc}") from None
             X_rows.append([cell(c) for c in predictors])
             y_rows.append(cell(response))
     if not y_rows:
@@ -210,12 +206,16 @@ def _float(value) -> float:
     return float(value)
 
 
-def _count(value) -> int:
-    """A JSON integer of at least 1."""
-    count = _int(value)
-    if count < 1:
-        raise ValueError(f"expected an integer >= 1, got {value!r}")
-    return count
+def _at_least(low: int):
+    """A converter for a JSON integer of at least low."""
+    def read(value) -> int:
+        if _int(value) < low:
+            raise ValueError(f"expected an integer >= {low}, got {value!r}")
+        return value
+    return read
+
+
+_count = _at_least(1)
 
 
 def _list_of(convert):
@@ -332,7 +332,8 @@ def analyze(cfg: dict) -> dict:
     """Run one full analysis from a config dict; returns the report dict."""
     predictors = _read(cfg, "predictors", _list_of(_json(str)))
     if len(predictors) not in (1, 2):
-        raise ConfigError("1 or 2 predictor columns are supported")
+        raise ConfigError("config key 'predictors': 1 or 2 predictor columns "
+                          f"are supported, got {len(predictors)}")
     if (cfg.get("threshold") is None) == (cfg.get("boundary") is None):
         raise ConfigError(
             "config must specify exactly one of 'threshold' or 'boundary'")
@@ -346,7 +347,7 @@ def analyze(cfg: dict) -> dict:
             raise ConfigError(f"config key 'predictors': column {col!r} is "
                               "listed twice or is also the response")
     kernel_list = _kernel_list(cfg)
-    seed = _read(cfg, "seed", _int, 0)
+    seed = _read(cfg, "seed", _at_least(0), 0)
     opt = OptConfig(seed=seed, **_restarts(cfg))
     boundary = _read(cfg, "boundary", geo.load_boundary, None)
     label = (geo.BoundaryLabel(boundary) if boundary is not None
@@ -362,7 +363,8 @@ def analyze(cfg: dict) -> dict:
     if effect_point is not None and len(effect_point) != len(predictors):
         raise ConfigError("config key 'effect_point' must have one entry "
                           f"per predictor ({len(predictors)})")
-    profile_points = _read(cfg, "profile_points", _count, 50)
+    # geo.boundary_points places at least the two ends of the boundary
+    profile_points = _read(cfg, "profile_points", _at_least(2), 50)
     curve_grid = _read(cfg, "curve_grid", _count, 200)
     mc_samples = _read(cfg, "mc_samples", _count, 10000)
     outputs = _outputs(cfg, "report", "curves", "density_samples")
@@ -410,7 +412,7 @@ def simulate(cfg: dict) -> dict:
     kernel_list = _kernel_list(cfg)
     template = sim.SimConfig(latent=latents[0], **_given(
         cfg, {"n": _count, "noise_sd": _float, "threshold": _float,
-              "seed": _int, "repetitions": _count}))
+              "seed": _at_least(0), "repetitions": _count}))
     # run_cell seeds each repetition's optimizer from the template's seed
     opt = OptConfig(**_restarts(cfg))
     outputs = _outputs(cfg, "summary_json", "summary_csv")

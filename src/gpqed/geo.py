@@ -16,7 +16,7 @@ import numpy as np
 
 from . import inference
 from .errors import DataError, InputError
-from .gp import GPFit
+from .gp import GPFit, finite_decimal
 
 ON_PATH_TOL = 1e-9
 
@@ -156,23 +156,28 @@ def effect_profile(fit_c: GPFit, fit_i: GPFit, boundary: BoundaryPolyline,
 
 
 def load_boundary(path) -> BoundaryPolyline:
-    """Read a polyline from text: one "x y" vertex per line, '#' comments,
+    """Read a polyline from text: one "x y" vertex per line, each
+    coordinate a finite decimal number (`gp.finite_decimal`), '#' comments,
     UTF-8 with or without a byte-order mark. A file that does not hold a
     valid `BoundaryPolyline` is a DataError naming the path."""
-    vertices = []
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DataError(
-                    f"{path}:{lineno}: expected 'x y', got {line!r}")
-            try:
-                vertices.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric vertex") from exc
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: byte {exc.start}: "
+                            f"{exc.reason}") from None
+    vertices = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'x y', got {line!r}")
+        try:
+            vertices.append([finite_decimal(t) for t in parts])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
     if len(vertices) < 2:
         raise DataError(f"{path}: a boundary needs at least 2 vertices")
     try:

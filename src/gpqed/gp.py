@@ -59,6 +59,18 @@ class Dataset:
         return Dataset(self.X[mask], self.y[mask])
 
 
+def finite_decimal(text: str) -> float:
+    """A number read from a data or boundary file: a finite decimal, else
+    ValueError. float() also reads "1_000", "inf" and "nan", which are not."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if "_" in text or not np.isfinite(value):
+        raise ValueError(f"not a finite decimal number: {text!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GPFit:
     """A trained GP: kernel, constant mean, noise, and its Cholesky state.

@@ -111,6 +111,13 @@ class OptConfig:
     restarts: int = 5
     seed: int = 0
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise InputError("restarts must be >= 1")
+        # numpy seeds a generator only from non-negative integers
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
+
 
 # L-BFGS-B's stopping rule for every run of every search
 STOPPING = {"maxiter": 500, "gtol": 1e-5, "ftol": 1e-12}
@@ -125,12 +132,10 @@ def starts(init, powers, cfg: OptConfig) -> np.ndarray:
     w = log(theta[1:] / theta[0] ** powers[1:]), one row per restart.
 
     init is the positive hyperparameter array of restart 0 (InputError if an
-    entry is not > 0, or if cfg.restarts < 1). Restart k > 0 starts at
+    entry is not > 0). Restart k > 0 starts at
     z = log(init) plus Normal(0, 0.5) draws on every entry, from a generator
     seeded with cfg.seed, taken to w.
     """
-    if cfg.restarts < 1:
-        raise InputError("restarts must be >= 1")
     init = np.asarray(init, dtype=float)
     bad = np.flatnonzero(~(init > 0))
     if bad.size:

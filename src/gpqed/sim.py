@@ -85,6 +85,9 @@ class SimConfig:
             raise ConfigError("n must be >= 10")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        # rep_seed's SeedSequence takes only non-negative integers
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not self.noise_sd > 0:
             raise ConfigError("noise sd must be positive")
         # x ~ U(-1, 1), so any other threshold leaves a side empty
@@ -164,10 +167,10 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
     return m, float(np.std(values, ddof=1) / np.sqrt(len(values)))
 
 
-def rep_seed(master_seed: int, cell_index: int, repetition: int,
+def rep_seed(master_seed: int, cell_index: int, rep: int,
              stream: int = 0) -> np.random.SeedSequence:
     """Deterministic per-repetition seed derived from the master seed."""
-    return np.random.SeedSequence([master_seed, cell_index, repetition, stream])
+    return np.random.SeedSequence([master_seed, cell_index, rep, stream])
 
 
 def repetition(config: SimConfig, cell_index: int, rep: int,

@@ -85,6 +85,14 @@ class TestLoadCsv:
                            f"decimal number: '{raw}'"):
             cli.load_csv(str(p), ["x"], "y")
 
+    def test_missing_cell_located(self, tmp_path):
+        # a row shorter than the header
+        p = tmp_path / "d.csv"
+        p.write_text("x,y\n1.0,2.0\n1.5\n")
+        with pytest.raises(DataError, match="row 3: missing value in "
+                           "column 'y'"):
+            cli.load_csv(str(p), ["x"], "y")
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")
@@ -406,6 +414,7 @@ class TestMain:
         ("simulate", {"kernels": []}, [], "kernels"),
         ("analyze", {"kernels": ["foo"]}, [], "kernels"),
         ("simulate", {}, ["--kernels", "foo"], "kernels"),
+        ("analyze", {"predictors": ["a", "b", "c"]}, [], "predictors"),
     ])
     def test_bad_config_value_is_a_config_error(self, tmp_path, capsys,
                                                  command, bad, flags, key):
@@ -468,10 +477,27 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: config key {key!r}")
 
+    def test_one_profile_point_fails_before_the_data_are_read(
+            self, tmp_path, capsys, monkeypatch):
+        # a profile runs from one end of the boundary to the other
+        def compare(*args, **kwargs):
+            raise AssertionError("compare ran before the config was read")
+        monkeypatch.setattr(cli.inference, "compare", compare)
+        cfg = tmp_path / "cfg.json"
+        # a data file that does not exist would be a data error (exit 3)
+        cfg.write_text(json.dumps(_base_config(
+            tmp_path, data=str(tmp_path / "no-such.csv"), profile_points=1)))
+        assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: config key "
+                              "'profile_points': expected an integer >= 2")
+
     @pytest.mark.parametrize("command, section, key, value", [
         (command, section, key, value)
         for command, section, key, values in [
-            ("analyze", None, "seed", _NOT_INTEGERS),
+            # numpy seeds only from a non-negative integer
+            ("analyze", None, "seed", [*_NOT_INTEGERS, -1]),
+            ("simulate", None, "seed", [*_NOT_INTEGERS, -1]),
             # an unknown key now, so no value passes; a non-integer still fails
             ("analyze", "optimizer", "seed", _NOT_INTEGERS),
             ("analyze", "optimizer", "restarts", [*_NOT_INTEGERS, 0]),
@@ -669,7 +695,8 @@ class TestMain:
         assert str(data) in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
-    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8",
+                                      "not-an-object"])
     def test_unreadable_config_file_is_a_config_error(
             self, tmp_path, capsys, monkeypatch, command, kind):
         def run(*args, **kwargs):
@@ -679,8 +706,10 @@ class TestMain:
         cfg = tmp_path / "cfg.json"
         if kind == "directory":
             cfg.mkdir()
-        else:
+        elif kind == "not-utf8":
             cfg.write_bytes(b'{"seed": "\xff"}')
+        else:
+            cfg.write_text('["seed", 0]')
         assert cli.main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and str(cfg) in err

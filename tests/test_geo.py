@@ -338,6 +338,24 @@ class TestLoadBoundary:
         with pytest.raises(DataError):
             load_boundary(p)
 
+    @pytest.mark.parametrize("raw", ["1_0", "inf", "-Infinity", "nan",
+                                     "1e400"])
+    def test_not_a_finite_decimal_located(self, tmp_path, raw):
+        # the rule of cli.load_csv; float() reads "1_0" as 10.0
+        p = tmp_path / "border.txt"
+        p.write_text(f"0 0\n{raw} 2\n")
+        with pytest.raises(DataError, match=f"line 2: not a finite decimal "
+                           f"number: '{raw}'") as info:
+            load_boundary(p)
+        assert str(info.value).startswith(f"{p}: ")
+
+    def test_not_utf8_is_a_data_error(self, tmp_path):
+        p = tmp_path / "border.txt"
+        p.write_bytes(b"# caf\xe9\n0 0\n1 2\n")
+        with pytest.raises(DataError, match="not UTF-8") as info:
+            load_boundary(p)
+        assert str(info.value).startswith(f"{p}: ")
+
     def test_too_few_vertices(self, tmp_path):
         p = tmp_path / "border.txt"
         p.write_text("0 0\n")

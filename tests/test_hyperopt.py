@@ -52,6 +52,18 @@ class TestHyperVector:
         assert hyperopt.scale_powers(from_name("linear")).tolist() == [1, 1, 1]
 
 
+class TestOptConfig:
+    @pytest.mark.parametrize("fields, message", [
+        ({"restarts": 0}, "restarts"),
+        ({"restarts": -2}, "restarts"),
+        # numpy seeds a generator only from a non-negative integer
+        ({"seed": -1}, "seed"),
+    ])
+    def test_rejected(self, fields, message):
+        with pytest.raises(InputError, match=message):
+            OptConfig(**fields)
+
+
 class TestStarts:
     def test_restart_k_is_the_unit_coordinates_of_its_draw(self):
         # restart 0 at z = log(init), restart k > 0 at z plus the k-th

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gpqed import cli, gp, hyperopt, inference, kernels, sim
-from gpqed.errors import ConfigError, DataError, NumericalError
+from gpqed.errors import ConfigError, DataError, InputError, NumericalError
 from gpqed.gp import Dataset
 from gpqed.hyperopt import OptConfig
 from gpqed.inference import (
@@ -430,6 +430,16 @@ class TestCompare:
             compare(_step_data(20), Threshold(0.0), [from_name("se")], FAST,
                     effect_point=[value])
 
+    @pytest.mark.parametrize("point", [[0.0, 0.5], [[0.0], [0.5]], []],
+                             ids=["two-coordinates", "two-points", "empty"])
+    def test_effect_point_must_be_one_point(self, point, monkeypatch):
+        def fit(*args):
+            raise AssertionError("a model was fitted")
+        monkeypatch.setattr(inference, "fit_continuous", fit)
+        with pytest.raises(ConfigError, match="single 1-dimensional point"):
+            compare(_step_data(20), Threshold(0.0), [from_name("se")], FAST,
+                    effect_point=point)
+
 
 def _lee(rep):
     """A Lee input (n = 100, d = 0.5, noise sd 0.3) and an optimizer
@@ -521,6 +531,13 @@ class TestBmaSamples:
         a = bma_effect_samples(res, 1000, seed=1)
         b = bma_effect_samples(res, 1000, seed=1)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        eff = EffectPosterior(m1_mean=2.0, m1_var=1.0,
+                              spike_weight=0.5, gaussian_weight=0.5)
+        with pytest.raises(InputError, match="count"):
+            inference.effect_samples(eff, count, seed=0)
 
     def test_spike_only(self):
         eff = EffectPosterior(m1_mean=2.0, m1_var=1.0,

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from gpqed import sim
+from gpqed import inference, sim
 from gpqed.errors import ConfigError, InputError, NumericalError
 from gpqed.hyperopt import OptConfig
 from gpqed.inference import EffectPosterior
@@ -79,6 +81,16 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             SimConfig(latent="Nope")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("repetitions", 0, "repetitions"),
+        ("noise_sd", 0.0, "noise sd"),
+        ("noise_sd", -1.0, "noise sd"),
+        ("seed", -1, "seed"),
+    ])
+    def test_invalid_field_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            SimConfig(latent="Linear", **{field: value})
+
     @pytest.mark.parametrize("threshold", [5.0, 1.0, -1.0, float("nan")])
     def test_threshold_outside_the_x_range_rejected(self, threshold):
         # x ~ U(-1, 1): such a threshold leaves one side empty in every
@@ -119,6 +131,59 @@ class TestRmse:
             # 3 MC standard errors of the mean-square, pushed through sqrt
             draws_var_bound = 3 * (cf ** 2 + 1.0) / np.sqrt(n)
             assert abs(mc - cf) < max(draws_var_bound, 0.05)
+
+
+class TestRepetition:
+    """sim.repetition is the one rule for a repetition's data and optimizer
+    seed; run_cell and the benchmark's sim_grid reference draw through it."""
+
+    def test_stated_rule(self):
+        cfg = SimConfig(latent="Lee", n=30, seed=4, repetitions=3)
+        data, opt = sim.repetition(cfg, 2, 1, OptConfig(restarts=3))
+        want = generate(cfg, seed=np.random.SeedSequence([4, 2, 1, 0]))
+        np.testing.assert_array_equal(data.X, want.X)
+        np.testing.assert_array_equal(data.y, want.y)
+        stream = np.random.SeedSequence([4, 2, 1, 1])
+        assert opt == OptConfig(restarts=3,
+                                seed=int(stream.generate_state(1)[0]))
+
+    def test_run_cell_fits_each_repetition(self, monkeypatch):
+        handed = []
+
+        def compare(data, label, kernel_list, opt):
+            handed.append((data, opt))
+            raise NumericalError("stop")
+        monkeypatch.setattr(sim.inference, "compare", compare)
+        cfg = SimConfig(latent="Linear", n=20, seed=5, repetitions=2)
+        opt = OptConfig(restarts=2)
+        assert sim.run_cell(cfg, [from_name("exp")], cell_index=3,
+                            opt=opt).failures == 2
+        for rep, (data, rep_opt) in enumerate(handed):
+            want_data, want_opt = sim.repetition(cfg, 3, rep, opt)
+            np.testing.assert_array_equal(data.y, want_data.y)
+            assert rep_opt == want_opt
+
+    def test_benchmark_reference_draws_the_same_repetition(self, monkeypatch):
+        # bench/workloads.py keeps its own copy of the rule for the
+        # direct compare that checks run_cell; it must match this one
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "bench"))
+        from workloads import SimGrid
+
+        class Handed(Exception):
+            pass
+
+        def compare(data, label, kernel_list, opt):
+            raise Handed(data, opt)
+        monkeypatch.setattr(inference, "compare", compare)
+        grid = SimGrid(seed=7, workdir=None)
+        with pytest.raises(Handed) as handed:
+            grid.prepare()
+        data, opt = handed.value.args
+        want_data, want_opt = sim.repetition(grid._config(0), 0, 0, grid.opt)
+        np.testing.assert_array_equal(data.X, want_data.X)
+        np.testing.assert_array_equal(data.y, want_data.y)
+        assert opt == want_opt
 
 
 class TestRunGrid:
