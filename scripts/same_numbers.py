@@ -28,7 +28,8 @@ Run it in two checkouts and compare:
     cmp before.json after.json
     python scripts/same_numbers.py --diff before.json after.json
 
-``--diff A B`` reads two such files and prints how many floats differ, the
+``--diff A B`` reads two such files and prints how many floats differ,
+each file's total objective evaluations when the totals differ, the
 largest absolute difference per quantity (the keys on a number's path below
 its input, without list positions or kernel labels), and which inputs are
 identical. Last it lists each M0 or M1 log-ML (``log_ml_m0``,
@@ -249,6 +250,10 @@ def diff(before: dict, after: dict) -> int:
                     f"  {where} {path[-2]} {path[-1]} {y - x:+.3g}")
         floats += isinstance(x, float)
     print(f"{differ} of {floats} floats differ")
+    evals = before["objective_evals"], after["objective_evals"]
+    if evals[0] != evals[1]:
+        print(f"objective evaluations: {evals[0]} in A, {evals[1]} in B "
+              f"({evals[1] / evals[0] - 1.0:+.1%})")
     if largest:
         print("largest absolute difference per quantity:")
         width = max(map(len, largest))

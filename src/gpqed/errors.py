@@ -1,8 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one check of a
+random seed.
 
 Exit-code mapping used by the CLI: ConfigError -> 2, DataError -> 3,
 NumericalError -> 4.
 """
+
+import numbers
+
+import numpy as np
 
 
 class GpqedError(Exception):
@@ -27,3 +32,13 @@ class NumericalError(GpqedError):
 
 class OptimizationError(NumericalError):
     """All optimizer restarts diverged."""
+
+
+def check_seed(seed):
+    """seed, when numpy can seed a generator from it: an integer >= 0 or a
+    SeedSequence. InputError otherwise, where numpy raises an untyped
+    ValueError or TypeError."""
+    if not (isinstance(seed, np.random.SeedSequence)
+            or isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed

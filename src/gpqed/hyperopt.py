@@ -13,13 +13,15 @@ The first hyperparameter, the kernel variance v, is a scale: the covariance
 at theta is v times the covariance at theta / v ** `scale_powers`.
 Its optimum given the others has a closed form (`profiled_scale`), so the
 search runs over the log unit-scale coordinates alone, from the points
-`starts` gives, one per `OptConfig` restart and seeded by its seed. Restart
-0 starts at `default_init`, which splits var(y) into a signal variance and
-a noise variance estimated from the differences of nearest neighbours in X.
+`starts` gives: one per `OptConfig` restart, seeded by its seed, for a
+stationary kernel, and restart 0 alone for the linear kernel, which has no
+lengthscale mode for a restart to reach. Restart 0 starts at
+`default_init`, which splits var(y) into a signal variance and a noise
+variance estimated from the differences of nearest neighbours in X.
 `optimize` is a plain multi-start L-BFGS-B minimizer of whatever objective
 it is handed, under the one stopping rule `STOPPING`. A later run also ends
 once it rejoins the best point of an earlier converged run, within `REJOIN`
-in every coordinate of the search (in log coordinates, 3% in every
+in every coordinate of the search (in log coordinates, 10% in every
 hyperparameter) without improving on it: the region-of-attraction rule of
 clustering multistart (Rinnooy Kan & Timmer 1987), over a fixed start set.
 """
@@ -33,7 +35,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
-from .errors import InputError, NumericalError, OptimizationError
+from .errors import (InputError, NumericalError, OptimizationError,
+                     check_seed)
 from .gp import Dataset
 from .kernels import KernelSpec
 
@@ -114,36 +117,40 @@ class OptConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise InputError("restarts must be >= 1")
-        # numpy seeds a generator only from non-negative integers
-        if self.seed < 0:
-            raise InputError("seed must be >= 0")
+        check_seed(self.seed)
 
 
 # L-BFGS-B's stopping rule for every run of every search
 STOPPING = {"maxiter": 500, "gtol": 1e-5, "ftol": 1e-12}
 
 # how near, in every coordinate, a later run must come back to the best
-# point of an earlier converged run for `optimize` to end it
-REJOIN = 0.03
+# point of an earlier converged run for `optimize` to end it; at 0.3 a run
+# passing an earlier optimum on its way to a better one is cut (criterion
+# 6's Lee repetition 33, se M0), so 0.1 keeps a margin below that
+REJOIN = 0.1
 
 
-def starts(init, powers, cfg: OptConfig) -> np.ndarray:
-    """The restarts' start points in the unit-scale log coordinates
-    w = log(theta[1:] / theta[0] ** powers[1:]), one row per restart.
+def starts(kernel: KernelSpec, init, cfg: OptConfig) -> np.ndarray:
+    """The search's start points in the unit-scale log coordinates
+    w = log(theta[1:] / theta[0] ** powers[1:]) (powers from
+    `scale_powers(kernel)`), one row per restart.
 
     init is the positive hyperparameter array of restart 0 (InputError if an
-    entry is not > 0). Restart k > 0 starts at
-    z = log(init) plus Normal(0, 0.5) draws on every entry, from a generator
-    seeded with cfg.seed, taken to w.
+    entry is not > 0). A stationary kernel takes cfg.restarts rows: restart
+    k > 0 starts at z = log(init) plus Normal(0, 0.5) draws on every entry,
+    from a generator seeded with cfg.seed, taken to w. The linear kernel
+    takes restart 0 alone, whatever cfg.restarts is: restarts are there to
+    reach other lengthscale modes, and it has no lengthscale.
     """
     init = np.asarray(init, dtype=float)
     bad = np.flatnonzero(~(init > 0))
     if bad.size:
         raise InputError(f"hyperparameter {bad[0]} must be positive")
+    powers = scale_powers(kernel)
     rng = np.random.default_rng(cfg.seed)
+    later = cfg.restarts - 1 if kernel.stationary else 0
     z = np.log(init) + np.vstack([
-        np.zeros(init.size),
-        rng.normal(0.0, 0.5, size=(cfg.restarts - 1, init.size))])
+        np.zeros(init.size), rng.normal(0.0, 0.5, size=(later, init.size))])
     return z[:, 1:] - powers[1:] * z[:, :1]
 
 
@@ -169,9 +176,9 @@ def optimize(objective, points) -> OptResult:
     its final gradient is below STOPPING["gtol"]. A run also ends at an
     evaluation that succeeds without improving on the best so far, when
     that best comes from an earlier converged run and max |x - x_best| <
-    `REJOIN`: the run has come back to that optimum, and going on would
-    change the result by about the stopping tolerance. With one point the
-    rule never applies.
+    `REJOIN` (0.1): the run has come back to that optimum, and going on
+    would change the result by about the stopping tolerance. With one
+    point, as `starts` gives for the linear kernel, the rule never applies.
 
     The result holds the outputs of the evaluation with the lowest value
     over all runs, the first of equals winning, and its run's `converged`;
@@ -225,8 +232,11 @@ def default_init(kernel: KernelSpec, data: Dataset) -> np.ndarray:
     Lugosi & Walk 2018 for any p), bounded to [1e-3, 0.9] * var(y);
     variance <- var(y) - s2, so that var(y) splits into signal and noise.
     Both are fractions of var(y) taken before var(y) is floored at 1e-6, so
-    the start of the search in w does not move with the units of y.
-    lengthscale <- mean per-dimension half-range of X, offset <- 1.
+    the start's noise coordinate log(noise / variance) in w does not move
+    with the units of y. lengthscale <- mean per-dimension half-range of X,
+    which w does not scale; offset <- 1 whatever the units, so the linear
+    kernel's offset coordinate log(1 / variance) does move: y times 1000
+    takes it down by log(1e6) = 13.8.
     """
     var_y = float(np.var(data.y))
     # with duplicate rows a row's own index may come second, or not at all

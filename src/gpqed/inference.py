@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from . import gp, hyperopt, kernels
-from .errors import ConfigError, DataError, InputError
+from .errors import ConfigError, DataError, InputError, check_seed
 from .gp import Dataset, GPFit
 from .hyperopt import OptConfig
 from .kernels import GramStructure, KernelSpec
@@ -173,7 +173,7 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
         return -(log_ml + prior), -grad, log_ml, u, theta, fitted
 
     # looked up at each call, so that a wrapper on the module sees it
-    opt = hyperopt.optimize(objective, hyperopt.starts(init, powers, cfg))
+    opt = hyperopt.optimize(objective, hyperopt.starts(kernel, init, cfg))
     log_ml, u, theta, fitted = opt.outputs
     ev = Evidence(log_ml=float(log_ml), k=len(init), n=data.n)
     k, noise = hyperopt.kernel_and_noise(kernel, theta)
@@ -336,7 +336,7 @@ def _mixture_samples(spike: float, comps: list[tuple[float, float, float]],
         raise InputError("count must be >= 1")
     weights = np.array([spike] + [w for w, _, _ in comps])
     weights = weights / weights.sum()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     idx = rng.choice(len(weights), size=count, p=weights)
     out = np.zeros(count)
     for j, (_, mean, var) in enumerate(comps, start=1):

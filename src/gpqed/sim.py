@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import inference
-from .errors import ConfigError, GpqedError, InputError
+from .errors import ConfigError, GpqedError, InputError, check_seed
 from .gp import Dataset
 from .hyperopt import OptConfig
 from .inference import EffectPosterior, Threshold
@@ -97,7 +97,8 @@ class SimConfig:
 
 def generate(config: SimConfig, seed=None) -> Dataset:
     """x ~ U(-1, 1); y ~ N(f(x) + d * [x >= x0], sigma^2), reproducibly."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(
+        check_seed(config.seed if seed is None else seed))
     x = rng.uniform(-1.0, 1.0, size=config.n)
     f = eval_latent(config.latent, x)
     jump = config.effect * (x >= config.threshold)

@@ -28,10 +28,10 @@ class TestHyperVector:
     def test_rejects_nonpositive_constrained(self):
         for bad in (-1.0, 0.0, float("nan")):
             with pytest.raises(InputError):
-                hyperopt.starts(np.array([1.0, bad]), np.ones(2),
+                hyperopt.starts(from_name("se"), np.array([1.0, bad, 1.0]),
                                 OptConfig(restarts=1))
         with pytest.raises(InputError):
-            hyperopt.starts(np.ones(2), np.ones(2), OptConfig(restarts=0))
+            hyperopt.starts(from_name("se"), np.ones(3), OptConfig(restarts=0))
 
     def test_roundtrip_with_kernel(self):
         k = from_name("se", variance=2.0, lengthscale=0.7)
@@ -58,10 +58,25 @@ class TestOptConfig:
         ({"restarts": -2}, "restarts"),
         # numpy seeds a generator only from a non-negative integer
         ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
     ])
     def test_rejected(self, fields, message):
         with pytest.raises(InputError, match=message):
             OptConfig(**fields)
+
+
+def _handed_points(monkeypatch):
+    """A list to which each hyperopt.optimize call appends the start points
+    it was handed."""
+    handed = []
+    optimize = hyperopt.optimize
+
+    def spy(objective, points):
+        handed.append(points)
+        return optimize(objective, points)
+
+    monkeypatch.setattr(hyperopt, "optimize", spy)
+    return handed
 
 
 class TestStarts:
@@ -71,7 +86,8 @@ class TestStarts:
         # coordinates z[1:] - powers[1:] * z[0]
         init = np.array([2.0, 0.7, 0.3])
         powers = np.array([1.0, 0.0, 1.0])
-        got = hyperopt.starts(init, powers, OptConfig(restarts=4, seed=11))
+        got = hyperopt.starts(from_name("se"), init,
+                              OptConfig(restarts=4, seed=11))
         assert got.shape == (4, 2)
         z0 = np.log(init)
         rng = np.random.default_rng(11)
@@ -79,6 +95,31 @@ class TestStarts:
             z_init = z0 if k == 0 else z0 + rng.normal(0.0, 0.5, size=3)
             assert got[k].tolist() == \
                 (z_init[1:] - powers[1:] * z_init[0]).tolist()
+
+    def test_linear_takes_one_start(self, monkeypatch):
+        # restarts are there to reach other lengthscale modes, and the
+        # linear kernel has none: its search runs restart 0 alone
+        handed = _handed_points(monkeypatch)
+        data = sim.generate(sim.SimConfig("Linear", n=100, effect=1.0), seed=3)
+        fits = [inference.fit_continuous(data, from_name("linear"),
+                                         OptConfig(restarts=restarts, seed=0))
+                for restarts in (1, 3, 5)]
+        assert [points.shape for points in handed] == [(1, 2)] * 3
+        (fit, ev), *others = fits
+        for other_fit, other_ev in others:
+            assert other_ev == ev
+            assert other_fit.kernel == fit.kernel
+            assert other_fit.noise_variance == fit.noise_variance
+            assert other_fit.alpha.tobytes() == fit.alpha.tobytes()
+            assert other_fit.chol_inv.tobytes() == fit.chol_inv.tobytes()
+
+    @pytest.mark.parametrize("name", ["exp", "matern32", "se"])
+    def test_stationary_kernel_takes_every_restart(self, monkeypatch, name):
+        handed = _handed_points(monkeypatch)
+        data = sim.generate(sim.SimConfig("Linear", n=100, effect=1.0), seed=3)
+        inference.fit_continuous(data, from_name(name),
+                                 OptConfig(restarts=3, seed=0))
+        assert [points.shape for points in handed] == [(3, 2)]
 
 
 class TestPriors:
@@ -166,7 +207,7 @@ class TestOptimize:
         optimize(_quadratic(2.0), np.array([[0.5], [1.0]]))
         assert seen == [({"maxiter": 500, "gtol": 1e-5, "ftol": 1e-12},
                          ["jac", "method"])] * 2
-        assert hyperopt.REJOIN == 0.03
+        assert hyperopt.REJOIN == 0.1
 
     def test_rejoining_run_ends_early(self):
         # run 1 starts within REJOIN of run 0's optimum and does not
@@ -540,12 +581,26 @@ class TestAnalyticGradient:
             assert grad.tolist() == [0.0, 0.0]
 
 
-def _lee_repetition_13():
-    """Criterion 6's repetition 13 (Lee, n = 200, noise 0.1) and its
+def _lee_repetition(rep):
+    """Criterion 6's repetition rep (Lee, n = 200, noise 0.1) and its
     optimizer config."""
     cfg = sim.SimConfig(latent="Lee", n=200, effect=0.0, noise_sd=0.1,
                         seed=0, repetitions=100)
-    return sim.repetition(cfg, 0, 13, OptConfig(restarts=2))
+    return sim.repetition(cfg, 0, rep, OptConfig(restarts=2))
+
+
+class TestRejoin:
+    def test_run_passing_an_optimum_is_not_cut(self, monkeypatch):
+        # se M0 of criterion 6's repetition 33: run 1 passes within 0.3 of
+        # run 0's optimum (l = 0.446) on its way to a better one
+        # (l = 0.234); a box that wide would cut it there and lose 0.075
+        # nats, while REJOIN keeps the optimum of running every run to
+        # convergence
+        data, opt = _lee_repetition(33)
+        _, ev = inference.fit_continuous(data, from_name("se"), opt)
+        monkeypatch.setattr(hyperopt, "REJOIN", 0.0)
+        _, every_run = inference.fit_continuous(data, from_name("se"), opt)
+        assert ev.log_ml == every_run.log_ml
 
 
 class TestProfiledOptimum:
@@ -557,7 +612,7 @@ class TestProfiledOptimum:
     whose fits hold no column for v."""
 
     INPUTS = {
-        "lee13": _lee_repetition_13,
+        "lee13": lambda: _lee_repetition(13),
         "linear": lambda: (sim.generate(sim.SimConfig("Linear", n=100,
                                                       effect=1.0), seed=3),
                            OptConfig(restarts=2, seed=0)),

@@ -539,6 +539,15 @@ class TestBmaSamples:
         with pytest.raises(InputError, match="count"):
             inference.effect_samples(eff, count, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_numpy_cannot_take_rejected(self, seed):
+        eff = EffectPosterior(m1_mean=2.0, m1_var=1.0,
+                              spike_weight=0.5, gaussian_weight=0.5)
+        with pytest.raises(InputError, match="seed"):
+            inference.effect_samples(eff, 5, seed=seed)
+        with pytest.raises(InputError, match="seed"):
+            bma_effect_samples(self._result(), 5, seed=seed)
+
     def test_spike_only(self):
         eff = EffectPosterior(m1_mean=2.0, m1_var=1.0,
                               spike_weight=1.0, gaussian_weight=0.0)

@@ -119,3 +119,21 @@ def test_diff_of_another_structure(output, tmp_path):
     done = _run("--diff", a, b)
     assert done.returncode == 2
     assert "structure" in done.stdout
+
+
+def test_diff_prints_each_files_evaluations(output, tmp_path):
+    # equal numbers from fewer objective evaluations: the totals are
+    # printed under the float count
+    out = json.loads(output)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(output)
+    total = out["objective_evals"]
+    out["lee/7"]["objective_evals"] -= 3
+    out["objective_evals"] -= 3
+    b.write_text(json.dumps(out))
+    done = _run("--diff", a, b)
+    assert done.returncode == 1, done.stderr[-2000:]
+    assert done.stdout.splitlines()[:2] == [
+        f"0 of {_floats(out)} floats differ",
+        f"objective evaluations: {total} in A, {total - 3} in B "
+        f"({-3 / total:+.1%})"]

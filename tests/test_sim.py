@@ -91,6 +91,11 @@ class TestGenerate:
         with pytest.raises(ConfigError, match=message):
             SimConfig(latent="Linear", **{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_numpy_cannot_take_rejected(self, seed):
+        with pytest.raises(InputError, match="seed"):
+            generate(SimConfig(latent="Linear"), seed=seed)
+
     @pytest.mark.parametrize("threshold", [5.0, 1.0, -1.0, float("nan")])
     def test_threshold_outside_the_x_range_rejected(self, threshold):
         # x ~ U(-1, 1): such a threshold leaves one side empty in every
