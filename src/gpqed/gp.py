@@ -13,6 +13,7 @@ variances (observation noise excluded).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +79,9 @@ class GPFit:
     chol_inv is L^-1 for the lower Cholesky factor L of Ky = K + sigma_n^2 I
     (plus jitter), Fortran-ordered with an exactly zero upper triangle;
     log_det is log |Ky| = 2 sum(log diag L), taken from L before it was
-    inverted. grad_terms holds the two terms of the log marginal
+    inverted. quad is r^T alpha = r^T Ky^-1 r for the residuals
+    r = y - mean_constant, the log marginal likelihood's quadratic term.
+    grad_terms holds the two terms of the log marginal
     likelihood's gradient with respect to the kernel's second parameter
     (the lengthscale, or the linear offset), then the noise variance, as a
     2 x 2 array: row 0 is the data term alpha^T dKy alpha / 2, row 1 the
@@ -94,6 +97,7 @@ class GPFit:
     noise_variance: float
     jitter: float
     log_det: float
+    quad: float
     data: Dataset
     chol_inv: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
@@ -108,8 +112,11 @@ def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
         mean_constant: float | None = None,
         structure: GramStructure | None = None) -> GPFit:
     """Factorize K + sigma_n^2 I as L L^T and precompute alpha, the
-    log-determinant, L^-1 and the two terms of the log marginal likelihood's
-    gradient in the kernel's second parameter and the noise (GPFit).
+    log-determinant, the quadratic term r^T alpha, L^-1 and the two terms of
+    the log marginal likelihood's gradient in the kernel's second parameter
+    and the noise (GPFit). The search's objective (inference._fit_parts)
+    reads quad, log_det and grad_terms from here and computes none of them
+    again.
 
     mean_constant defaults to the empirical mean of data.y; pass an explicit
     value to share one constant across several sub-fits. A GramStructure for
@@ -129,18 +136,17 @@ def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         K = structure.gram(kernel)
         # in place: no identity matrix and no second n x n copy
-        K.flat[::data.n + 1] += noise_variance
+        K.reshape(-1)[::data.n + 1] += noise_variance
         L, jitter = jittered_cholesky(K)
-        alpha, _ = lapack.dpotrs(L, data.y - c, lower=1)
+        r = data.y - c
+        alpha, _ = lapack.dpotrs(L, r, lower=1)
         log_det = 2.0 * float(np.log(L.diagonal()).sum())
         # L becomes L^-1 in place
         Ky_inv = cholesky_inverse(L)
         terms = _log_ml_grad_terms(structure, kernel, K, Ky_inv, alpha)
-    if not np.isfinite(terms).all():
-        raise NumericalError("log marginal likelihood gradient is not finite")
     return GPFit(kernel=kernel, mean_constant=c, noise_variance=noise_variance,
-                 jitter=jitter, log_det=log_det, data=data, chol_inv=L,
-                 alpha=alpha, grad_terms=terms)
+                 jitter=jitter, log_det=log_det, quad=float(r @ alpha),
+                 data=data, chol_inv=L, alpha=alpha, grad_terms=terms)
 
 
 def _log_ml_grad_terms(structure: GramStructure, kernel: KernelSpec,
@@ -152,7 +158,8 @@ def _log_ml_grad_terms(structure: GramStructure, kernel: KernelSpec,
 
     Ky_inv is the lower triangle of Ky^-1, as kernels.cholesky_inverse
     returns it; every trace is a reduction, not a matrix product. Ky is
-    overwritten by GramStructure.derivative.
+    overwritten by GramStructure.derivative. Raises NumericalError when a
+    term is not finite.
     """
     # Ky^-1 in the upper triangle (zeros below) of a C-ordered view
     U = Ky_inv.T
@@ -160,8 +167,12 @@ def _log_ml_grad_terms(structure: GramStructure, kernel: KernelSpec,
     d_p = structure.derivative(kernel, Ky)
     data_p = float(alpha @ (d_p @ alpha))
     # tr(Ky^-1 d_p) for the symmetric d_p, from U's upper triangle
-    trace_p = 2.0 * np.vdot(U, d_p) - np.vdot(U.diagonal(), d_p.diagonal())
-    return 0.5 * np.array([[data_p, data_n], [trace_p, trace_n]])
+    trace_p = float(2.0 * np.vdot(U, d_p)
+                    - np.vdot(U.diagonal(), d_p.diagonal()))
+    if not all(map(math.isfinite, (data_p, data_n, trace_p, trace_n))):
+        raise NumericalError("log marginal likelihood gradient is not finite")
+    return np.array([[0.5 * data_p, 0.5 * data_n],
+                     [0.5 * trace_p, 0.5 * trace_n]])
 
 
 def scaled_log_ml(quad: float, log_det: float, n: int,
@@ -173,9 +184,9 @@ def scaled_log_ml(quad: float, log_det: float, n: int,
 
 def log_marginal_likelihood(gpfit: GPFit) -> float:
     """log N(y - c; 0, Ky) for the Ky = K + (sigma_n^2 + jitter) I that fit
-    factorized, by scaled_log_ml from the stored alpha and log-determinant."""
-    quad = float((gpfit.data.y - gpfit.mean_constant) @ gpfit.alpha)
-    return scaled_log_ml(quad, gpfit.log_det, gpfit.n)
+    factorized, by scaled_log_ml from the stored quadratic term and
+    log-determinant."""
+    return scaled_log_ml(gpfit.quad, gpfit.log_det, gpfit.n)
 
 
 def predict(gpfit: GPFit, Xs) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,9 @@ search runs over the log unit-scale coordinates alone, from the points
 stationary kernel, and restart 0 alone for the linear kernel, which has no
 lengthscale mode for a restart to reach. Restart 0 starts at
 `default_init`, which splits var(y) into a signal variance and a noise
-variance estimated from the differences of nearest neighbours in X.
+variance estimated from the differences of nearest neighbours in X; those
+depend on the data alone, so `data_scales` computes them once per
+`inference.compare` call for every kernel and model.
 `optimize` is a plain multi-start L-BFGS-B minimizer of whatever objective
 it is handed, under the one stopping rule `STOPPING`. A later run also ends
 once it rejoins the best point of an earlier converged run, within `REJOIN`
@@ -67,6 +69,8 @@ def kernel_and_noise(kernel: KernelSpec, theta) -> tuple[KernelSpec, float]:
 
 # shape and rate of the Gamma prior on every hyperparameter
 GAMMA_SHAPE = GAMMA_RATE = 0.01
+# the log of that prior's normalizing constant, b^a / Gamma(a)
+GAMMA_LOG_NORM = GAMMA_SHAPE * math.log(GAMMA_RATE) - math.lgamma(GAMMA_SHAPE)
 
 
 def log_prior(theta) -> tuple[float, np.ndarray]:
@@ -77,7 +81,7 @@ def log_prior(theta) -> tuple[float, np.ndarray]:
     if not theta.min() > 0.0:
         raise NumericalError("a hyperparameter is not positive")
     a, b = GAMMA_SHAPE, GAMMA_RATE
-    value = (theta.size * (a * math.log(b) - math.lgamma(a))
+    value = (theta.size * GAMMA_LOG_NORM
              + a * float(np.log(theta).sum()) - b * float(theta.sum()))
     return value, a - b * theta
 
@@ -223,21 +227,25 @@ def optimize(objective, points) -> OptResult:
     return OptResult(outputs=outputs, converged=converged[run])
 
 
-def default_init(kernel: KernelSpec, data: Dataset) -> np.ndarray:
-    """Data-driven starting values, ordered by `hyper_names(kernel)`.
+@dataclass(frozen=True)
+class DataScales:
+    """The part of `default_init` that depends on the data alone."""
 
-    noise_variance <- s2, the nearest-neighbour estimate of the noise
-    variance, 0.5 * mean_i (y_i - y_nn(i)) ** 2, where nn(i) is the nearest
-    other row of X in Euclidean distance (Rice 1984 in 1-D; Devroye, Gyorfi,
-    Lugosi & Walk 2018 for any p), bounded to [1e-3, 0.9] * var(y);
-    variance <- var(y) - s2, so that var(y) splits into signal and noise.
-    Both are fractions of var(y) taken before var(y) is floored at 1e-6, so
-    the start's noise coordinate log(noise / variance) in w does not move
-    with the units of y. lengthscale <- mean per-dimension half-range of X,
-    which w does not scale; offset <- 1 whatever the units, so the linear
-    kernel's offset coordinate log(1 / variance) does move: y times 1000
-    takes it down by log(1e6) = 13.8.
+    var_y: float        # var(y), floored at 1e-6
+    noise_frac: float   # the noise variance's fraction of var_y
+    half_range: float   # the mean per-dimension half-range of X
+
+
+def data_scales(data: Dataset) -> DataScales:
+    """var(y), the noise fraction and the half-range that `default_init`
+    starts every kernel and model from (its docstring gives the rules).
+
+    `inference.compare` computes them once per call and hands them to
+    every fit; they are not kept with the data. InputError unless data has
+    two rows or more, as a row's nearest other row needs.
     """
+    if data.n < 2:
+        raise InputError("the noise estimate needs at least 2 observations")
     var_y = float(np.var(data.y))
     # with duplicate rows a row's own index may come second, or not at all
     _, nearest = cKDTree(data.X).query(data.X, k=2)
@@ -246,11 +254,31 @@ def default_init(kernel: KernelSpec, data: Dataset) -> np.ndarray:
     noise = 0.5 * float(np.mean((data.y - data.y[other]) ** 2))
     # a constant y has no noise to estimate: the lower bound
     frac = min(max(noise / var_y, 1e-3), 0.9) if var_y > 0 else 1e-3
-    var_y = max(var_y, 1e-6)
     ranges = data.X.max(axis=0) - data.X.min(axis=0)
     half_range = float(np.mean(ranges)) / 2.0
-    if half_range <= 0:
-        half_range = 1.0
+    return DataScales(var_y=max(var_y, 1e-6), noise_frac=frac,
+                      half_range=half_range if half_range > 0 else 1.0)
+
+
+def default_init(kernel: KernelSpec, scales: DataScales) -> np.ndarray:
+    """Data-driven starting values, ordered by `hyper_names(kernel)`, from
+    the `data_scales` of the data, which `inference.compare` computes once
+    for all its kernels and models.
+
+    noise_variance <- s2, the nearest-neighbour estimate of the noise
+    variance, 0.5 * mean_i (y_i - y_nn(i)) ** 2, where nn(i) is the nearest
+    other row of X in Euclidean distance (Rice 1984 in 1-D; Devroye, Gyorfi,
+    Lugosi & Walk 2018 for any p), bounded to [1e-3, 0.9] * var(y);
+    variance <- var(y) - s2, so that var(y) splits into signal and noise.
+    Both are fractions of var(y) taken before var(y) is floored at 1e-6, so
+    the start's noise coordinate log(noise / variance) in w does not move
+    with the units of y. lengthscale <- mean per-dimension half-range of X
+    (1 when every row of X is the same), which w does not scale;
+    offset <- 1 whatever the units, so the linear kernel's offset
+    coordinate log(1 / variance) does move: y times 1000 takes it down by
+    log(1e6) = 13.8.
+    """
+    frac, var_y = scales.noise_frac, scales.var_y
     return np.array([(1.0 - frac) * var_y,
-                     half_range if kernel.stationary else 1.0,
+                     scales.half_range if kernel.stationary else 1.0,
                      frac * var_y])

@@ -124,13 +124,17 @@ class ComparisonResult:
 # fitting
 
 def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
-               cfg: OptConfig = OptConfig()) -> tuple[list[GPFit], Evidence]:
+               cfg: OptConfig, scales: hyperopt.DataScales | None
+               ) -> tuple[list[GPFit], Evidence]:
     """Fit independent GPs to `parts` of `data` with one shared
     hyperparameter vector theta, at its MAP point.
 
     Every part takes the mean of all of data.y as its constant mean; the
     evidence is the parts' summed log marginal likelihood with one BIC
-    penalty, n = data.n and k = len(theta). The kernel variance v is
+    penalty, n = data.n and k = len(theta). The search starts from
+    `hyperopt.default_init` at scales, `hyperopt.data_scales(data)`, which
+    `compare` computes once for all its fits and which are computed here
+    when None. The kernel variance v is
     profiled out: the search runs over w = log(theta[1:] / v ** powers[1:])
     (`hyperopt.scale_powers`) from `hyperopt.starts`, and its objective, the
     one place the log posterior is built, fits each part once at
@@ -138,8 +142,9 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
     returns minus the log posterior at theta = unit * v-hat ** powers, its
     gradient in w from the fits' `grad_terms` (which have no column for v)
     and the prior's gradient in log theta[1:], and the log-ML, v-hat, theta
-    and unit fits. The fits returned are the best evaluation's, scaled to
-    v-hat, not fitted again.
+    and unit fits. Its quadratic term and log-determinant are the sums of
+    the fits' `quad` and `log_det`, as gp.fit made them. The fits returned
+    are the best evaluation's, scaled to v-hat, not fitted again.
 
     Raises DataError when every part's response is constant: the log
     posterior then grows without bound as v and the noise go to 0.
@@ -147,7 +152,9 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
     if all(np.all(part.y == part.y[0]) for part in parts):
         raise DataError("every part's response is constant, so the "
                         "hyperparameters have no MAP estimate")
-    init = hyperopt.default_init(kernel, data)
+    if scales is None:
+        scales = hyperopt.data_scales(data)
+    init = hyperopt.default_init(kernel, scales)
     powers = hyperopt.scale_powers(kernel)
     c = float(np.mean(data.y))
     structures = [GramStructure(part.X) for part in parts]
@@ -158,7 +165,7 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
         k, noise = hyperopt.kernel_and_noise(kernel, unit)
         fitted = [gp.fit(part, k, noise, mean_constant=c, structure=s)
                   for part, s in zip(parts, structures)]
-        quad = sum(float((f.data.y - c) @ f.alpha) for f in fitted)
+        quad = sum(f.quad for f in fitted)
         u = hyperopt.profiled_scale(quad, data.n, unit, powers)
         theta = unit * u ** powers
         # the summed log-ML of the fits scaled to u
@@ -177,23 +184,26 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
     log_ml, u, theta, fitted = opt.outputs
     ev = Evidence(log_ml=float(log_ml), k=len(init), n=data.n)
     k, noise = hyperopt.kernel_and_noise(kernel, theta)
-    # at scale u, L^-1 is L^-1 / sqrt(u), log|Ky| gains n log u, alpha is
-    # alpha / u, and each gradient column's data term scales by
-    # u ** -(power + 1) and its complexity term by u ** -power
+    # at scale u, L^-1 is L^-1 / sqrt(u), log|Ky| gains n log u, alpha and
+    # r^T alpha are divided by u, and each gradient column's data term
+    # scales by u ** -(power + 1) and its complexity term by u ** -power
     term_scale = u ** (powers[1:] + np.array([[1.0], [0.0]]))
     return [replace(f, kernel=k, noise_variance=noise, jitter=f.jitter * u,
-                    log_det=f.log_det + f.n * np.log(u),
+                    log_det=f.log_det + f.n * np.log(u), quad=f.quad / u,
                     chol_inv=f.chol_inv / np.sqrt(u), alpha=f.alpha / u,
                     grad_terms=f.grad_terms / term_scale)
             for f in fitted], ev
 
 
 def fit_continuous(data: Dataset, kernel: KernelSpec,
-                   cfg: OptConfig = OptConfig()) -> tuple[GPFit, Evidence]:
-    """Fit one GP to all data; evidence via BIC at the optimized hypers."""
+                   cfg: OptConfig = OptConfig(), *,
+                   scales: hyperopt.DataScales | None = None
+                   ) -> tuple[GPFit, Evidence]:
+    """Fit one GP to all data; evidence via BIC at the optimized hypers.
+    scales are `hyperopt.data_scales(data)`, computed here when None."""
     if data.n < 2:
         raise ConfigError("need at least 2 observations")
-    (fit,), ev = _fit_parts([data], kernel, data, cfg)
+    (fit,), ev = _fit_parts([data], kernel, data, cfg, scales)
     return fit, ev
 
 
@@ -207,16 +217,19 @@ def split_by_label(data: Dataset, label: LabelFunction) -> tuple[Dataset, Datase
 
 
 def fit_discontinuous(data: Dataset, label: LabelFunction, kernel: KernelSpec,
-                      cfg: OptConfig = OptConfig()
+                      cfg: OptConfig = OptConfig(), *,
+                      scales: hyperopt.DataScales | None = None
                       ) -> tuple[GPFit, GPFit, Evidence]:
     """Fit independent GPs to each side with one shared hyperparameter vector.
 
     The shared vector maximizes the sum of the two sides' log marginal
     likelihoods; the evidence applies one BIC penalty with the total n. Both
-    sides take the mean of all of data.y as their constant mean.
+    sides take the mean of all of data.y as their constant mean, and the
+    search starts from `hyperopt.data_scales` of all of data (scales,
+    computed here when None).
     """
     (fit_c, fit_i), ev = _fit_parts(list(split_by_label(data, label)), kernel,
-                                    data, cfg)
+                                    data, cfg, scales)
     return fit_c, fit_i, ev
 
 
@@ -273,10 +286,14 @@ def compare(data: Dataset, label: LabelFunction,
     if not np.isfinite(effect_point).all():
         raise ConfigError("effect_point must be finite")
 
+    # the search's data-only start, once for every kernel and model; with
+    # one observation there is no neighbour, and fit_continuous raises
+    scales = hyperopt.data_scales(data) if data.n > 1 else None
     results = []
     for kern in kernel_list:
-        fit0, ev0 = fit_continuous(data, kern, cfg)
-        fitc, fiti, ev1 = fit_discontinuous(data, label, kern, cfg)
+        fit0, ev0 = fit_continuous(data, kern, cfg, scales=scales)
+        fitc, fiti, ev1 = fit_discontinuous(data, label, kern, cfg,
+                                            scales=scales)
         log_bf10 = ev1.log_evidence - ev0.log_evidence
         p1 = float(expit(log_bf10))  # p(M1|D) when p(M0) = p(M1)
         (mean,), (var,) = effect_size(fitc, fiti, effect_point)

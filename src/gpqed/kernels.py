@@ -340,8 +340,10 @@ def _invert_lower(W: np.ndarray) -> None:
         inv, info = lapack.dtrtri(W, lower=1, overwrite_c=1)
         if info != 0:
             raise NumericalError("covariance matrix inverse failed")
-        # a view of a larger W reaches LAPACK as a copy
-        W[...] = inv
+        # a view of a larger W reaches LAPACK as a copy; a whole W is
+        # inverted in place
+        if inv is not W:
+            W[...] = inv
         return
     k = n // 2
     _invert_lower(W[:k, :k])

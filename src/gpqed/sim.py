@@ -6,6 +6,8 @@ factors) aggregated over repeated analyses.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,6 +83,18 @@ class SimConfig:
             raise ConfigError(
                 f"unknown latent function {self.latent!r}; "
                 f"valid: {sorted(LATENT_FUNCTIONS)}")
+        # numpy takes only integers as sizes and seeds; a bool is not one
+        for name in ("n", "repetitions", "seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("effect", "noise_sd", "threshold"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ConfigError(
+                    f"{name} must be a finite number, got {value!r}")
         if self.n < 10:
             raise ConfigError("n must be >= 10")
         if self.repetitions < 1:

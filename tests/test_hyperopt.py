@@ -9,6 +9,7 @@ from gpqed.errors import InputError, NumericalError, OptimizationError
 from gpqed.gp import Dataset
 from gpqed.hyperopt import (
     OptConfig,
+    data_scales,
     default_init,
     hyper_names,
     kernel_and_noise,
@@ -22,6 +23,8 @@ def _flatten_prior(monkeypatch):
     # log-Jacobian is added
     monkeypatch.setattr(hyperopt, "GAMMA_SHAPE", 1e-9)
     monkeypatch.setattr(hyperopt, "GAMMA_RATE", 1e-9)
+    monkeypatch.setattr(hyperopt, "GAMMA_LOG_NORM",
+                        1e-9 * math.log(1e-9) - math.lgamma(1e-9))
 
 
 class TestHyperVector:
@@ -526,7 +529,7 @@ class TestAnalyticGradient:
         powers = hyperopt.scale_powers(kernel)
         objective = self._objective(monkeypatch, data, kernel, split)
         for factors in self.FACTORS:
-            theta = default_init(kernel, data) * factors
+            theta = default_init(kernel, data_scales(data)) * factors
             value, grad = _log_ml(parts, kernel, theta, c)
             np.testing.assert_allclose(
                 grad, _central_difference(
@@ -653,7 +656,8 @@ class TestProfiledOptimum:
 def _init(x, y, name="se"):
     """default_init as a dict keyed by hyperparameter name."""
     kernel = from_name(name)
-    return dict(zip(hyper_names(kernel), default_init(kernel, Dataset(x, y))))
+    return dict(zip(hyper_names(kernel),
+                    default_init(kernel, data_scales(Dataset(x, y)))))
 
 
 class TestDefaultInit:
@@ -724,11 +728,16 @@ class TestDefaultInit:
         y = np.sin(3.0 * x) + rng.normal(0.0, 0.3, 400)
         assert _init(x, y)["noise_variance"] == pytest.approx(0.09, rel=0.1)
 
+    def test_one_row_rejected(self):
+        # one row has no nearest other row
+        with pytest.raises(InputError, match="at least 2 observations"):
+            data_scales(Dataset([0.5], [1.0]))
+
     def test_polynomial_offset(self):
         d = Dataset(np.linspace(0, 1, 12), np.linspace(0, 1, 12))
         k = from_name("linear")
         i = hyper_names(k).index("offset")
-        assert default_init(k, d)[i] == 1.0
+        assert default_init(k, data_scales(d))[i] == 1.0
         fit, _ = inference.fit_continuous(
             d, k, hyperopt.OptConfig(restarts=1))
         assert fit.kernel.offset > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -174,7 +175,7 @@ class TestNoPointFittedTwice:
         for got, want in zip(fits, fresh):
             assert got.kernel == want.kernel
             assert got.noise_variance == want.noise_variance
-            for name in ("chol_inv", "log_det", "alpha", "grad_terms"):
+            for name in ("chol_inv", "log_det", "quad", "alpha", "grad_terms"):
                 # entries that cancel to far below the array's largest carry
                 # that largest entry's rounding, so the tolerance is on it
                 want_array = getattr(want, name)
@@ -265,6 +266,58 @@ class TestDistanceCallPoints:
             gp.predict(kr.fit_m0, X[:5])
         # at p = 2 each stationary fit and prediction calls it
         assert calls == 0 if p == 1 else calls > 0
+
+
+def _fields(fit):
+    """Every field of a GPFit, with its arrays and its data's as bytes, so
+    that two fits compare == exactly when every number is bit-equal."""
+    out = {}
+    for field in dataclasses.fields(fit):
+        value = getattr(fit, field.name)
+        if isinstance(value, Dataset):
+            value = (value.X.shape, value.X.tobytes(), value.y.tobytes())
+        elif isinstance(value, np.ndarray):
+            value = (value.shape, value.tobytes())
+        out[field.name] = value
+    return out
+
+
+class TestDataScalesOnce:
+    """compare computes the search's data-only start, hyperopt.data_scales,
+    once for all its kernels and models, and reports the fits that
+    fit_continuous and fit_discontinuous give on their own."""
+
+    KERNELS = [from_name(k) for k in ALL_FAMILY_NAMES]
+
+    def test_one_nearest_neighbour_tree(self, monkeypatch):
+        trees = 0
+        cKDTree = hyperopt.cKDTree
+
+        def counted(X):
+            nonlocal trees
+            trees += 1
+            return cKDTree(X)
+
+        monkeypatch.setattr(hyperopt, "cKDTree", counted)
+        compare(_step_data(60), Threshold(0.0), self.KERNELS, FAST)
+        # one per kernel and model (8) when each fit took its own start
+        assert trees == 1
+
+    def test_fits_equal_those_fitted_alone(self):
+        data, label = _step_data(60), Threshold(0.0)
+        result = compare(data, label, self.KERNELS, FAST)
+        for kern, kr in zip(self.KERNELS, result.kernel_results):
+            fit0, ev0 = fit_continuous(data, kern, FAST)
+            fitc, fiti, ev1 = fit_discontinuous(data, label, kern, FAST)
+            assert (kr.evidence_m0, kr.evidence_m1) == (ev0, ev1)
+            for got, want in zip((kr.fit_m0, kr.fit_c, kr.fit_i),
+                                 (fit0, fitc, fiti)):
+                assert _fields(got) == _fields(want)
+
+    def test_one_observation_is_a_config_error(self):
+        # one point has no nearest other row, and M0 needs two
+        with pytest.raises(ConfigError, match="at least 2 observations"):
+            compare(Dataset([0.5], [1.0]), Threshold(0.0), self.KERNELS, FAST)
 
 
 class TestEffectSize:

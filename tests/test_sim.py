@@ -91,6 +91,28 @@ class TestGenerate:
         with pytest.raises(ConfigError, match=message):
             SimConfig(latent="Linear", **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", True), ("n", 10.5), ("n", np.float64(100.0)),
+        ("repetitions", 1.5), ("repetitions", False)])
+    def test_field_that_is_not_an_integer_rejected(self, field, value):
+        # numpy would raise an untyped TypeError once data are drawn
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SimConfig(latent="Linear", **{field: value})
+
+    @pytest.mark.parametrize("field", ["effect", "noise_sd", "threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf"), "1.0", True])
+    def test_field_that_is_not_a_finite_number_rejected(self, field, value):
+        with pytest.raises(ConfigError,
+                           match=f"{field} must be a finite number"):
+            SimConfig(latent="Linear", **{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        config = SimConfig(latent="Linear", n=np.int64(20),
+                           effect=np.float64(0.5), seed=np.uint32(3),
+                           repetitions=np.int32(2))
+        assert generate(config).n == 20
+
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_numpy_cannot_take_rejected(self, seed):
         with pytest.raises(InputError, match="seed"):
