@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -99,15 +100,15 @@ def _plain(obj):
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj) if np.isfinite(obj) else None
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
 
 
 def _json_dump(obj, fh) -> None:
-    json.dump(_plain(obj), fh, indent=2, allow_nan=False)
-    fh.write("\n")
+    # one write of the whole text, not json.dump's write per encoder chunk
+    fh.write(json.dumps(_plain(obj), indent=2, allow_nan=False) + "\n")
 
 
 def _write_atomic(path: str, write, newline=None) -> None:
@@ -136,6 +137,15 @@ def write_json_atomic(path: str, obj) -> None:
 def write_csv_atomic(path: str, header: list[str], rows) -> None:
     _write_atomic(path, lambda fh: csv.writer(fh).writerows([header, *rows]),
                   newline="")
+
+
+def write_column_atomic(path: str, name: str, values) -> None:
+    """A one-column CSV of floats: the header name, then each value as its
+    repr (the shortest decimal that reads back to it), every line ended by
+    CRLF. These are the bytes csv.writer writes for the same rows, built as
+    one string instead of one writer call per row."""
+    text = "\r\n".join([name, *map(float.__repr__, values)]) + "\r\n"
+    _write_atomic(path, lambda fh: fh.write(text), newline="")
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +405,9 @@ def analyze(cfg: dict) -> dict:
         "report": lambda path: write_json_atomic(path, report),
         "curves": lambda path: _export_curves(path, result, data, label,
                                               curve_grid),
-        "density_samples": lambda path: write_csv_atomic(
-            path, ["sample"], [[s] for s in inference.bma_effect_samples(
-                result, count=mc_samples, seed=seed).tolist()])})
+        "density_samples": lambda path: write_column_atomic(
+            path, "sample", inference.bma_effect_samples(
+                result, count=mc_samples, seed=seed).tolist())})
     return report
 
 

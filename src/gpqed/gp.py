@@ -67,7 +67,7 @@ def finite_decimal(text: str) -> float:
         value = float(text)
     except ValueError:
         value = np.nan
-    if "_" in text or not np.isfinite(value):
+    if "_" in text or not math.isfinite(value):
         raise ValueError(f"not a finite decimal number: {text!r}")
     return value
 

@@ -41,6 +41,13 @@ def _base_config(tmp_path, **extra):
     return cfg
 
 
+def _csv_writer_bytes(path, name, values):
+    """The bytes csv.writer writes for a header and one value per row."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([[name], *[[v] for v in values]])
+    return path.read_bytes()
+
+
 # values a JSON integer key rejects: a JSON boolean, a fraction, a string
 _NOT_INTEGERS = [True, 2.7, "3"]
 
@@ -221,6 +228,15 @@ class TestAnalyze:
         with open(out) as fh:
             got = [float(row["sample"]) for row in csv.DictReader(fh)]
         assert got == want.tolist()
+        assert out.read_bytes() == _csv_writer_bytes(
+            tmp_path / "want.csv", "sample", want.tolist())
+
+    def test_density_samples_deterministic(self, tmp_path):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in paths:
+            cli.analyze(_base_config(tmp_path, mc_samples=500, seed=3,
+                                     output={"density_samples": str(out)}))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_effect_point_at_a_1d_threshold(self, tmp_path):
         # the effect is reported where the config asks, not at the threshold
@@ -656,7 +672,7 @@ class TestMain:
         assert err.startswith(f"configuration error: config key {key!r}")
 
     @pytest.mark.parametrize("command, first, failing, writer", [
-        ("analyze", "report", "density_samples", "write_csv_atomic"),
+        ("analyze", "report", "density_samples", "write_column_atomic"),
         ("simulate", "summary_json", "summary_csv", "write_csv_atomic")])
     def test_failed_write_is_a_config_error_and_leaves_no_file(
             self, tmp_path, capsys, monkeypatch, command, first, failing,
@@ -772,6 +788,27 @@ class TestAtomicWrites:
         finally:
             os.umask(old)
         assert [stat.S_IMODE(p.stat().st_mode) for p in paths] == [mode] * 2
+
+    def test_column_bytes_match_csv_writer(self, tmp_path):
+        values = [0.0, -0.0, 0.1, -2.5, 1e-300, 1.5e16]
+        p = tmp_path / "o.csv"
+        cli.write_column_atomic(str(p), "sample", values)
+        assert p.read_bytes() == _csv_writer_bytes(
+            tmp_path / "want.csv", "sample", values)
+
+    def test_json_bytes_match_json_dump(self, tmp_path):
+        obj = {"a": np.float64(0.1), "b": np.int64(3), "c": np.bool_(True),
+               "d": np.array([[1.5, np.nan], [-0.0, 1e-300]]),
+               "e": {"f": [np.float32(2.5), float("nan"), None],
+                     "g": {"h": np.inf, "i": "text"}}}
+        p = tmp_path / "o.json"
+        cli.write_json_atomic(str(p), obj)
+        want = tmp_path / "want.json"
+        with open(want, "w") as fh:
+            json.dump(cli._plain(obj), fh, indent=2, allow_nan=False)
+            fh.write("\n")
+        assert p.read_bytes() == want.read_bytes()
+        assert json.loads(p.read_text())["d"] == [[1.5, None], [-0.0, 1e-300]]
 
     def test_failure_leaves_no_temp(self, tmp_path):
         p = tmp_path / "o.json"
