@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and its one check of a
-random seed.
+"""Exception hierarchy shared across the package, and its checks of a
+random seed and of a count.
 
 Exit-code mapping used by the CLI: ConfigError -> 2, DataError -> 3,
 NumericalError -> 4.
@@ -42,3 +42,12 @@ def check_seed(seed):
             or isinstance(seed, numbers.Integral) and seed >= 0):
         raise InputError(f"seed must be an integer >= 0, got {seed!r}")
     return seed
+
+
+def check_count(name, value):
+    """InputError naming the argument name unless value is an integer >= 1
+    that is not a bool (numpy integers pass), where numpy would raise an
+    untyped TypeError or, for True, count 1."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise InputError(f"{name} must be an integer >= 1, got {value!r}")

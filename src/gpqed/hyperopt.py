@@ -22,10 +22,11 @@ depend on the data alone, so `data_scales` computes them once per
 `inference.compare` call for every kernel and model.
 `optimize` is a plain multi-start L-BFGS-B minimizer of whatever objective
 it is handed, under the one stopping rule `STOPPING`. A later run also ends
-once it rejoins the best point of an earlier converged run, within `REJOIN`
-in every coordinate of the search (in log coordinates, 10% in every
-hyperparameter) without improving on it: the region-of-attraction rule of
-clustering multistart (Rinnooy Kan & Timmer 1987), over a fixed start set.
+as soon as it asks for a point within `REJOIN` of the best point of an
+earlier converged run in every coordinate of the search (in log
+coordinates, 10% in every hyperparameter), which is not evaluated: the
+region-of-attraction rule of clustering multistart (Rinnooy Kan & Timmer
+1987), over a fixed start set.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
 from .errors import (InputError, NumericalError, OptimizationError,
-                     check_seed)
+                     check_count, check_seed)
 from .gp import Dataset
 from .kernels import KernelSpec
 
@@ -119,8 +120,7 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise InputError("restarts must be >= 1")
+        check_count("restarts", self.restarts)
         check_seed(self.seed)
 
 
@@ -177,12 +177,13 @@ def optimize(objective, points) -> OptResult:
     an evaluation that raises NumericalError, or whose value or gradient is
     not finite, counts as failed (value 1e30, zero gradient). Each run stops
     by `STOPPING` and counts as converged when L-BFGS-B reports success or
-    its final gradient is below STOPPING["gtol"]. A run also ends at an
-    evaluation that succeeds without improving on the best so far, when
-    that best comes from an earlier converged run and max |x - x_best| <
-    `REJOIN` (0.1): the run has come back to that optimum, and going on
-    would change the result by about the stopping tolerance. With one
-    point, as `starts` gives for the linear kernel, the rule never applies.
+    its final gradient is below STOPPING["gtol"]. A run also ends, without
+    evaluating it, at the first point x that L-BFGS-B asks for (its start
+    included) with max |x - x_best| < `REJOIN` (0.1), when the best
+    evaluation so far, at x_best, comes from an earlier converged run: the
+    run has come back to that optimum, and going on would change the result
+    by about the stopping tolerance. With one point, as `starts` gives for
+    the linear kernel, the rule never applies.
 
     The result holds the outputs of the evaluation with the lowest value
     over all runs, the first of equals winning, and its run's `converged`;
@@ -195,19 +196,18 @@ def optimize(objective, points) -> OptResult:
 
     def tracked(x, run):
         nonlocal best
+        _, _, best_run, best_x = best
+        if (best_run is not None and best_run < run and converged[best_run]
+                and np.max(np.abs(x - best_x)) < REJOIN):
+            raise _Rejoined
         try:
             value, grad, *outputs = objective(x)
         except NumericalError:
             return 1e30, np.zeros_like(x)
         if not (np.isfinite(value) and np.isfinite(grad).all()):
             return 1e30, np.zeros_like(x)
-        _, _, best_run, best_x = best
         if value < best[0]:
             best = (value, tuple(outputs), run, x.copy())
-        elif (best_run is not None and best_run < run
-              and converged[best_run]
-              and np.max(np.abs(x - best_x)) < REJOIN):
-            raise _Rejoined
         return value, grad
 
     for run, x0 in enumerate(points):

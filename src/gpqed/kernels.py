@@ -135,7 +135,9 @@ def _stationary_from_r(spec: KernelSpec, r: np.ndarray,
     (a C-ordered array shaped like r, or r itself; a new one by default).
 
     They are evaluated chunk by chunk in their plain order of operations, so
-    bit-equal to them; no temporary is larger than a chunk.
+    bit-equal to them; no temporary is larger than a chunk. A variance of
+    exactly 1, as in every Gram build of the search, skips its multiply,
+    which changes no bit.
     """
     family, v, l = spec.family, spec.variance, spec.lengthscale
     out = np.empty(r.shape) if out is None else out
@@ -147,7 +149,8 @@ def _stationary_from_r(spec: KernelSpec, r: np.ndarray,
             t = np.negative(ks, out=e[:len(ks)])    # exp(-z)
             np.exp(t, out=t)
             ks += 1.0
-            ks *= v
+            if v != 1.0:
+                ks *= v
             ks *= t
         else:
             if family == "exponential":
@@ -157,7 +160,8 @@ def _stationary_from_r(spec: KernelSpec, r: np.ndarray,
                 np.negative(ks, out=ks)
             ks /= l
             np.exp(ks, out=ks)
-            ks *= v
+            if v != 1.0:
+                ks *= v
     return out
 
 

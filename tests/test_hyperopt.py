@@ -62,10 +62,18 @@ class TestOptConfig:
         # numpy seeds a generator only from a non-negative integer
         ({"seed": -1}, "seed"),
         ({"seed": 1.5}, "seed"),
+        # an integer that is not a bool, as SimConfig takes its counts
+        ({"restarts": 1.5}, "restarts"),
+        ({"restarts": "2"}, "restarts"),
+        ({"restarts": True}, "restarts"),
     ])
     def test_rejected(self, fields, message):
         with pytest.raises(InputError, match=message):
             OptConfig(**fields)
+
+    def test_numpy_integer_restarts(self):
+        assert len(hyperopt.starts(from_name("se"), [1.0, 1.0, 1.0],
+                                   OptConfig(restarts=np.int64(3)))) == 3
 
 
 def _handed_points(monkeypatch):
@@ -213,15 +221,15 @@ class TestOptimize:
         assert hyperopt.REJOIN == 0.1
 
     def test_rejoining_run_ends_early(self):
-        # run 1 starts within REJOIN of run 0's optimum and does not
-        # improve on it, so it ends at its first evaluation
+        # run 1 starts within REJOIN of run 0's optimum, so it ends at its
+        # start, which is never evaluated
         target = np.array([2.0, -1.0])
         obj, seen = _recorded(_quadratic(target))
         points = np.array([[0.5, 0.5], target + [0.02, -0.01]])
         res = optimize(obj, points)
         alone = optimize(_quadratic(target), points[:1])
         run_0 = len(_plain_points(_quadratic(target), points[0]))
-        assert len(seen) == run_0 + 1
+        assert len(seen) == run_0
         assert len(_plain_points(_quadratic(target), points[1])) > 1
         assert res == alone
 
@@ -238,10 +246,11 @@ class TestOptimize:
         assert x == pytest.approx(-1.04, abs=0.01)
         assert res == optimize(_double_well, points[1:])
 
-    def test_entering_the_box_while_improving_keeps_running(self):
+    def test_run_ends_at_its_first_request_inside_the_box(self):
         # run 0 converges at once at (2.04, 0), where the gradient is below
-        # gtol; run 1 comes within REJOIN of it at a lower value, so it
-        # holds the best point itself and is never cut
+        # gtol; run 1 starts outside REJOIN of it and ends at its first
+        # request inside, unevaluated, though that point is lower: the
+        # result is run 0's point, which gives up less than 1e-6
         def shallow(x):
             value = float(1e-4 * (x[0] - 2.0) ** 2 + x[1] ** 2)
             return (value, np.array([2e-4 * (x[0] - 2.0), 2.0 * x[1]]),
@@ -251,12 +260,17 @@ class TestOptimize:
         points = np.array([[2.04, 0.0], [2.02, 0.1]])
         res = optimize(obj, points)
         assert res.converged
+        assert res.outputs == (points[0].tobytes(),)
         run_1 = _plain_points(shallow, points[1])
-        assert [x.tobytes() for x in seen[1:]] == [x.tobytes() for x in run_1]
+        inside = [np.max(np.abs(x - points[0])) < hyperopt.REJOIN
+                  for x in run_1]
+        first_inside = inside.index(True)
+        assert first_inside > 0
+        assert [x.tobytes() for x in seen[1:]] == [
+            x.tobytes() for x in run_1[:first_inside]]
         first = shallow(points[0])[0]
-        assert any(np.max(np.abs(x - points[0])) < hyperopt.REJOIN
-                   and shallow(x)[0] < first for x in run_1)
-        assert shallow(np.frombuffer(res.outputs[0]))[0] < first
+        assert shallow(run_1[first_inside])[0] < first
+        assert 0.0 < first - min(shallow(x)[0] for x in run_1) < 1e-6
 
     def test_unconverged_incumbent_never_cuts(self):
         # a failed line search leaves run 0 unconverged at its start; run 1
@@ -604,6 +618,91 @@ class TestRejoin:
         monkeypatch.setattr(hyperopt, "REJOIN", 0.0)
         _, every_run = inference.fit_continuous(data, from_name("se"), opt)
         assert ev.log_ml == every_run.log_ml
+
+
+def _runs_of_compare(monkeypatch, data, kernels, opt):
+    """Per optimize call of compare() of data at a threshold of 0: the
+    points it evaluated, the value of each that succeeded (None for a
+    failure), the run of each, and whether each run converged, read off
+    scipy's results as `optimize` states its rule (None for a cut run)."""
+    calls = []
+    optimize, minimize = hyperopt.optimize, hyperopt.minimize
+
+    def recording_optimize(objective, points):
+        call = {"evals": [], "converged": []}
+        calls.append(call)
+
+        def recorded(x):
+            run = len(call["converged"])
+            try:
+                value, grad, *outputs = objective(x)
+            except NumericalError:
+                call["evals"].append((x.copy(), None, run))
+                raise
+            ok = np.isfinite(value) and np.isfinite(grad).all()
+            call["evals"].append((x.copy(), value if ok else None, run))
+            return (value, grad, *outputs)
+        return optimize(recorded, points)
+
+    def recording_minimize(*args, **kwargs):
+        call = calls[-1]
+        try:
+            res = minimize(*args, **kwargs)
+        except hyperopt._Rejoined:
+            call["converged"].append(None)
+            raise
+        call["converged"].append(
+            bool(np.max(np.abs(res.jac)) < hyperopt.STOPPING["gtol"])
+            or res.success)
+        return res
+
+    monkeypatch.setattr(hyperopt, "optimize", recording_optimize)
+    monkeypatch.setattr(hyperopt, "minimize", recording_minimize)
+    inference.compare(data, inference.Threshold(0.0), kernels, opt)
+    return calls
+
+
+class TestRejoinOnSimGridInput:
+    """One repetition of a Linear, n = 100, 2-restart cell, as the
+    simulation grid runs it."""
+
+    KERNELS = [from_name(name) for name in ("linear", "exp", "matern32", "se")]
+
+    @staticmethod
+    def _input():
+        cfg = sim.SimConfig(latent="Linear", n=100, effect=1.0, seed=0,
+                            repetitions=1)
+        return sim.repetition(cfg, 0, 0, OptConfig(restarts=2))
+
+    def test_no_later_run_evaluates_inside_the_box(self, monkeypatch):
+        data, opt = self._input()
+        calls = _runs_of_compare(monkeypatch, data, self.KERNELS, opt)
+        # four kernels, M0 and M1
+        assert len(calls) == 8
+        cut = 0
+        for call in calls:
+            best = (math.inf, None, None)     # value, run, x
+            for x, value, run in call["evals"]:
+                _, best_run, best_x = best
+                assert not (best_run is not None and best_run < run
+                            and call["converged"][best_run]
+                            and np.max(np.abs(x - best_x)) < hyperopt.REJOIN)
+                if value is not None and value < best[0]:
+                    best = (value, run, x)
+            cut += call["converged"].count(None)
+        # the rule is met on this input, not passed by
+        assert cut > 0
+
+    def test_log_ml_as_every_run_to_convergence(self, monkeypatch):
+        data, opt = self._input()
+        label = inference.Threshold(0.0)
+        cut = inference.compare(data, label, self.KERNELS, opt)
+        monkeypatch.setattr(hyperopt, "REJOIN", 0.0)
+        every_run = inference.compare(data, label, self.KERNELS, opt)
+        for a, b in zip(cut.kernel_results, every_run.kernel_results):
+            for evidence in ("evidence_m0", "evidence_m1"):
+                assert getattr(a, evidence).log_ml == pytest.approx(
+                    getattr(b, evidence).log_ml, abs=1e-6)
 
 
 class TestProfiledOptimum:

@@ -592,6 +592,19 @@ class TestBmaSamples:
         with pytest.raises(InputError, match="count"):
             inference.effect_samples(eff, count, seed=0)
 
+    # an integer that is not a bool, as SimConfig takes its counts
+    @pytest.mark.parametrize("count", [2.5, True, "2"])
+    def test_count_not_an_integer_rejected(self, count):
+        eff = EffectPosterior(m1_mean=2.0, m1_var=1.0,
+                              spike_weight=0.5, gaussian_weight=0.5)
+        with pytest.raises(InputError, match="count"):
+            inference.effect_samples(eff, count, seed=0)
+        with pytest.raises(InputError, match="count"):
+            bma_effect_samples(self._result(), count, seed=0)
+
+    def test_numpy_integer_count(self):
+        assert bma_effect_samples(self._result(), np.int64(3)).shape == (3,)
+
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_numpy_cannot_take_rejected(self, seed):
         eff = EffectPosterior(m1_mean=2.0, m1_var=1.0,

@@ -145,6 +145,16 @@ class TestCrossInChunks:
         np.testing.assert_array_equal(kernels.cross(spec, X, Xs),
                                       _plain_formula(spec, X, Xs))
 
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("name", ["exp", "matern32", "se"])
+    def test_unit_variance_gram_is_the_formula(self, rng, name, p):
+        # the search builds every Gram matrix at variance 1, whose multiply
+        # is skipped; 40,000 entries: more than one chunk
+        spec = from_name(name, lengthscale=float(rng.uniform(0.3, 3.0)))
+        X = rng.uniform(-3, 3, size=(200, p))
+        np.testing.assert_array_equal(GramStructure(X).gram(spec),
+                                      _plain_formula(spec, X, X))
+
     @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
     def test_gram_structure_keeps_its_cache(self, rng, name):
         spec = random_kernel(rng, name)
