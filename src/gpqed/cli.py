@@ -25,7 +25,7 @@ import numpy as np
 
 from . import geo, gp, inference, kernels, sim
 from .errors import (ConfigError, DataError, GpqedError, InputError,
-                     NumericalError)
+                     NumericalError, check_int, check_number)
 from .gp import Dataset
 from .hyperopt import OptConfig
 
@@ -199,30 +199,18 @@ def _json(kind: type):
     return check
 
 
-def _int(value) -> int:
-    """A JSON integer: true, 2.7 and "3" are not one."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected a JSON integer, got {value!r}")
-    return value
-
+# The converters raise a plain ValueError, which _read turns into a
+# ConfigError naming the key; a GpqedError would pass it unnamed.
 
 def _float(value) -> float:
     """A finite JSON number: true, "0.5" and NaN are not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a JSON number, got {value!r}")
-    # an exact comparison, so an integer too large for a float fails too
-    if not abs(value) <= sys.float_info.max:
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
+    return float(check_number("value", value, ValueError))
 
 
 def _at_least(low: int):
-    """A converter for a JSON integer of at least low."""
-    def read(value) -> int:
-        if _int(value) < low:
-            raise ValueError(f"expected an integer >= {low}, got {value!r}")
-        return value
-    return read
+    """A converter for a JSON integer of at least low: true, 2.7 and "3"
+    are not one."""
+    return lambda value: check_int("value", value, low, ValueError)
 
 
 _count = _at_least(1)

@@ -1,11 +1,16 @@
-"""Exception hierarchy shared across the package, and its checks of a
-random seed and of a count.
+"""Exception hierarchy shared across the package, and its two checks of a
+setting it is given: `check_int` (an integer that is not a bool, of at least
+a bound: every count, size and seed) and `check_number` (a finite real
+number that is not a bool). `check_seed` is `check_int` for a seed, or a
+SeedSequence.
 
 Exit-code mapping used by the CLI: ConfigError -> 2, DataError -> 3,
 NumericalError -> 4.
 """
 
+import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -34,20 +39,34 @@ class OptimizationError(NumericalError):
     """All optimizer restarts diverged."""
 
 
-def check_seed(seed):
-    """seed, when numpy can seed a generator from it: an integer >= 0 or a
-    SeedSequence. InputError otherwise, where numpy raises an untyped
-    ValueError or TypeError."""
-    if not (isinstance(seed, np.random.SeedSequence)
-            or isinstance(seed, numbers.Integral) and seed >= 0):
-        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
-    return seed
-
-
-def check_count(name, value):
-    """InputError naming the argument name unless value is an integer >= 1
-    that is not a bool (numpy integers pass), where numpy would raise an
-    untyped TypeError or, for True, count 1."""
+def check_int(name, value, low, error=InputError):
+    """value, if it is an integer >= low that is not a bool (numpy integers
+    pass); error naming name otherwise, where numpy would raise an untyped
+    TypeError or take True as 1."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
-        raise InputError(f"{name} must be an integer >= 1, got {value!r}")
+            or value < low):
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def check_number(name, value, error=InputError):
+    """value, if it is a finite real number that is not a bool; error naming
+    name otherwise."""
+    # an integer too large for a float fails the exact comparison, where
+    # math.isfinite would raise OverflowError; a float takes math.isfinite,
+    # as numpy would compare a float32 with the bound cast to float32's inf
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (abs(value) <= sys.float_info.max
+                    if isinstance(value, numbers.Integral)
+                    else math.isfinite(value))):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def check_seed(seed):
+    """seed, when numpy can seed a generator from it: a SeedSequence or an
+    integer >= 0 that is not a bool. InputError otherwise, where numpy raises
+    an untyped ValueError or TypeError."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return check_int("seed", seed, 0)

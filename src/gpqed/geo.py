@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference
-from .errors import DataError, InputError
+from .errors import DataError, InputError, check_int
 from .gp import GPFit, finite_decimal
 
 ON_PATH_TOL = 1e-9
@@ -119,8 +119,7 @@ class BoundaryLabel(inference.LabelFunction):
 def _points_by_arc_length(boundary: BoundaryPolyline, count: int) -> tuple:
     """(arc lengths, points): `count` arc lengths equally spaced from 0 to
     boundary.length, and the points on the path at them."""
-    if count < 2:
-        raise InputError("count must be >= 2")
+    check_int("count", count, 2)
     v = boundary.vertices
     seg_len = boundary.segment_lengths
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])

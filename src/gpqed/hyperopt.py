@@ -39,7 +39,7 @@ from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
 from .errors import (InputError, NumericalError, OptimizationError,
-                     check_count, check_seed)
+                     check_int, check_seed)
 from .gp import Dataset
 from .kernels import KernelSpec
 
@@ -120,7 +120,7 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_count("restarts", self.restarts)
+        check_int("restarts", self.restarts, 1)
         check_seed(self.seed)
 
 

@@ -23,8 +23,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from . import gp, hyperopt, kernels
-from .errors import (ConfigError, DataError, InputError, check_count,
-                     check_seed)
+from .errors import ConfigError, DataError, InputError, check_int, check_seed
 from .gp import Dataset, GPFit
 from .hyperopt import OptConfig
 from .kernels import GramStructure, KernelSpec
@@ -350,7 +349,7 @@ def _mixture_samples(spike: float, comps: list[tuple[float, float, float]],
     One `rng.choice` over the components, then the normals per component:
     that order fixes the samples a seed gives.
     """
-    check_count("count", count)
+    check_int("count", count, 1)
     weights = np.array([spike] + [w for w, _, _ in comps])
     weights = weights / weights.sum()
     rng = np.random.default_rng(check_seed(seed))

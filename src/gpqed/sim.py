@@ -6,14 +6,13 @@ factors) aggregated over repeated analyses.
 from __future__ import annotations
 
 import itertools
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import inference
-from .errors import ConfigError, GpqedError, InputError, check_seed
+from .errors import (ConfigError, GpqedError, InputError, check_int,
+                     check_number, check_seed)
 from .gp import Dataset
 from .hyperopt import OptConfig
 from .inference import EffectPosterior, Threshold
@@ -83,25 +82,13 @@ class SimConfig:
             raise ConfigError(
                 f"unknown latent function {self.latent!r}; "
                 f"valid: {sorted(LATENT_FUNCTIONS)}")
-        # numpy takes only integers as sizes and seeds; a bool is not one
-        for name in ("n", "repetitions", "seed"):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        # numpy takes only integers as sizes and seeds, and rep_seed's
+        # SeedSequence only non-negative ones; a bool is not one
+        check_int("n", self.n, 10, ConfigError)
+        check_int("repetitions", self.repetitions, 1, ConfigError)
+        check_int("seed", self.seed, 0, ConfigError)
         for name in ("effect", "noise_sd", "threshold"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ConfigError(
-                    f"{name} must be a finite number, got {value!r}")
-        if self.n < 10:
-            raise ConfigError("n must be >= 10")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
-        # rep_seed's SeedSequence takes only non-negative integers
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+            check_number(name, getattr(self, name), ConfigError)
         if not self.noise_sd > 0:
             raise ConfigError("noise sd must be positive")
         # x ~ U(-1, 1), so any other threshold leaves a side empty

@@ -6,7 +6,7 @@ import stat
 import numpy as np
 import pytest
 
-from gpqed import cli, inference, sim
+from gpqed import cli, gp, inference, sim
 from gpqed.errors import ConfigError, DataError, NumericalError
 from gpqed.hyperopt import OptConfig
 from gpqed.kernels import from_name
@@ -205,6 +205,56 @@ class TestAnalyze:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 50  # continuous + discontinuous, one kernel
         assert {r["model"] for r in rows} == {"continuous", "discontinuous"}
+
+    def test_curves_sd_is_the_predictive_sd(self, tmp_path):
+        out = tmp_path / "curves.csv"
+        cfg = _base_config(tmp_path, curve_grid=30,
+                           output={"curves": str(out)})
+        cli.analyze(cfg)
+        data = cli.load_csv(cfg["data"], ["x"], "y")
+        kr, = inference.compare(data, inference.Threshold(0.0),
+                                [from_name("exp")],
+                                OptConfig(restarts=1)).kernel_results
+        grid = np.linspace(data.X.min(), data.X.max(), 30).reshape(-1, 1)
+        (m0, v0), (mc, vc), (mi, vi) = (
+            gp.predict(f, grid) for f in (kr.fit_m0, kr.fit_c, kr.fit_i))
+        right = grid[:, 0] >= 0.0
+        want = {"continuous": (m0, v0),
+                "discontinuous": (np.where(right, mi, mc),
+                                  np.where(right, vi, vc))}
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        for model, (mean, var) in want.items():
+            got = [r for r in rows if r["model"] == model]
+            np.testing.assert_allclose([float(r["x"]) for r in got],
+                                       grid[:, 0], rtol=1e-15)
+            np.testing.assert_allclose([float(r["mean"]) for r in got],
+                                       mean, rtol=1e-12)
+            np.testing.assert_allclose([float(r["sd"]) for r in got],
+                                       np.sqrt(var), rtol=1e-12)
+
+    def test_two_kernels_whose_m0_and_m1_weights_differ(self, tmp_path):
+        # with one kernel both weight vectors are [1]; here they differ
+        out = tmp_path / "samples.csv"
+        cfg = _base_config(tmp_path, kernels=["exp", "se"], seed=5,
+                           output={"density_samples": str(out)})
+        totals = cli.analyze(cfg)["totals"]
+        data = cli.load_csv(cfg["data"], ["x"], "y")
+        want = inference.compare(data, inference.Threshold(0.0),
+                                 [from_name("exp"), from_name("se")],
+                                 OptConfig(restarts=1, seed=5))
+        assert np.abs(want.kernel_weights_m1
+                      - want.kernel_weights_m0).max() > 0.3
+        np.testing.assert_array_equal(totals["kernel_weights_m0"],
+                                      want.kernel_weights_m0)
+        np.testing.assert_array_equal(totals["kernel_weights_m1"],
+                                      want.kernel_weights_m1)
+        # criterion 3's rule: the draws' mean within 3 SE of the BMA mean
+        with open(out) as fh:
+            draws = np.array([float(r["sample"]) for r in csv.DictReader(fh)])
+        assert len(draws) == 10000
+        se = draws.std(ddof=1) / np.sqrt(len(draws))
+        assert abs(draws.mean() - totals["effect_bma_mean"]) <= 3 * se
 
     def test_density_samples(self, tmp_path):
         out = tmp_path / "samples.csv"
@@ -506,7 +556,8 @@ class TestMain:
         assert cli.main(["analyze", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: config key "
-                              "'profile_points': expected an integer >= 2")
+                              "'profile_points': value must be an integer "
+                              ">= 2")
 
     @pytest.mark.parametrize("command, section, key, value", [
         (command, section, key, value)

@@ -110,6 +110,9 @@ class TestClassify:
     def test_on_path_goes_to_intervention_with_warning(self):
         with pytest.warns(UserWarning):
             assert classify(_horizontal(), [0.0, 0.0]) == 1
+        # within ON_PATH_TOL on the control side is on the path too
+        with pytest.warns(UserWarning):
+            assert classify(_horizontal(), [0.0, 1e-10]) == 1
 
     def test_reversal_flips_labels(self, rng):
         b = _monotone_polyline(rng)
@@ -209,6 +212,12 @@ class TestBoundaryPoints:
         with pytest.raises(InputError):
             boundary_points(_horizontal(), 1)
 
+    # numpy's linspace raised an untyped TypeError on these
+    @pytest.mark.parametrize("count", [2.5, "3"])
+    def test_count_not_an_integer_rejected(self, count):
+        with pytest.raises(InputError, match="count must be an integer >= 2"):
+            boundary_points(_horizontal(), count)
+
 
 class TestEffectProfile:
     def _fits(self, rng, same=False):
@@ -260,6 +269,11 @@ class TestEffectProfile:
                                            axis=0))
             prof = effect_profile(fit_c, fit_i, b, count=4)
             assert prof.arc_lengths[-1] == b.length
+
+    def test_count_not_an_integer_rejected(self, rng):
+        fit_c, fit_i = self._fits(rng)
+        with pytest.raises(InputError, match="count must be an integer >= 2"):
+            effect_profile(fit_c, fit_i, _horizontal(), count="3")
 
     def test_fits_of_two_families_are_an_input_error(self, rng):
         fit_c, _ = self._fits(rng, same=True)

@@ -320,6 +320,16 @@ class TestPredict:
             _, var = predict(fit(data, kern, noise),
                              rng.uniform(-3, 3, size=(4, 1)))
             assert np.all(var >= 0.0)
+        # nearly noise-free with a short lengthscale, k(x, x) - |v|^2 rounds
+        # below zero at some training points (by up to 5e-12 on a few of
+        # these seeds), which predict clamps
+        kern = from_name("se", lengthscale=0.1)
+        for seed in range(20):
+            draw = np.random.default_rng(seed)
+            X = draw.uniform(-1.0, 1.0, size=(30, 1))
+            data = Dataset(X, draw.standard_normal(30))
+            _, var = predict(fit(data, kern, 1e-12), X)
+            assert np.all(var >= 0.0)
 
     def test_observation_shrinks_variance(self, rng):
         for _ in range(20):

@@ -66,6 +66,8 @@ class TestOptConfig:
         ({"restarts": 1.5}, "restarts"),
         ({"restarts": "2"}, "restarts"),
         ({"restarts": True}, "restarts"),
+        # numpy would take True as 1; SimConfig rejects a bool seed too
+        ({"seed": True}, "seed"),
     ])
     def test_rejected(self, fields, message):
         with pytest.raises(InputError, match=message):

@@ -390,6 +390,36 @@ class TestCompare:
         totals = aggregate_totals(le0, le1, np.zeros(2), np.ones(2))
         assert totals["total_log_bf"] == pytest.approx(3.0, rel=1e-6)
 
+    def test_totals_are_the_written_out_mixture(self):
+        # three kernels whose M0 and M1 evidences rank them in different
+        # orders, and whose effects differ: the totals are the moments of a
+        # spike at zero weighted 1 - p(M1|D) plus each kernel's Gaussian
+        # weighted p(M1|D) w_M1
+        le0 = np.array([-10.0, -12.5, -11.0])
+        le1 = np.array([-12.0, -9.5, -10.7])
+        means = np.array([1.5, -0.8, 2.3])
+        varis = np.array([0.4, 0.9, 0.25])
+        w0 = np.exp(le0) / np.exp(le0).sum()
+        w1 = np.exp(le1) / np.exp(le1).sum()
+        p1 = np.exp(le1).sum() / (np.exp(le0).sum() + np.exp(le1).sum())
+        weights = np.concatenate([[1.0 - p1], p1 * w1])
+        comp_means = np.concatenate([[0.0], means])
+        comp_second = np.concatenate([[0.0], varis + means ** 2])
+        mean = weights @ comp_means
+        m1_mean = w1 @ means
+        totals = aggregate_totals(le0, le1, means, varis)
+        np.testing.assert_allclose(totals["kernel_weights_m0"], w0, rtol=1e-12)
+        np.testing.assert_allclose(totals["kernel_weights_m1"], w1, rtol=1e-12)
+        assert totals["total_log_bf"] == pytest.approx(
+            np.log(np.exp(le1).sum() / np.exp(le0).sum()), rel=1e-12)
+        assert totals["total_p_m1"] == pytest.approx(p1, rel=1e-12)
+        assert totals["bma_m1_mean"] == pytest.approx(m1_mean, rel=1e-12)
+        assert totals["bma_m1_var"] == pytest.approx(
+            w1 @ (varis + means ** 2) - m1_mean ** 2, rel=1e-12)
+        assert totals["bma_mean"] == pytest.approx(mean, rel=1e-12)
+        assert totals["bma_var"] == pytest.approx(
+            weights @ comp_second - mean ** 2, rel=1e-12)
+
     def test_kernel_weights_sum_to_one(self):
         data = _step_data(40, d=0.5, seed=8)
         res = compare(data, Threshold(0.0),
@@ -605,7 +635,8 @@ class TestBmaSamples:
     def test_numpy_integer_count(self):
         assert bma_effect_samples(self._result(), np.int64(3)).shape == (3,)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    # numpy would take True as 1; SimConfig rejects a bool seed too
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_seed_numpy_cannot_take_rejected(self, seed):
         eff = EffectPosterior(m1_mean=2.0, m1_var=1.0,
                               spike_weight=0.5, gaussian_weight=0.5)

@@ -100,8 +100,11 @@ class TestGenerate:
             SimConfig(latent="Linear", **{field: value})
 
     @pytest.mark.parametrize("field", ["effect", "noise_sd", "threshold"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
-                                       -float("inf"), "1.0", True])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -float("inf"), "1.0", True,
+        # too large for a float: math.isfinite raised OverflowError on them
+        pytest.param(10**400, id="1e400"),
+        pytest.param(-10**400, id="-1e400")])
     def test_field_that_is_not_a_finite_number_rejected(self, field, value):
         with pytest.raises(ConfigError,
                            match=f"{field} must be a finite number"):
@@ -113,7 +116,8 @@ class TestGenerate:
                            repetitions=np.int32(2))
         assert generate(config).n == 20
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    # numpy would take False as 0; SimConfig rejects a bool seed too
+    @pytest.mark.parametrize("seed", [-1, 1.5, False])
     def test_seed_numpy_cannot_take_rejected(self, seed):
         with pytest.raises(InputError, match="seed"):
             generate(SimConfig(latent="Linear"), seed=seed)
