@@ -146,6 +146,16 @@ MUTANTS = [
     ("number-no-float-bound", "src/gpqed/errors.py",
      "abs(value) <= sys.float_info.max",
      "True"),
+    # the one owner of each input rule
+    ("read-passes-library-errors", "src/gpqed/cli.py",
+     "except DataError:",
+     "except GpqedError:"),
+    ("effect-point-not-finite", _I,
+     "if not np.isfinite(point).all():",
+     "if False:"),
+    ("kernel-variance-not-finite", "src/gpqed/kernels.py",
+     'check_number("variance", self.variance) > 0',
+     "self.variance > 0"),
 ]
 
 EQUIVALENT = {

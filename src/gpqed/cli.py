@@ -24,8 +24,8 @@ from importlib.metadata import PackageNotFoundError, version as pkg_version
 import numpy as np
 
 from . import geo, gp, inference, kernels, sim
-from .errors import (ConfigError, DataError, GpqedError, InputError,
-                     NumericalError, check_int, check_number)
+from .errors import (ConfigError, DataError, GpqedError, NumericalError,
+                     check_int, check_number)
 from .gp import Dataset
 from .hyperopt import OptConfig
 
@@ -157,20 +157,26 @@ _REQUIRED = object()
 
 
 def _read(cfg: dict, key: str, convert, default=_REQUIRED):
-    """cfg[key] passed through convert, or default when it is absent or null.
-
-    A value that convert rejects, or a file it cannot open, raises a
-    ConfigError naming the key; the package's own errors pass unchanged.
-    """
+    """cfg[key] passed through convert by `_convert`, which names the key in
+    an error convert raises, or default when it is absent or null."""
     if cfg.get(key) is None:
         if default is _REQUIRED:
             raise ConfigError(f"config key {key!r} is required")
         return default
+    return _convert(key, convert, cfg[key])
+
+
+def _convert(key: str, convert, value):
+    """convert(value), the one place that names a config key in an error
+    raised while reading it. A library check's error, a TypeError,
+    ValueError or OSError (a file convert cannot open) becomes a
+    ConfigError naming key; a DataError, which a boundary file that reads
+    but holds no valid polyline raises, passes unchanged."""
     try:
-        return convert(cfg[key])
-    except GpqedError:
+        return convert(value)
+    except DataError:
         raise
-    except (TypeError, ValueError, OSError) as exc:
+    except (GpqedError, TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
 
 
@@ -199,21 +205,18 @@ def _json(kind: type):
     return check
 
 
-# The converters raise a plain ValueError, which _read turns into a
-# ConfigError naming the key; a GpqedError would pass it unnamed.
+# A converter raises the error of the check that rejects a value, the
+# library's own where it has one; _read names the key.
 
 def _float(value) -> float:
     """A finite JSON number: true, "0.5" and NaN are not one."""
-    return float(check_number("value", value, ValueError))
+    return float(check_number("value", value))
 
 
 def _at_least(low: int):
     """A converter for a JSON integer of at least low: true, 2.7 and "3"
     are not one."""
-    return lambda value: check_int("value", value, low, ValueError)
-
-
-_count = _at_least(1)
+    return lambda value: check_int("value", value, low)
 
 
 def _list_of(convert):
@@ -228,19 +231,26 @@ def _list_of(convert):
 
 def _restarts(cfg: dict) -> dict:
     """The "optimizer" section, whose one key is restarts."""
-    return _section(cfg, "optimizer", {"restarts": _count})
+    return _section(cfg, "optimizer",
+                    {"restarts": _field(OptConfig(), "restarts")})
 
 
-def _kernel_list(cfg: dict) -> list[kernels.KernelSpec]:
-    """The "kernels" list of known names; results are keyed by label, so
-    labels are unique."""
-    names = _read(cfg, "kernels", _list_of(_json(str)))
-    try:
-        specs = [kernels.from_name(n) for n in names]
-        inference.kernel_labels(specs)
-    except (InputError, ConfigError) as exc:
-        raise ConfigError(f"config key 'kernels': {exc}") from None
+def _kernel_list(value) -> list[kernels.KernelSpec]:
+    """A converter for the "kernels" list of known names; results are keyed
+    by label, so labels are unique."""
+    specs = [kernels.from_name(n) for n in _list_of(_json(str))(value)]
+    inference.kernel_labels(specs)
     return specs
+
+
+def _field(record, name: str):
+    """A converter for a value of the field name of the dataclass record,
+    checked by the record's own rules with every other field as in record;
+    it takes the type of record's value, so a JSON integer effect is a
+    float."""
+    kind = type(getattr(record, name))
+    return lambda value: kind(
+        getattr(dataclasses.replace(record, **{name: value}), name))
 
 
 def _output_path(value) -> str:
@@ -344,27 +354,24 @@ def analyze(cfg: dict) -> dict:
         if columns.count(col) > 1:
             raise ConfigError(f"config key 'predictors': column {col!r} is "
                               "listed twice or is also the response")
-    kernel_list = _kernel_list(cfg)
-    seed = _read(cfg, "seed", _at_least(0), 0)
+    kernel_list = _read(cfg, "kernels", _kernel_list)
+    seed = _read(cfg, "seed", _field(OptConfig(), "seed"), 0)
     opt = OptConfig(seed=seed, **_restarts(cfg))
     boundary = _read(cfg, "boundary", geo.load_boundary, None)
     label = (geo.BoundaryLabel(boundary) if boundary is not None
              else inference.Threshold(_read(cfg, "threshold", _float)))
-    # a boundary's default effect point is its arc-length midpoint
-    effect_point = _read(cfg, "effect_point", _list_of(_float),
-                         None if boundary is None
-                         else geo.boundary_points(boundary, 3)[1])
-    # compare() checks these too, but only once the data are loaded
-    if effect_point is None and len(predictors) == 2:
-        raise ConfigError("config key 'effect_point' is required for a "
-                          "threshold on two predictors")
-    if effect_point is not None and len(effect_point) != len(predictors):
-        raise ConfigError("config key 'effect_point' must have one entry "
-                          f"per predictor ({len(predictors)})")
+    # a boundary's default effect point is its arc-length midpoint; compare's
+    # own rules, a 1-D threshold's default among them, check it before the
+    # data file opens
+    point = _read(cfg, "effect_point", _list_of(_float),
+                  None if boundary is None
+                  else geo.boundary_points(boundary, 3)[1])
+    effect_point = _convert("effect_point", lambda value: (
+        inference.check_effect_point(value, label, len(predictors))), point)
     # geo.boundary_points places at least the two ends of the boundary
     profile_points = _read(cfg, "profile_points", _at_least(2), 50)
-    curve_grid = _read(cfg, "curve_grid", _count, 200)
-    mc_samples = _read(cfg, "mc_samples", _count, 10000)
+    curve_grid = _read(cfg, "curve_grid", _at_least(1), 200)
+    mc_samples = _read(cfg, "mc_samples", _at_least(1), 10000)
     outputs = _outputs(cfg, "report", "curves", "density_samples")
     if outputs.get("curves") and len(predictors) != 1:
         raise ConfigError("config key 'curves': curve export is only "
@@ -404,13 +411,17 @@ def analyze(cfg: dict) -> dict:
 
 def simulate(cfg: dict) -> dict:
     """Run a simulation grid from a config dict; returns the summary dict."""
-    latents = _read(cfg, "latents", _list_of(_json(str)), ["Linear"])
-    effects = _read(cfg, "effects", _list_of(_float),
+    # latents, effects and the keys of the template are SimConfig fields,
+    # each checked by SimConfig's own rules
+    default = sim.SimConfig(latent="Linear")
+    latents = _read(cfg, "latents", _list_of(_field(default, "latent")),
+                    [default.latent])
+    effects = _read(cfg, "effects", _list_of(_field(default, "effect")),
                     list(sim.DEFAULT_EFFECT_GRID))
-    kernel_list = _kernel_list(cfg)
-    template = sim.SimConfig(latent=latents[0], **_given(
-        cfg, {"n": _count, "noise_sd": _float, "threshold": _float,
-              "seed": _at_least(0), "repetitions": _count}))
+    kernel_list = _read(cfg, "kernels", _kernel_list)
+    template = sim.SimConfig(latent=latents[0], **_given(cfg, {
+        key: _field(default, key)
+        for key in ("n", "noise_sd", "threshold", "seed", "repetitions")}))
     # run_cell seeds each repetition's optimizer from the template's seed
     opt = OptConfig(**_restarts(cfg))
     outputs = _outputs(cfg, "summary_json", "summary_csv")

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from . import kernels
-from .errors import DataError, InputError, NumericalError
+from .errors import DataError, InputError, NumericalError, check_number
 from .kernels import (GramStructure, KernelSpec, cholesky_inverse,
                       jittered_cholesky)
 
@@ -124,7 +124,7 @@ def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
     NumericalError when the covariance cannot be factorized or the gradient
     is not finite.
     """
-    if not noise_variance > 0:
+    if not check_number("noise variance", noise_variance) > 0:
         raise InputError("noise variance must be positive")
     c = float(np.mean(data.y)) if mean_constant is None else float(mean_constant)
     if structure is None:

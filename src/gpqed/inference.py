@@ -259,32 +259,35 @@ def kernel_labels(kernel_list: list[KernelSpec]) -> list[str]:
     return labels
 
 
+def check_effect_point(point, label: LabelFunction, p: int) -> np.ndarray:
+    """The point where the effect-size posterior is evaluated, as a 1 x p
+    array: point, or by default the threshold location of a Threshold on
+    one predictor (every other label needs a point). A flat sequence is one
+    point in R^p, not p one-dimensional points. ConfigError unless it is
+    exactly one finite p-dimensional point."""
+    if point is None and not (isinstance(label, Threshold) and p == 1):
+        raise ConfigError("effect_point is required for non-threshold or "
+                          "multivariate labels")
+    point = np.asarray(label.value if point is None else point, dtype=float)
+    point = point.reshape(1, -1) if point.ndim <= 1 else point
+    if point.shape != (1, p):
+        raise ConfigError(f"effect_point must be a single {p}-dimensional "
+                          "point")
+    if not np.isfinite(point).all():
+        raise ConfigError("effect_point must be finite")
+    return point
+
+
 def compare(data: Dataset, label: LabelFunction,
             kernel_list: list[KernelSpec], cfg: OptConfig = OptConfig(),
             effect_point=None) -> ComparisonResult:
     """Run the full comparison for every kernel and aggregate across kernels.
 
-    effect_point is where the effect-size posterior is evaluated: one
-    finite point (ConfigError otherwise). It defaults to the threshold
-    location for 1-D Threshold labels and must be supplied for other label
-    functions.
+    effect_point is where the effect-size posterior is evaluated, checked
+    and defaulted by `check_effect_point`.
     """
     kernel_labels(kernel_list)
-    if effect_point is None:
-        if isinstance(label, Threshold) and data.p == 1:
-            effect_point = np.array([[label.value]])
-        else:
-            raise ConfigError(
-                "effect_point is required for non-threshold or multivariate labels")
-    effect_point = np.asarray(effect_point, dtype=float)
-    # a flat sequence is one point in R^p, not p one-dimensional points
-    effect_point = (effect_point.reshape(1, -1) if effect_point.ndim <= 1
-                    else effect_point)
-    if effect_point.shape != (1, data.p):
-        raise ConfigError(
-            f"effect_point must be a single {data.p}-dimensional point")
-    if not np.isfinite(effect_point).all():
-        raise ConfigError("effect_point must be finite")
+    effect_point = check_effect_point(effect_point, label, data.p)
 
     # the search's data-only start, once for every kernel and model; with
     # one observation there is no neighbour, and fit_continuous raises

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 from scipy.spatial.distance import cdist
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_number
 
 # each family and the label its results are reported under
 FAMILIES = {"linear": "linear", "exponential": "exp", "matern32": "matern32",
@@ -67,12 +67,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InputError(f"unknown kernel family {self.family!r}")
-        if not self.variance > 0:
+        if not check_number("variance", self.variance) > 0:
             raise InputError("kernel variance must be positive")
         if self.stationary:
             if self.lengthscale is None:
                 object.__setattr__(self, "lengthscale", 1.0)
-            if not self.lengthscale > 0:
+            if not check_number("lengthscale", self.lengthscale) > 0:
                 raise InputError("lengthscale must be positive")
             if self.offset is not None:
                 raise InputError("offset only applies to the linear kernel")
@@ -81,7 +81,7 @@ class KernelSpec:
                 raise InputError("linear kernel has no lengthscale")
             if self.offset is None:
                 object.__setattr__(self, "offset", 0.0)
-            if not self.offset >= 0:
+            if not check_number("offset", self.offset) >= 0:
                 # the kernel is not positive semi-definite for offset < 0
                 raise InputError("linear offset must be >= 0")
 

@@ -78,7 +78,8 @@ class SimConfig:
     repetitions: int = 100
 
     def __post_init__(self):
-        if self.latent not in LATENT_FUNCTIONS:
+        # a list, so that an unhashable latent is unknown, not a TypeError
+        if self.latent not in list(LATENT_FUNCTIONS):
             raise ConfigError(
                 f"unknown latent function {self.latent!r}; "
                 f"valid: {sorted(LATENT_FUNCTIONS)}")

@@ -481,9 +481,15 @@ class TestMain:
         ("analyze", {"kernels": ["foo"]}, [], "kernels"),
         ("simulate", {}, ["--kernels", "foo"], "kernels"),
         ("analyze", {"predictors": ["a", "b", "c"]}, [], "predictors"),
+        ("simulate", {"latents": ["Linear", "Nope"]}, [], "latents"),
     ])
     def test_bad_config_value_is_a_config_error(self, tmp_path, capsys,
-                                                 command, bad, flags, key):
+                                                 monkeypatch, command, bad,
+                                                 flags, key):
+        def run(*args, **kwargs):
+            raise AssertionError("the analysis ran before the config was read")
+        monkeypatch.setattr(cli.inference, "compare", run)
+        monkeypatch.setattr(cli.sim, "run_grid", run)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(_base_config(tmp_path, **bad)))
         assert cli.main([command, "--config", str(cfg), *flags]) == 2
@@ -571,7 +577,8 @@ class TestMain:
             ("analyze", None, "mc_samples", _NOT_INTEGERS),
             ("analyze", None, "curve_grid", _NOT_INTEGERS),
             ("analyze", None, "profile_points", _NOT_INTEGERS),
-            ("simulate", None, "n", [*_NOT_INTEGERS, 0]),
+            # SimConfig's own bound
+            ("simulate", None, "n", [*_NOT_INTEGERS, 0, 5]),
             ("simulate", None, "repetitions", [*_NOT_INTEGERS, 0]),
         ] for value in values])
     def test_integer_key_takes_a_json_integer(
@@ -601,9 +608,13 @@ class TestMain:
         ("simulate", "effects", [1.0, float("-inf")]),
         ("simulate", "noise_sd", False),
         ("simulate", "threshold", float("nan")),
+        # finite, but outside the range SimConfig takes
+        ("simulate", "noise_sd", 0),
+        ("simulate", "threshold", 1.5),
     ], ids=["threshold-nan", "threshold-true", "value-inf",
             "effect_point-string", "effect_point-nan", "effects-inf",
-            "noise_sd-false", "simulate-threshold-nan"])
+            "noise_sd-false", "simulate-threshold-nan", "noise_sd-zero",
+            "simulate-threshold-outside"])
     def test_float_key_takes_a_finite_json_number(
             self, tmp_path, capsys, monkeypatch, command, key, value):
         def run(*args, **kwargs):

@@ -311,7 +311,12 @@ class TestBoundaryLabel:
             batch = BoundaryLabel(b).labels(X)
         assert len(record) == 1
         assert f"{np.count_nonzero(on_path)} point(s)" in str(record[0].message)
-        assert record[0].filename == __file__
+        # the warning names this function's frame, whose file is the one its
+        # code was compiled from: under a copied __pycache__ that is the
+        # original's path, not __file__
+        this = (TestBoundaryLabel
+                .test_batch_equals_one_row_calls_with_one_warning)
+        assert record[0].filename == this.__code__.co_filename
         with pytest.warns(UserWarning):
             single = [classify(b, x) for x in X]
         assert batch.tolist() == single

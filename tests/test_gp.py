@@ -89,6 +89,13 @@ class TestFit:
         with pytest.raises(InputError):
             fit(Dataset([0.0], [0.0]), from_name("se"), 0.0)
 
+    @pytest.mark.parametrize("noise", [float("inf"), True],
+                             ids=["inf", "true"])
+    def test_rejects_noise_that_is_not_a_finite_number(self, noise):
+        with pytest.raises(InputError,
+                           match="noise variance must be a finite number"):
+            fit(Dataset([0.0, 1.0], [0.0, 1.0]), from_name("se"), noise)
+
     def test_overflowing_covariance_is_numerical_error(self):
         # the optimizer's clip lets variance reach e^700 (about 1e304); a
         # linear kernel then overflows the Gram matrix to inf once x^2 > 1e4,

@@ -294,6 +294,17 @@ class TestSpecValidation:
             from_name("linear", offset=-0.5)
         assert from_name("linear", offset=0.0).offset == 0.0
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), True],
+                             ids=["inf", "nan", "true"])
+    @pytest.mark.parametrize("name, field", [
+        ("se", "variance"), ("se", "lengthscale"), ("linear", "variance"),
+        ("linear", "offset")])
+    def test_rejects_a_value_that_is_not_a_finite_number(self, name, field,
+                                                         value):
+        with pytest.raises(InputError,
+                           match=f"{field} must be a finite number"):
+            from_name(name, **{field: value})
+
     def test_unknown_name(self):
         with pytest.raises(InputError):
             from_name("periodic")

@@ -81,6 +81,12 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             SimConfig(latent="Nope")
 
+    @pytest.mark.parametrize("latent", [["Linear"], {}], ids=["list", "dict"])
+    def test_latent_that_is_not_a_name_rejected(self, latent):
+        # unhashable, so a dict lookup would raise a TypeError
+        with pytest.raises(ConfigError, match="unknown latent function"):
+            SimConfig(latent=latent)
+
     @pytest.mark.parametrize("field, value, message", [
         ("repetitions", 0, "repetitions"),
         ("noise_sd", 0.0, "noise sd"),
