@@ -69,6 +69,7 @@ MUTANTS = [
     ("effect-variances-subtract", _I,
      "return mi - mc, vi + vc",
      "return mi - mc, vi - vc"),
+    # also moves sim.generate's jump, whose side Threshold.labels gives
     ("threshold-strict", _I,
      "(kernels._atleast_2d(X)[:, 0] >= self.value)",
      "(kernels._atleast_2d(X)[:, 0] > self.value)"),
@@ -123,9 +124,6 @@ MUTANTS = [
     ("on-path-is-control", "src/gpqed/geo.py",
      "np.where((cross > 0) & ~on_path, 0, 1)",
      "np.where(cross > 0, 0, 1)"),
-    ("sim-jump-strict", "src/gpqed/sim.py",
-     "config.effect * (x >= config.threshold)",
-     "config.effect * (x > config.threshold)"),
     # cli: report and curves
     ("report-weights-m1-from-m0", "src/gpqed/cli.py",
      '"kernel_weights_m1": result.kernel_weights_m1,',
@@ -146,6 +144,9 @@ MUTANTS = [
     ("number-no-float-bound", "src/gpqed/errors.py",
      "abs(value) <= sys.float_info.max",
      "True"),
+    ("number-float-takes-inf", "src/gpqed/errors.py",
+     "type(value) is float and math.isfinite(value)",
+     "type(value) is float"),
     # the one owner of each input rule
     ("read-passes-library-errors", "src/gpqed/cli.py",
      "except DataError:",
@@ -156,12 +157,26 @@ MUTANTS = [
     ("kernel-variance-not-finite", "src/gpqed/kernels.py",
      'check_number("variance", self.variance) > 0',
      "self.variance > 0"),
+    ("data-scales-one-row", _H,
+     "if data.n < 2:",
+     "if data.n < 1:"),
+    ("latent-dict-membership", "src/gpqed/sim.py",
+     "if name not in list(LATENT_FUNCTIONS):",
+     "if name not in LATENT_FUNCTIONS:"),
+    ("fit-trusts-structure", _G,
+     "elif structure.X is not data.X and not np.array_equal(structure.X, "
+     "data.X):",
+     "elif False:"),
+    # input checks that one test each reaches
+    ("kernel-unknown-family", "src/gpqed/kernels.py",
+     "if self.family not in FAMILIES:",
+     "if False:"),
+    ("boundary-vertex-not-finite", "src/gpqed/geo.py",
+     "if not np.all(np.isfinite(v)):",
+     "if False:"),
 ]
 
-EQUIVALENT = {
-    "sim-jump-strict": "x ~ U(-1, 1), so x equals the threshold with "
-                       "probability 0 and no draw changes",
-}
+EQUIVALENT = {}
 
 SURVIVING = {
     "jitter-not-scaled": "nothing in src/ reads a returned fit's jitter; it "

@@ -52,10 +52,12 @@ def check_int(name, value, low, error=InputError):
 def check_number(name, value, error=InputError):
     """value, if it is a finite real number that is not a bool; error naming
     name otherwise."""
+    # a finite Python float, as the search passes, needs no further test;
     # an integer too large for a float fails the exact comparison, where
     # math.isfinite would raise OverflowError; a float takes math.isfinite,
     # as numpy would compare a float32 with the bound cast to float32's inf
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+    if not (type(value) is float and math.isfinite(value)) and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not (abs(value) <= sys.float_info.max
                     if isinstance(value, numbers.Integral)
                     else math.isfinite(value))):

@@ -120,15 +120,17 @@ def fit(data: Dataset, kernel: KernelSpec, noise_variance: float,
 
     mean_constant defaults to the empirical mean of data.y; pass an explicit
     value to share one constant across several sub-fits. A GramStructure for
-    data.X may be supplied to reuse cached pairwise distances. Raises
-    NumericalError when the covariance cannot be factorized or the gradient
-    is not finite.
+    data.X may be supplied to reuse cached pairwise distances; InputError
+    when it was built for other points. Raises NumericalError when the
+    covariance cannot be factorized or the gradient is not finite.
     """
     if not check_number("noise variance", noise_variance) > 0:
         raise InputError("noise variance must be positive")
     c = float(np.mean(data.y)) if mean_constant is None else float(mean_constant)
     if structure is None:
         structure = GramStructure(data.X)
+    elif structure.X is not data.X and not np.array_equal(structure.X, data.X):
+        raise InputError("structure was built for other points than data.X")
     # an extreme trial step can overflow the kernel formula, or underflow
     # the square of a lengthscale the gradient divides by; the finiteness
     # checks of jittered_cholesky and below then raise NumericalError

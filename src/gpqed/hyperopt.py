@@ -38,8 +38,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
-from .errors import (InputError, NumericalError, OptimizationError,
-                     check_int, check_seed)
+from .errors import (DataError, InputError, NumericalError,
+                     OptimizationError, check_int, check_seed)
 from .gp import Dataset
 from .kernels import KernelSpec
 
@@ -241,11 +241,12 @@ def data_scales(data: Dataset) -> DataScales:
     starts every kernel and model from (its docstring gives the rules).
 
     `inference.compare` computes them once per call and hands them to
-    every fit; they are not kept with the data. InputError unless data has
-    two rows or more, as a row's nearest other row needs.
+    every fit; they are not kept with the data. DataError unless data has
+    two rows or more, as a row's nearest other row needs: the one place a
+    fit's two-observation rule is checked.
     """
     if data.n < 2:
-        raise InputError("the noise estimate needs at least 2 observations")
+        raise DataError("need at least 2 observations")
     var_y = float(np.var(data.y))
     # with duplicate rows a row's own index may come second, or not at all
     _, nearest = cKDTree(data.X).query(data.X, k=2)

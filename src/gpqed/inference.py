@@ -146,14 +146,16 @@ def _fit_parts(parts: list[Dataset], kernel: KernelSpec, data: Dataset,
     the fits' `quad` and `log_det`, as gp.fit made them. The fits returned
     are the best evaluation's, scaled to v-hat, not fitted again.
 
-    Raises DataError when every part's response is constant: the log
-    posterior then grows without bound as v and the noise go to 0.
+    Raises DataError when data has fewer than two rows (from
+    `hyperopt.data_scales`, checked first) or when every part's response is
+    constant: the log posterior then grows without bound as v and the noise
+    go to 0.
     """
+    if scales is None:
+        scales = hyperopt.data_scales(data)
     if all(np.all(part.y == part.y[0]) for part in parts):
         raise DataError("every part's response is constant, so the "
                         "hyperparameters have no MAP estimate")
-    if scales is None:
-        scales = hyperopt.data_scales(data)
     init = hyperopt.default_init(kernel, scales)
     powers = hyperopt.scale_powers(kernel)
     c = float(np.mean(data.y))
@@ -201,8 +203,6 @@ def fit_continuous(data: Dataset, kernel: KernelSpec,
                    ) -> tuple[GPFit, Evidence]:
     """Fit one GP to all data; evidence via BIC at the optimized hypers.
     scales are `hyperopt.data_scales(data)`, computed here when None."""
-    if data.n < 2:
-        raise ConfigError("need at least 2 observations")
     (fit,), ev = _fit_parts([data], kernel, data, cfg, scales)
     return fit, ev
 
@@ -289,9 +289,8 @@ def compare(data: Dataset, label: LabelFunction,
     kernel_labels(kernel_list)
     effect_point = check_effect_point(effect_point, label, data.p)
 
-    # the search's data-only start, once for every kernel and model; with
-    # one observation there is no neighbour, and fit_continuous raises
-    scales = hyperopt.data_scales(data) if data.n > 1 else None
+    # the search's data-only start, once for every kernel and model
+    scales = hyperopt.data_scales(data)
     results = []
     for kern in kernel_list:
         fit0, ev0 = fit_continuous(data, kern, cfg, scales=scales)

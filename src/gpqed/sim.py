@@ -56,12 +56,20 @@ LATENT_FUNCTIONS = {
 }
 
 
+def _latent(name, error):
+    """The latent function called name; error naming the valid names
+    otherwise. Membership is tested in a list, so that an unhashable name
+    is unknown, not a TypeError."""
+    if name not in list(LATENT_FUNCTIONS):
+        raise error(f"unknown latent function {name!r}; "
+                    f"valid: {sorted(LATENT_FUNCTIONS)}")
+    return LATENT_FUNCTIONS[name]
+
+
 def eval_latent(name: str, x):
-    """Evaluate a named latent function at x (scalar or array)."""
-    if name not in LATENT_FUNCTIONS:
-        raise InputError(
-            f"unknown latent function {name!r}; valid: {sorted(LATENT_FUNCTIONS)}")
-    return LATENT_FUNCTIONS[name](np.asarray(x, dtype=float))
+    """Evaluate a named latent function at x (scalar or array); InputError
+    for an unknown name."""
+    return _latent(name, InputError)(np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +86,7 @@ class SimConfig:
     repetitions: int = 100
 
     def __post_init__(self):
-        # a list, so that an unhashable latent is unknown, not a TypeError
-        if self.latent not in list(LATENT_FUNCTIONS):
-            raise ConfigError(
-                f"unknown latent function {self.latent!r}; "
-                f"valid: {sorted(LATENT_FUNCTIONS)}")
+        _latent(self.latent, ConfigError)
         # numpy takes only integers as sizes and seeds, and rep_seed's
         # SeedSequence only non-negative ones; a bool is not one
         check_int("n", self.n, 10, ConfigError)
@@ -98,12 +102,13 @@ class SimConfig:
 
 
 def generate(config: SimConfig, seed=None) -> Dataset:
-    """x ~ U(-1, 1); y ~ N(f(x) + d * [x >= x0], sigma^2), reproducibly."""
+    """x ~ U(-1, 1); y ~ N(f(x) + d * [x >= x0], sigma^2), reproducibly;
+    the jump's side is the one `Threshold(x0).labels` gives the analysis."""
     rng = np.random.default_rng(
         check_seed(config.seed if seed is None else seed))
     x = rng.uniform(-1.0, 1.0, size=config.n)
     f = eval_latent(config.latent, x)
-    jump = config.effect * (x >= config.threshold)
+    jump = config.effect * Threshold(config.threshold).labels(x)
     y = f + jump + config.noise_sd * rng.standard_normal(config.n)
     return Dataset(x.reshape(-1, 1), y)
 

@@ -414,6 +414,16 @@ class TestMain:
         assert cli.main(["analyze", "--config", str(cfg)]) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_one_row_data_file_is_a_data_error(self, tmp_path, capsys):
+        # as a file with no data rows is: a fit needs a second row
+        cfg = _base_config(tmp_path)
+        _write_csv(cfg["data"], [(0.5, 1.0)])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["analyze", "--config", str(path)]) == 3
+        assert ("data error: need at least 2 observations"
+                in capsys.readouterr().err)
+
     def test_missing_config_file(self, capsys):
         assert cli.main(["analyze", "--config", "no-such.json"]) == 2
 

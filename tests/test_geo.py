@@ -67,6 +67,11 @@ class TestValidation:
         with pytest.raises(InputError):
             BoundaryPolyline(np.array([[0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_vertex_that_is_not_finite(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            BoundaryPolyline(np.array([[0.0, 0.0], [bad, 2.0], [3.0, 1.0]]))
+
     def test_rejects_repeated_vertex(self):
         with pytest.raises(InputError):
             BoundaryPolyline(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))

@@ -32,6 +32,10 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(np.zeros((3, 1)), np.zeros(2))
 
+    def test_rejects_no_rows(self):
+        with pytest.raises(DataError, match="at least one observation"):
+            Dataset(np.zeros((0, 1)), np.zeros(0))
+
 
 class TestFit:
     @staticmethod
@@ -84,6 +88,20 @@ class TestFit:
         f = fit(d, from_name("se"), 0.1)
         assert f.mean_constant == pytest.approx(3.5)
         np.testing.assert_allclose(f.alpha, 0.0, atol=1e-12)
+
+    def test_rejects_a_structure_built_for_other_points(self, rng):
+        data = Dataset(rng.uniform(-1, 1, 50), rng.standard_normal(50))
+        se = from_name("se")
+        # points of the same count would give a wrong log-ML, and of
+        # another count a misleading Cholesky failure
+        for n in (50, 49):
+            with pytest.raises(InputError, match="other points"):
+                fit(data, se, 0.1,
+                    structure=kernels.GramStructure(rng.uniform(-1, 1, n)))
+        want = fit(data, se, 0.1)
+        for X in (data.X, data.X.copy()):
+            got = fit(data, se, 0.1, structure=kernels.GramStructure(X))
+            assert (got.log_det, got.quad) == (want.log_det, want.quad)
 
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(InputError):

@@ -5,7 +5,8 @@ import pytest
 from scipy.optimize import minimize
 
 from gpqed import gp, hyperopt, inference, sim
-from gpqed.errors import InputError, NumericalError, OptimizationError
+from gpqed.errors import (DataError, InputError, NumericalError,
+                          OptimizationError)
 from gpqed.gp import Dataset
 from gpqed.hyperopt import (
     OptConfig,
@@ -754,6 +755,16 @@ class TestProfiledOptimum:
         assert -res.fun - at_hat <= 1e-6
 
 
+class TestProfiledScale:
+    @pytest.mark.parametrize("quad", [0.0, math.inf], ids=["zero", "inf"])
+    def test_quad_that_is_not_positive_and_finite_rejected(self, quad):
+        kernel = from_name("se")
+        unit = np.array([1.0, 0.5, 0.1])
+        with pytest.raises(NumericalError, match="no positive kernel"):
+            hyperopt.profiled_scale(quad, 10, unit,
+                                    hyperopt.scale_powers(kernel))
+
+
 def _init(x, y, name="se"):
     """default_init as a dict keyed by hyperparameter name."""
     kernel = from_name(name)
@@ -831,7 +842,7 @@ class TestDefaultInit:
 
     def test_one_row_rejected(self):
         # one row has no nearest other row
-        with pytest.raises(InputError, match="at least 2 observations"):
+        with pytest.raises(DataError, match="at least 2 observations"):
             data_scales(Dataset([0.5], [1.0]))
 
     def test_polynomial_offset(self):

@@ -79,7 +79,7 @@ class TestFitContinuous:
         fit_continuous(data, from_name("se"), FAST)
 
     def test_rejects_single_point(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError):
             fit_continuous(Dataset([0.0], [0.0]), from_name("se"), FAST)
 
     def test_evidence_identity(self):
@@ -314,9 +314,9 @@ class TestDataScalesOnce:
                                  (fit0, fitc, fiti)):
                 assert _fields(got) == _fields(want)
 
-    def test_one_observation_is_a_config_error(self):
-        # one point has no nearest other row, and M0 needs two
-        with pytest.raises(ConfigError, match="at least 2 observations"):
+    def test_one_observation_is_a_data_error(self):
+        # one point has no nearest other row
+        with pytest.raises(DataError, match="at least 2 observations"):
             compare(Dataset([0.5], [1.0]), Threshold(0.0), self.KERNELS, FAST)
 
 

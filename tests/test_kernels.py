@@ -111,6 +111,10 @@ class TestGramCross:
         with pytest.raises(InputError):
             kernels.cross(se, np.zeros((3, 2)), np.zeros((3, 1)))
 
+    def test_points_of_more_than_two_dimensions_rejected(self):
+        with pytest.raises(InputError, match="at most 2-dimensional"):
+            kernels.gram(from_name("se"), np.zeros((2, 2, 1)))
+
 
 def _plain_formula(spec, X, Xs):
     """The kernel formula over the whole array, in _stationary_from_r's
@@ -304,6 +308,15 @@ class TestSpecValidation:
         with pytest.raises(InputError,
                            match=f"{field} must be a finite number"):
             from_name(name, **{field: value})
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"family": "periodic"}, "unknown kernel family"),
+        ({"family": "matern32", "offset": 1.0}, "offset only applies"),
+        ({"family": "linear", "lengthscale": 1.0}, "has no lengthscale"),
+    ], ids=["unknown-family", "stationary-offset", "linear-lengthscale"])
+    def test_rejects_a_field_the_family_does_not_take(self, fields, message):
+        with pytest.raises(InputError, match=message):
+            KernelSpec(**fields)
 
     def test_unknown_name(self):
         with pytest.raises(InputError):

@@ -50,6 +50,12 @@ class TestLatentFunctions:
         with pytest.raises(InputError):
             eval_latent("Cosine", 0.0)
 
+    @pytest.mark.parametrize("name", [["Linear"], {}], ids=["list", "dict"])
+    def test_name_that_is_not_a_string_is_unknown(self, name):
+        # unhashable, so a dict lookup would raise a TypeError
+        with pytest.raises(InputError, match="unknown latent function"):
+            eval_latent(name, 0.0)
+
 
 class TestGenerate:
     def test_noiseless_limit_on_latent(self):
