@@ -148,9 +148,12 @@ MUTANTS = [
      "type(value) is float and math.isfinite(value)",
      "type(value) is float"),
     # the one owner of each input rule
-    ("read-passes-library-errors", "src/gpqed/cli.py",
-     "except DataError:",
-     "except GpqedError:"),
+    ("convert-drops-value-error", "src/gpqed/cli.py",
+     "except (TypeError, ValueError, OSError) as exc:",
+     "except (TypeError, OSError) as exc:"),
+    ("exits-input-error-unnamed", "src/gpqed/cli.py",
+     '((ConfigError, InputError), "configuration error", 2)',
+     '(ConfigError, "configuration error", 2)'),
     ("effect-point-not-finite", _I,
      "if not np.isfinite(point).all():",
      "if False:"),
@@ -171,6 +174,9 @@ MUTANTS = [
     ("kernel-unknown-family", "src/gpqed/kernels.py",
      "if self.family not in FAMILIES:",
      "if False:"),
+    ("from-name-non-string", "src/gpqed/kernels.py",
+     "name.strip().lower() if isinstance(name, str) else None",
+     "name.strip().lower()"),
     ("boundary-vertex-not-finite", "src/gpqed/geo.py",
      "if not np.all(np.isfinite(v)):",
      "if False:"),
@@ -178,10 +184,7 @@ MUTANTS = [
 
 EQUIVALENT = {}
 
-SURVIVING = {
-    "jitter-not-scaled": "nothing in src/ reads a returned fit's jitter; it "
-                         "goes when GPFit.jitter is reported or removed",
-}
+SURVIVING = {}
 
 
 def apply(root: str, path: str, old: str, new: str) -> None:

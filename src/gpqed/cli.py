@@ -24,8 +24,8 @@ from importlib.metadata import PackageNotFoundError, version as pkg_version
 import numpy as np
 
 from . import geo, gp, inference, kernels, sim
-from .errors import (ConfigError, DataError, GpqedError, NumericalError,
-                     check_int, check_number)
+from .errors import (ConfigError, DataError, GpqedError, InputError,
+                     NumericalError, check_int, check_number)
 from .gp import Dataset
 from .hyperopt import OptConfig
 
@@ -168,15 +168,13 @@ def _read(cfg: dict, key: str, convert, default=_REQUIRED):
 
 def _convert(key: str, convert, value):
     """convert(value), the one place that names a config key in an error
-    raised while reading it. A library check's error, a TypeError,
-    ValueError or OSError (a file convert cannot open) becomes a
-    ConfigError naming key; a DataError, which a boundary file that reads
-    but holds no valid polyline raises, passes unchanged."""
+    raised while reading it. A TypeError, ValueError (a library check's
+    InputError too) or OSError (a file convert cannot open) becomes a
+    ConfigError naming key; any other error, such as the DataError of a
+    boundary file that reads but holds no valid polyline, passes on."""
     try:
         return convert(value)
-    except DataError:
-        raise
-    except (GpqedError, TypeError, ValueError, OSError) as exc:
+    except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
 
 
@@ -529,8 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the message prefix and exit code of each error class, first match wins
-_EXITS = ((ConfigError, "configuration error", 2), (DataError, "data error", 3),
-          (NumericalError, "numerical error", 4), (GpqedError, "error", 2))
+_EXITS = (((ConfigError, InputError), "configuration error", 2),
+          (DataError, "data error", 3), (NumericalError, "numerical error", 4),
+          (GpqedError, "error", 2))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,11 +1,11 @@
 """Exception hierarchy shared across the package, and its two checks of a
 setting it is given: `check_int` (an integer that is not a bool, of at least
 a bound: every count, size and seed) and `check_number` (a finite real
-number that is not a bool). `check_seed` is `check_int` for a seed, or a
-SeedSequence.
+number that is not a bool), each an InputError when it fails. `check_seed`
+is `check_int` for a seed, or a SeedSequence.
 
-Exit-code mapping used by the CLI: ConfigError -> 2, DataError -> 3,
-NumericalError -> 4.
+A library check raises InputError; ConfigError is the command line's own.
+The CLI exits 2 on either, 3 on DataError and 4 on NumericalError.
 """
 
 import math
@@ -20,11 +20,11 @@ class GpqedError(Exception):
 
 
 class InputError(GpqedError, ValueError):
-    """Invalid argument to a library call (shape/dimension mismatch etc.)."""
+    """A value a library check rejects (shape mismatch, unknown name etc.)."""
 
 
 class ConfigError(GpqedError):
-    """Invalid or inconsistent analysis configuration."""
+    """The command line's own error: a config key or file it cannot use."""
 
 
 class DataError(GpqedError):
@@ -39,19 +39,19 @@ class OptimizationError(NumericalError):
     """All optimizer restarts diverged."""
 
 
-def check_int(name, value, low, error=InputError):
+def check_int(name, value, low):
     """value, if it is an integer >= low that is not a bool (numpy integers
-    pass); error naming name otherwise, where numpy would raise an untyped
-    TypeError or take True as 1."""
+    pass); InputError naming name otherwise, where numpy would raise an
+    untyped TypeError or take True as 1."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or value < low):
-        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+        raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
     return value
 
 
-def check_number(name, value, error=InputError):
-    """value, if it is a finite real number that is not a bool; error naming
-    name otherwise."""
+def check_number(name, value):
+    """value, if it is a finite real number that is not a bool; InputError
+    naming name otherwise."""
     # a finite Python float, as the search passes, needs no further test;
     # an integer too large for a float fails the exact comparison, where
     # math.isfinite would raise OverflowError; a float takes math.isfinite,
@@ -61,7 +61,7 @@ def check_number(name, value, error=InputError):
             or not (abs(value) <= sys.float_info.max
                     if isinstance(value, numbers.Integral)
                     else math.isfinite(value))):
-        raise error(f"{name} must be a finite number, got {value!r}")
+        raise InputError(f"{name} must be a finite number, got {value!r}")
     return value
 
 

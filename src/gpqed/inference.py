@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from . import gp, hyperopt, kernels
-from .errors import ConfigError, DataError, InputError, check_int, check_seed
+from .errors import DataError, InputError, check_int, check_seed
 from .gp import Dataset, GPFit
 from .hyperopt import OptConfig
 from .kernels import GramStructure, KernelSpec
@@ -210,9 +210,9 @@ def fit_continuous(data: Dataset, kernel: KernelSpec,
 def split_by_label(data: Dataset, label: LabelFunction) -> tuple[Dataset, Dataset]:
     ell = label.labels(data.X)
     if not np.any(ell == 0):
-        raise ConfigError("control side of the split is empty")
+        raise InputError("control side of the split is empty")
     if not np.any(ell == 1):
-        raise ConfigError("intervention side of the split is empty")
+        raise InputError("intervention side of the split is empty")
     return data.subset(ell == 0), data.subset(ell == 1)
 
 
@@ -248,14 +248,14 @@ def effect_size(fit_c: GPFit, fit_i: GPFit, X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kernel_labels(kernel_list: list[KernelSpec]) -> list[str]:
-    """The labels that key the kernels' results; ConfigError unless there is
+    """The labels that key the kernels' results; InputError unless there is
     at least one kernel and no two share a label."""
     if not kernel_list:
-        raise ConfigError("at least one kernel is required")
+        raise InputError("at least one kernel is required")
     labels = [kern.label for kern in kernel_list]
     for label in labels:
         if labels.count(label) > 1:
-            raise ConfigError(f"two kernels are both {label!r}")
+            raise InputError(f"two kernels are both {label!r}")
     return labels
 
 
@@ -263,18 +263,18 @@ def check_effect_point(point, label: LabelFunction, p: int) -> np.ndarray:
     """The point where the effect-size posterior is evaluated, as a 1 x p
     array: point, or by default the threshold location of a Threshold on
     one predictor (every other label needs a point). A flat sequence is one
-    point in R^p, not p one-dimensional points. ConfigError unless it is
+    point in R^p, not p one-dimensional points. InputError unless it is
     exactly one finite p-dimensional point."""
     if point is None and not (isinstance(label, Threshold) and p == 1):
-        raise ConfigError("effect_point is required for non-threshold or "
-                          "multivariate labels")
+        raise InputError("effect_point is required for non-threshold or "
+                         "multivariate labels")
     point = np.asarray(label.value if point is None else point, dtype=float)
     point = point.reshape(1, -1) if point.ndim <= 1 else point
     if point.shape != (1, p):
-        raise ConfigError(f"effect_point must be a single {p}-dimensional "
-                          "point")
+        raise InputError(f"effect_point must be a single {p}-dimensional "
+                         "point")
     if not np.isfinite(point).all():
-        raise ConfigError("effect_point must be finite")
+        raise InputError("effect_point must be finite")
     return point
 
 

@@ -96,8 +96,8 @@ class KernelSpec:
 
 def from_name(name: str, **overrides) -> KernelSpec:
     """Build a KernelSpec from a family name or its label, like "linear",
-    "exp" or "squared_exponential"."""
-    key = name.strip().lower()
+    "exp" or "squared_exponential"; InputError for anything else."""
+    key = name.strip().lower() if isinstance(name, str) else None
     for family, label in FAMILIES.items():
         if key in (family, label):
             return KernelSpec(family=family, **overrides)

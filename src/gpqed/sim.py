@@ -11,8 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import inference
-from .errors import (ConfigError, GpqedError, InputError, check_int,
-                     check_number, check_seed)
+from .errors import GpqedError, InputError, check_int, check_number, check_seed
 from .gp import Dataset
 from .hyperopt import OptConfig
 from .inference import EffectPosterior, Threshold
@@ -56,20 +55,20 @@ LATENT_FUNCTIONS = {
 }
 
 
-def _latent(name, error):
-    """The latent function called name; error naming the valid names
+def _latent(name):
+    """The latent function called name; InputError naming the valid names
     otherwise. Membership is tested in a list, so that an unhashable name
     is unknown, not a TypeError."""
     if name not in list(LATENT_FUNCTIONS):
-        raise error(f"unknown latent function {name!r}; "
-                    f"valid: {sorted(LATENT_FUNCTIONS)}")
+        raise InputError(f"unknown latent function {name!r}; "
+                         f"valid: {sorted(LATENT_FUNCTIONS)}")
     return LATENT_FUNCTIONS[name]
 
 
 def eval_latent(name: str, x):
     """Evaluate a named latent function at x (scalar or array); InputError
     for an unknown name."""
-    return _latent(name, InputError)(np.asarray(x, dtype=float))
+    return _latent(name)(np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +76,8 @@ def eval_latent(name: str, x):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulation cell's settings; InputError for a value it rejects."""
+
     latent: str
     n: int = 100
     effect: float = 0.0          # injected discontinuity d
@@ -86,19 +87,19 @@ class SimConfig:
     repetitions: int = 100
 
     def __post_init__(self):
-        _latent(self.latent, ConfigError)
+        _latent(self.latent)
         # numpy takes only integers as sizes and seeds, and rep_seed's
         # SeedSequence only non-negative ones; a bool is not one
-        check_int("n", self.n, 10, ConfigError)
-        check_int("repetitions", self.repetitions, 1, ConfigError)
-        check_int("seed", self.seed, 0, ConfigError)
+        check_int("n", self.n, 10)
+        check_int("repetitions", self.repetitions, 1)
+        check_int("seed", self.seed, 0)
         for name in ("effect", "noise_sd", "threshold"):
-            check_number(name, getattr(self, name), ConfigError)
+            check_number(name, getattr(self, name))
         if not self.noise_sd > 0:
-            raise ConfigError("noise sd must be positive")
+            raise InputError("noise sd must be positive")
         # x ~ U(-1, 1), so any other threshold leaves a side empty
         if not -1.0 < self.threshold < 1.0:
-            raise ConfigError("threshold must lie strictly between -1 and 1")
+            raise InputError("threshold must lie strictly between -1 and 1")
 
 
 def generate(config: SimConfig, seed=None) -> Dataset:
@@ -235,7 +236,7 @@ def run_grid(latents: list[str], effects: list[float], template: SimConfig,
     failures are recorded, never fatal. Every cell's config is checked
     before the first cell runs."""
     if not latents or not effects:
-        raise ConfigError("latent and effect grids must be non-empty")
+        raise InputError("latent and effect grids must be non-empty")
     configs = [replace(template, latent=latent, effect=d)
                for latent, d in itertools.product(latents, effects)]
     return tuple(run_cell(config, kernel_list, cell_index=i, opt=opt)

@@ -424,6 +424,16 @@ class TestMain:
         assert ("data error: need at least 2 observations"
                 in capsys.readouterr().err)
 
+    def test_empty_side_after_the_data_load_is_a_config_error(
+            self, tmp_path, capsys):
+        # the library's InputError reaches main unnamed, with the prefix of
+        # a configuration error
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_base_config(tmp_path, threshold=5.0)))
+        assert cli.main(["analyze", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == ("configuration error: intervention "
+                                           "side of the split is empty\n")
+
     def test_missing_config_file(self, capsys):
         assert cli.main(["analyze", "--config", "no-such.json"]) == 2
 

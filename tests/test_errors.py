@@ -3,8 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gpqed.errors import (ConfigError, InputError, check_int, check_number,
-                          check_seed)
+from gpqed.errors import InputError, check_int, check_number, check_seed
 
 
 class TestCheckInt:
@@ -19,14 +18,6 @@ class TestCheckInt:
     def test_anything_else_is_the_error_named(self, value):
         with pytest.raises(InputError, match=r"^k must be an integer >= 2, "):
             check_int("k", value, 2)
-
-    def test_error_class(self):
-        with pytest.raises(ConfigError, match="n must be an integer >= 10"):
-            check_int("n", 9, 10, ConfigError)
-        # a plain ValueError, not an InputError, for the CLI's converters
-        with pytest.raises(ValueError) as caught:
-            check_int("value", True, 0, ValueError)
-        assert type(caught.value) is ValueError
 
 
 class TestCheckNumber:
@@ -45,10 +36,6 @@ class TestCheckNumber:
     def test_anything_else_is_the_error_named(self, value):
         with pytest.raises(InputError, match=r"^x must be a finite number, "):
             check_number("x", value)
-
-    def test_error_class(self):
-        with pytest.raises(ConfigError, match="effect"):
-            check_number("effect", 10**400, ConfigError)
 
 
 class TestCheckSeed:

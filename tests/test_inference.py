@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gpqed import cli, gp, hyperopt, inference, kernels, sim
-from gpqed.errors import ConfigError, DataError, InputError, NumericalError
+from gpqed.errors import DataError, InputError, NumericalError
 from gpqed.gp import Dataset
 from gpqed.hyperopt import OptConfig
 from gpqed.inference import (
@@ -57,9 +57,9 @@ class TestLabels:
 
     def test_empty_side_is_config_error(self):
         data = _step_data(20)
-        with pytest.raises(ConfigError, match="intervention"):
+        with pytest.raises(InputError, match="intervention"):
             split_by_label(data, Threshold(99.0))
-        with pytest.raises(ConfigError, match="control"):
+        with pytest.raises(InputError, match="control"):
             split_by_label(data, Threshold(-99.0))
 
 
@@ -127,6 +127,28 @@ class TestFitDiscontinuous:
         data = _step_data(100, d=4.0, seed=4)
         result = compare(data, Threshold(0.0), [from_name("exp")], FAST)
         assert result.kernel_results[0].log_bf10 > 3.0
+
+
+class TestReturnedJitter:
+    """A returned fit's jitter is at its own kernel variance v-hat: the
+    search fits at unit variance, so the jitter found there scales by
+    v-hat, which is theta-hat[0]."""
+
+    @pytest.mark.parametrize("name", ["linear", "exp"])
+    def test_jitter_scales_with_the_kernel_variance(self, monkeypatch, name):
+        factor = gp.jittered_cholesky
+
+        def fixed_jitter(K):
+            return factor(K)[0], 0.25
+        monkeypatch.setattr(gp, "jittered_cholesky", fixed_jitter)
+        data = _step_data(40, d=1.0, seed=5)
+        kernel = from_name(name)
+        fit_m0, _ = fit_continuous(data, kernel, FAST)
+        fit_c, fit_i, _ = fit_discontinuous(data, Threshold(0.0), kernel,
+                                            FAST)
+        for f in (fit_m0, fit_c, fit_i):
+            assert f.kernel.variance != 1.0
+            assert f.jitter == 0.25 * f.kernel.variance
 
 
 class TestNoPointFittedTwice:
@@ -493,12 +515,12 @@ class TestCompare:
         assert np.isfinite(result.outputs[0])
 
     def test_requires_kernel(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             compare(_step_data(20), Threshold(0.0), [], FAST)
 
     def test_effect_point_required_for_predicate(self):
         data = _step_data(20)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             compare(data, PointRule(lambda x: x[0] >= 0),
                     [from_name("se")], FAST)
 
@@ -509,7 +531,7 @@ class TestCompare:
         def fit(*args):
             raise AssertionError("a model was fitted")
         monkeypatch.setattr(inference, "fit_continuous", fit)
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(InputError, match="finite"):
             compare(_step_data(20), Threshold(0.0), [from_name("se")], FAST,
                     effect_point=[value])
 
@@ -519,7 +541,7 @@ class TestCompare:
         def fit(*args):
             raise AssertionError("a model was fitted")
         monkeypatch.setattr(inference, "fit_continuous", fit)
-        with pytest.raises(ConfigError, match="single 1-dimensional point"):
+        with pytest.raises(InputError, match="single 1-dimensional point"):
             compare(_step_data(20), Threshold(0.0), [from_name("se")], FAST,
                     effect_point=point)
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -321,6 +322,14 @@ class TestSpecValidation:
     def test_unknown_name(self):
         with pytest.raises(InputError):
             from_name("periodic")
+
+    @pytest.mark.parametrize("name", [3, None, ["exp"]],
+                             ids=["int", "None", "list"])
+    def test_name_that_is_not_a_string_is_unknown(self, name):
+        # str.strip is not called on it: that raised an untyped AttributeError
+        message = f"unknown kernel name {name!r}; valid: "
+        with pytest.raises(InputError, match="^" + re.escape(message)):
+            from_name(name)
 
     def test_one_name_per_family(self):
         # a family is named by itself or by its label, and by nothing else

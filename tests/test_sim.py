@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpqed import inference, sim
-from gpqed.errors import ConfigError, InputError, NumericalError
+from gpqed.errors import InputError, NumericalError
 from gpqed.hyperopt import OptConfig
 from gpqed.inference import EffectPosterior
 from gpqed.kernels import from_name
@@ -82,15 +82,15 @@ class TestGenerate:
                                              abs=4.0 / np.sqrt(10000) * 4)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             SimConfig(latent="Linear", n=5)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             SimConfig(latent="Nope")
 
     @pytest.mark.parametrize("latent", [["Linear"], {}], ids=["list", "dict"])
     def test_latent_that_is_not_a_name_rejected(self, latent):
         # unhashable, so a dict lookup would raise a TypeError
-        with pytest.raises(ConfigError, match="unknown latent function"):
+        with pytest.raises(InputError, match="unknown latent function"):
             SimConfig(latent=latent)
 
     @pytest.mark.parametrize("field, value, message", [
@@ -100,7 +100,7 @@ class TestGenerate:
         ("seed", -1, "seed"),
     ])
     def test_invalid_field_rejected(self, field, value, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(InputError, match=message):
             SimConfig(latent="Linear", **{field: value})
 
     @pytest.mark.parametrize("field, value", [
@@ -108,7 +108,7 @@ class TestGenerate:
         ("repetitions", 1.5), ("repetitions", False)])
     def test_field_that_is_not_an_integer_rejected(self, field, value):
         # numpy would raise an untyped TypeError once data are drawn
-        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
             SimConfig(latent="Linear", **{field: value})
 
     @pytest.mark.parametrize("field", ["effect", "noise_sd", "threshold"])
@@ -118,7 +118,7 @@ class TestGenerate:
         pytest.param(10**400, id="1e400"),
         pytest.param(-10**400, id="-1e400")])
     def test_field_that_is_not_a_finite_number_rejected(self, field, value):
-        with pytest.raises(ConfigError,
+        with pytest.raises(InputError,
                            match=f"{field} must be a finite number"):
             SimConfig(latent="Linear", **{field: value})
 
@@ -138,7 +138,7 @@ class TestGenerate:
     def test_threshold_outside_the_x_range_rejected(self, threshold):
         # x ~ U(-1, 1): such a threshold leaves one side empty in every
         # repetition
-        with pytest.raises(ConfigError, match="threshold"):
+        with pytest.raises(InputError, match="threshold"):
             SimConfig(latent="Linear", threshold=threshold)
         assert SimConfig(latent="Linear", threshold=0.99).threshold == 0.99
 
@@ -278,14 +278,14 @@ class TestRunGrid:
             calls.append(args)
         monkeypatch.setattr(sim, "run_cell", run_cell)
         cfg = SimConfig(latent="Linear", n=40, repetitions=1)
-        with pytest.raises(ConfigError, match="Bogus"):
+        with pytest.raises(InputError, match="Bogus"):
             sim.run_grid(["Linear", "Bogus"], [1.0, 2.0], cfg,
                          [from_name("exp")])
         assert calls == []
 
     def test_empty_grid_rejected(self):
         cfg = SimConfig(latent="Linear", n=40, repetitions=1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             sim.run_grid([], [1.0], cfg, [from_name("exp")])
 
     @pytest.mark.parametrize("names", [[], ["exp", "exponential"]],
@@ -298,5 +298,5 @@ class TestRunGrid:
             raise AssertionError("a repetition ran")
         monkeypatch.setattr(sim.inference, "compare", compare)
         cfg = SimConfig(latent="Linear", n=40, repetitions=2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             sim.run_cell(cfg, [from_name(name) for name in names])
